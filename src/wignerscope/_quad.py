@@ -61,11 +61,3 @@ def jacobi_unit(n: int, beta: float):
     w.setflags(write=False)
     return s, w
 
-
-@lru_cache(maxsize=8)
-def hermgauss_cached(n: int):
-    """Gauss-Hermite rule for ∫ g(s) e^{-s²} ds."""
-    x, w = np.polynomial.hermite.hermgauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w

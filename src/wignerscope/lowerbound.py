@@ -7,6 +7,14 @@ supported on an annulus just outside the estimation band, with matrix
 tau^{htilde} diagonal via the Laguerre transform.  verify_pair checks the
 three lower-bound conditions (class membership, separation at the origin,
 small chi^2 between the noisy models) plus positivity of rho +/- tau.
+
+rho^{alpha,xi} is a mixture over z of centred Gaussian states, and Gaussian
+detection noise keeps each component Gaussian, so the noisy base density is
+one z-integral with kappa = 2 eta - 1:
+
+    p_0^eta(y) = int_xi^1 f(z) / sqrt(pi (1-z)(1+kappa z)) exp(-y^2 (1-z)/(1+kappa z)) dz;
+
+eta = 1 (kappa = 1) is the noiseless density p_alpha_xi.
 """
 
 from __future__ import annotations
@@ -17,12 +25,13 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn, gammaincc, gammaln
 
-from ._quad import gl_panels, hermgauss_cached, jacobi_unit
+from ._quad import gl_panels, jacobi_unit
 from .errors import BandwidthError, ValidationError
 from .fockspace import laguerre_table
 from .tomography import ClassIntegralResult, NoiseModel, SmoothnessClass, class_integral
 
 K_MAX_BUDGET = 5000
+_COS_BLOCK_ROWS = 2048  # rows of the cos(y t) matrix in perturbation_profile_noisy
 
 # Known-good regression configuration: all four verify_pair verdicts hold.
 # n is a formula parameter (nothing is sampled); the construction closes
@@ -83,7 +92,6 @@ class BumpSpec:
 
     delta: float = 0.1
     big_d: float = 1.0
-    coefficients: tuple = _SMOOTHSTEP
 
     def __post_init__(self):
         if not self.delta > 0.0:
@@ -187,29 +195,34 @@ def rho_tail_mass(axi: AlphaXi, k_max: int) -> float:
     return a * float(np.dot(w, base ** (k_max + 1)))
 
 
-def _p_small_x(axi: AlphaXi, x: np.ndarray, n_nodes: int = 256) -> np.ndarray:
-    # substitution 1-z = (1-xi)s: weight s^{alpha-1/2}, smooth remainder
+def _p_small_x(axi: AlphaXi, x: np.ndarray, eta: float = 1.0, n_nodes: int = 256) -> np.ndarray:
+    # substitution 1-z = (1-xi)s: weight s^{alpha-1/2}, smooth remainder;
+    # 1 + kappa z = 1 + kappa - kappa (1-xi) s
     a, xi = axi.alpha, axi.xi
+    kappa = 2.0 * eta - 1.0
     s, w = jacobi_unit(n_nodes, a - 0.5)
     om = 1.0 - xi
-    two_minus = 2.0 - om * s
-    g = two_minus ** -0.5 * np.exp(-np.multiply.outer(x * x, om * s / two_minus))
+    var_den = (1.0 + kappa) - kappa * om * s
+    g = var_den ** -0.5 * np.exp(-np.multiply.outer(x * x, om * s / var_den))
     return (a * math.sqrt(om) / math.sqrt(math.pi)) * (g @ w)
 
 
-def _p_large_x(axi: AlphaXi, x: np.ndarray) -> np.ndarray:
-    # tail substitution u = x sqrt((1-z)/(1+z)); split the u-range into
-    # a Gauss-Jacobi piece on [0, min(1, U)] (weight u^{2 alpha}) and a
+def _p_large_x(axi: AlphaXi, x: np.ndarray, eta: float = 1.0) -> np.ndarray:
+    # tail substitution u = x sqrt((1-z)/(1+kappa z)): the integrand is
+    # u^{2 alpha} (x^2 + kappa u^2)^{-(alpha+1)} e^{-u^2}.  Split the u-range
+    # into a Gauss-Jacobi piece on [0, min(1, U)] (weight u^{2 alpha}) and a
     # rescaled Gauss-Legendre piece on [min(1, U), min(U, 9)], vectorized
     # over x through per-point range scaling
     a, xi = axi.alpha, axi.xi
+    kappa = 2.0 * eta - 1.0
     xa = np.abs(np.asarray(x, dtype=float))
-    u_top = xa * math.sqrt((1.0 - xi) / (1.0 + xi))
-    pref = a * 2.0 ** (a + 1.0) * xa / ((1.0 - xi) ** a * math.sqrt(math.pi))
+    u_top = xa * math.sqrt((1.0 - xi) / (1.0 + kappa * xi))
+    # 2 alpha (2 eta)^alpha, written so that eta = 1 multiplies by 1.0 exactly
+    pref = a * 2.0 ** (a + 1.0) * eta**a * xa / ((1.0 - xi) ** a * math.sqrt(math.pi))
     s, w = jacobi_unit(160, 2.0 * a)
     u1 = np.minimum(1.0, u_top)
     uu = np.multiply.outer(u1, s)            # (npts, nodes)
-    g1 = (uu * uu + (xa * xa)[:, None]) ** -(a + 1.0) * np.exp(-uu * uu)
+    g1 = (kappa * uu * uu + (xa * xa)[:, None]) ** -(a + 1.0) * np.exp(-uu * uu)
     val = u1 ** (2.0 * a + 1.0) * (g1 @ w)
     hi = np.minimum(u_top, 9.0)
     has_b = hi > 1.0
@@ -217,9 +230,23 @@ def _p_large_x(axi: AlphaXi, x: np.ndarray) -> np.ndarray:
         t0, tw = gl_panels(0.0, 1.0, 1.0 / 40.0)     # unit grid, rescaled per point
         span = (hi[has_b] - 1.0)[:, None]
         tt = 1.0 + span * t0[None, :]
-        g2 = tt ** (2.0 * a) * (tt * tt + (xa[has_b] ** 2)[:, None]) ** -(a + 1.0) * np.exp(-tt * tt)
+        g2 = tt ** (2.0 * a) * (kappa * tt * tt + (xa[has_b] ** 2)[:, None]) ** -(a + 1.0) * np.exp(-tt * tt)
         val[has_b] += (g2 @ tw) * span[:, 0]
     return pref * val
+
+
+def _p_mixture(axi: AlphaXi, x, eta: float):
+    """int_xi^1 f(z) / sqrt(pi (1-z)(1+kappa z)) exp(-x^2 (1-z)/(1+kappa z)) dz
+    with kappa = 2 eta - 1, split at |x| = 3 sqrt(eta) between the two branches."""
+    scalar = np.ndim(x) == 0
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(xs)
+    small = np.abs(xs) <= 3.0 * math.sqrt(eta)
+    if np.any(small):
+        out[small] = _p_small_x(axi, xs[small], eta)
+    if np.any(~small):
+        out[~small] = _p_large_x(axi, xs[~small], eta)
+    return float(out[0]) if scalar else out
 
 
 def p_alpha_xi(axi: AlphaXi, x):
@@ -227,30 +254,24 @@ def p_alpha_xi(axi: AlphaXi, x):
 
         p(x) = int_xi^1 f(z) / sqrt(pi (1 - z^2)) exp(-x^2 (1-z)/(1+z)) dz.
     """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    small = np.abs(xs) <= 3.0
-    if np.any(small):
-        out[small] = _p_small_x(axi, xs[small])
-    if np.any(~small):
-        out[~small] = _p_large_x(axi, xs[~small])
-    return float(out[0]) if scalar else out
+    return _p_mixture(axi, x, 1.0)
 
 
-def p_tail_mass(axi: AlphaXi, x_cut: float, terms: int = 6) -> float:
+def p_tail_mass(axi: AlphaXi, x_cut: float, terms: int = 6, eta: float = 1.0) -> float:
     """Analytic tail integral int_{x_cut}^inf p(x) dx via the asymptotic
-    series p(x) = pref * x^{-1-2 alpha} sum_k c_k x^{-2k}; the leading term
-    is the |x|^{-(1+2 alpha)} power law with its exact constant.
+    series p(x) = pref * x^{-1-2 alpha} sum_k c_k kappa^k x^{-2k}; the
+    leading term is the |x|^{-(1+2 alpha)} power law with its exact constant.
 
-    Valid once the endpoint correction exp(-u_top^2) is negligible, i.e.
-    x_cut >= ~8 sqrt((1+xi)/(1-xi)).
+    eta < 1 gives the tail of the noisy density p_0^eta (kappa = 2 eta - 1;
+    eta = 1 is p_alpha_xi itself).  Valid once the endpoint correction
+    exp(-u_top^2) is negligible, i.e. x_cut >= ~8 sqrt((1+kappa xi)/(1-xi)).
     """
     a, xi = axi.alpha, axi.xi
-    pref = a * 2.0 ** (a + 1.0) / ((1.0 - xi) ** a * math.sqrt(math.pi))
+    kappa = 2.0 * eta - 1.0
+    pref = a * 2.0 ** (a + 1.0) * eta**a / ((1.0 - xi) ** a * math.sqrt(math.pi))
     total = 0.0
     for k in range(terms):
-        binom = _binom_neg(a, k)
+        binom = _binom_neg(a, k) * kappa**k
         moment = 0.5 * math.exp(gammaln(a + k + 0.5))   # int_0^inf u^{2a+2k} e^{-u^2} du
         power = 2.0 * a + 2.0 * k
         total += binom * moment * x_cut ** (-power) / power
@@ -433,18 +454,32 @@ def perturbation_profile_noisy(
     width = min((b - a) / 16.0, math.pi / (4.0 * max(y_max, 1.0)))
     t, w = gl_panels(a, b, width)
     f = j_htilde(bump, cls, htilde, se * t) * np.exp(-(1.0 - noise.eta) * t * t / 4.0)
-    out = np.cos(np.multiply.outer(ys, t)) @ (w * f) / math.pi
-    return out
+    wf = w * f
+    # cos(y t) in row blocks: the full (y, t) matrix reaches hundreds of MB
+    out = np.empty(ys.size)
+    block = np.empty((min(_COS_BLOCK_ROWS, ys.size), t.size))
+    for i in range(0, ys.size, _COS_BLOCK_ROWS):
+        yb = ys[i : i + _COS_BLOCK_ROWS]
+        c = block[: yb.size]
+        np.cos(np.multiply.outer(yb, t, out=c), out=c)
+        out[i : i + yb.size] = c @ wf
+    return out / math.pi
 
 
-def base_density_noisy(axi: AlphaXi, noise: NoiseModel, y, gh_nodes: int = 96) -> np.ndarray:
-    """p_0^eta(y): Gaussian smoothing of p_alpha_xi by Gauss-Hermite quadrature."""
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    s, w = hermgauss_cached(gh_nodes)
-    sig = math.sqrt((1.0 - noise.eta) / noise.eta)
-    x = ys[:, None] / math.sqrt(noise.eta) + sig * s[None, :]
-    p = p_alpha_xi(axi, x.ravel()).reshape(x.shape)
-    return (p @ w) / math.sqrt(math.pi * noise.eta)
+def base_density_noisy(axi: AlphaXi, noise: NoiseModel, y) -> np.ndarray:
+    """p_0^eta(y), the noisy quadrature density of rho^{alpha,xi}.
+
+    Each mixture component of rho^{alpha,xi} is a centred Gaussian in x of
+    variance (1+z)/(2(1-z)); Y = sqrt(eta) X + sqrt((1-eta)/2) xi keeps it a
+    centred Gaussian, of variance (1+kappa z)/(2(1-z)) with kappa = 2 eta - 1:
+
+        p_0^eta(y) = int_xi^1 f(z) / sqrt(pi (1-z)(1+kappa z))
+                     exp(-y^2 (1-z)/(1+kappa z)) dz,
+
+    the p_alpha_xi integral with 1+z replaced by 1+kappa z (eta = 1 is
+    p_alpha_xi), evaluated by the same two branches split at |y| = 3 sqrt(eta).
+    """
+    return _p_mixture(axi, np.atleast_1d(np.asarray(y, dtype=float)), noise.eta)
 
 
 def perturbation_l2(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, htilde: float) -> float:
@@ -482,6 +517,10 @@ def chi_squared(
 ) -> dict:
     """chi^2 = pi * int (p_2^eta - p_1^eta)^2 / p_1^eta dy, by direct
     quadrature in y (rotation invariance makes the angular integral trivial).
+
+    p_1^eta = p_0^eta + q: the base density p_0^eta(y) is the closed mixture
+    integral of base_density_noisy (1+z replaced by 1+kappa z in p_alpha_xi,
+    kappa = 2 eta - 1), the perturbation q is perturbation_profile_noisy.
 
     Returns the value plus the L2 and y^2-weighted tail-control diagnostics.
     """

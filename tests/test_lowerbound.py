@@ -107,6 +107,74 @@ class TestPAlphaXi:
         assert np.max(np.abs(left - right)) < 1e-10
 
 
+def _p0_eta_quadpack(a, xi, eta, y):
+    """p_0^eta(y) by adaptive QUADPACK in s = (1-z)/(1-xi): the algebraic
+    weight s^{alpha-1/2} on [0, s1], where the Gaussian factor has not yet
+    decayed, and a plain rule on [s1, 1]."""
+    kappa, om = 2.0 * eta - 1.0, 1.0 - xi
+
+    def smooth(s):
+        den = 1.0 + kappa - kappa * om * s
+        return a * math.sqrt(om / math.pi) * den**-0.5 * math.exp(-y * y * om * s / den)
+
+    s1 = min(1.0, 1.0 / max(y * y * om, 1e-300))
+    head = quad(smooth, 0.0, s1, weight="alg", wvar=(a - 0.5, 0.0),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    tail = 0.0
+    if s1 < 1.0:
+        tail = quad(lambda s: s ** (a - 0.5) * smooth(s), s1, 1.0,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return head + tail
+
+
+NOISY_CASES = [(0.2, 0.94, 0.2), (0.2, 0.5, 0.9), (0.3, 0.7, 0.5)]
+
+
+class TestBaseDensityNoisy:
+    @pytest.mark.parametrize("a,xi,eta", NOISY_CASES)
+    def test_against_quadpack_oracle(self, a, xi, eta):
+        axi = lb.AlphaXi(a, xi)
+        cross = 3.0 * math.sqrt(eta)
+        ys = np.array([0.0, 0.3, 0.999 * cross, cross, 1.001 * cross, 2.0, 5.0,
+                       12.0, 40.0, 120.0])
+        got = lb.base_density_noisy(axi, tg.NoiseModel(eta), ys)
+        want = np.array([_p0_eta_quadpack(a, xi, eta, y) for y in ys])
+        assert np.max(np.abs(got / want - 1.0)) < 1e-10
+
+    def test_eta_one_is_p_alpha_xi(self, axi_ref):
+        # the generalized branches at eta = 1 are p_alpha_xi, and the noisy
+        # density tends to it as eta -> 1
+        xs = np.array([0.0, 1.0, 2.999, 3.0, 3.001, 10.0, 50.0])
+        small = xs <= 3.0
+        branches = np.concatenate([
+            lb._p_small_x(axi_ref, xs[small], 1.0),
+            lb._p_large_x(axi_ref, xs[~small], 1.0),
+        ])
+        assert np.array_equal(branches, lb.p_alpha_xi(axi_ref, xs))
+        near = lb.base_density_noisy(axi_ref, tg.NoiseModel(1.0 - 1e-9), xs)
+        assert np.max(np.abs(near / lb.p_alpha_xi(axi_ref, xs) - 1.0)) < 1e-8
+
+    @pytest.mark.parametrize("eta", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("xi", [0.5, 0.94])
+    def test_two_form_agreement_at_crossover(self, xi, eta):
+        axi = lb.AlphaXi(0.2, xi)
+        cross = 3.0 * math.sqrt(eta)
+        ys = np.array([0.999 * cross, cross])
+        left = lb._p_small_x(axi, ys, eta)
+        right = lb._p_large_x(axi, ys, eta)
+        assert np.max(np.abs(left - right)) < 1e-10
+
+    @pytest.mark.parametrize("a,xi,eta", NOISY_CASES)
+    def test_normalization_with_analytic_tail(self, a, xi, eta):
+        axi = lb.AlphaXi(a, xi)
+        kappa = 2.0 * eta - 1.0
+        Y = 8.0 * math.sqrt((1.0 + kappa * xi) / (1.0 - xi))
+        ys, w = gl_panels(0.0, Y, 0.05)
+        body = 2.0 * float(np.dot(w, lb.base_density_noisy(axi, tg.NoiseModel(eta), ys)))
+        total = body + 2.0 * lb.p_tail_mass(axi, Y, eta=eta)
+        assert total == pytest.approx(1.0, abs=1e-6)
+
+
 class TestWtilde:
     def test_normalization_at_zero(self, axi_ref):
         assert lb.wtilde_alpha_xi(axi_ref, 0.0) == 1.0
@@ -322,6 +390,17 @@ class TestVerifyPair:
             )
             resid.append(math.log(l2) - env)
         assert max(resid) - min(resid) <= 3.0
+
+    def test_perturbation_profile_blocked_equals_one_shot(self, fixture_objects, monkeypatch):
+        # a chi_squared-shaped y grid (16-node panels) spanning three blocks
+        axi, bump, cls, nm, n, k_max = fixture_objects
+        ht = lb.htilde_solve(cls, nm, n)
+        ys, _ = gl_panels(0.0, 40.0, 0.1)
+        assert ys.size > 2 * lb._COS_BLOCK_ROWS
+        blocked = lb.perturbation_profile_noisy(bump, cls, nm, ht, ys)
+        monkeypatch.setattr(lb, "_COS_BLOCK_ROWS", ys.size)
+        one_shot = lb.perturbation_profile_noisy(bump, cls, nm, ht, ys)
+        assert np.array_equal(blocked, one_shot)
 
     def test_separation_structure_bound(self, fixture_objects):
         axi, bump, cls, nm, n, k_max = fixture_objects
