@@ -73,6 +73,13 @@ def _check_eta(eta: float) -> float:
     return eta
 
 
+def _check_seed(seed: int) -> int:
+    # the RNG keys on 64 bits; wider seeds would silently alias smaller ones
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"--seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _check_r(r: float) -> float:
     if not 0.0 < r <= 2.0:
         raise ValidationError(f"--r must lie in (0, 2], got {r}")
@@ -132,6 +139,7 @@ def _fmt(x: float) -> str:
 
 def cmd_simulate(args) -> int:
     _check_eta(args.eta)
+    _check_seed(args.seed)
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
     spec = parse_state(args.state)
@@ -214,6 +222,7 @@ def cmd_cut(args) -> int:
 
 def cmd_risk(args) -> int:
     _check_eta(args.eta)
+    _check_seed(args.seed)
     spec = parse_state(args.state)
     noise = NoiseModel(args.eta)
     points = []

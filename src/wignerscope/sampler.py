@@ -5,6 +5,11 @@ tabulated inverse CDFs, applies detection noise Y = sqrt(eta) X +
 sqrt((1-eta)/2) xi from an independent RNG stream, and reads/writes
 datasets as CSV with a JSON metadata header.
 
+Inversion: each record's phase bucket and target CDF value select a
+table cell by one branchless binary search over the flattened table,
+and the cell's monotone Hermite cubic is solved by bisection-safeguarded
+Newton, stopped once no record moves by more than 1e-15 of a cell.
+
 Reproducibility: generation is a pure function of (state, n, seed, eta).
 The RNG is counter-based (Philox) with two independent streams keyed by
 (seed, stream); per-repetition seeds elsewhere derive via derive_seed.
@@ -25,13 +30,17 @@ from .errors import (
     ValidationError,
 )
 from .fockspace import DensityMatrix, StateSpec
-from .tomography import x_support_radius
+from .tomography import _diagonal_profiles, x_support_radius
 
-GENERATOR_VERSION = "wignerscope-sampler/1"
+GENERATOR_VERSION = "wignerscope-sampler/2"
 
 _MASK64 = (1 << 64) - 1
 _PHI_STREAM = 0
 _NOISE_STREAM = 1
+
+# Newton stopping rule of QuadratureSampler._solve_cubic, in units of a cell
+_SOLVE_TOL = 1e-15
+_MAX_SWEEPS = 64
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -84,11 +93,6 @@ class DatasetMeta:
         )
 
 
-class SampleRecord(NamedTuple):
-    y: float
-    phi: float
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Noisy homodyne records plus the metadata regenerating them."""
@@ -120,12 +124,21 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, i: int) -> SampleRecord:
-        return SampleRecord(float(self.y[i]), float(self.phi[i]))
 
-    def records(self):
-        for i in range(self.n):
-            yield self[i]
+def _search_rows(flat: np.ndarray, base: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
+    """Per record, the last index i of its row (flat[base:base + n], non-
+    decreasing, first entry <= t) with row[i] <= t, i.e. the row's
+    searchsorted(t, side="right") - 1: one branchless binary search over
+    all records at once, about log2(n) gathers."""
+    pos = np.zeros(t.shape, dtype=np.int64)
+    step = (1 << (n - 1).bit_length()) >> 1
+    while step:
+        # clamping the probe to the row end keeps every probe in the row;
+        # once the row end is taken it stays the answer
+        probe = np.minimum(pos + step, n - 1)
+        pos = np.where(flat[base + probe] <= t, probe, pos)
+        step >>= 1
+    return pos
 
 
 class QuadratureSampler:
@@ -179,16 +192,8 @@ class QuadratureSampler:
         # all phases at once through the diagonal decomposition
         #   p(x | phi) = s_0(x) + 2 Re sum_{d>=1} e^{i d phi} s_d(x)
         fine = np.linspace(grid[0], grid[-1], 2 * n - 1)
-        from .fockspace import hermite_psi_table
-
-        rho = self.rho
-        psi = hermite_psi_table(rho.dim - 1, fine)
-        profiles = np.zeros((rho.dim, fine.size), dtype=complex)
-        for d in range(rho.dim):
-            diag = np.diagonal(rho.entries, offset=d)
-            if np.any(diag):
-                profiles[d] = diag @ (psi[: rho.dim - d] * psi[d:])
-        coeff = np.exp(1j * np.outer(self._phases, np.arange(rho.dim)))
+        profiles = _diagonal_profiles(self.rho, fine)
+        coeff = np.exp(1j * np.outer(self._phases, np.arange(self.rho.dim)))
         coeff[:, 1:] *= 2.0
         pdf_fine = (coeff @ profiles).real
         if float(pdf_fine.min()) < -1e-9:
@@ -214,37 +219,36 @@ class QuadratureSampler:
 
     def _invert(self, bucket: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Invert the tabulated CDF: per record, phase bucket and uniform u."""
-        cdf = self.cdf
-        pdf = self.pdf
         grid = self.x_grid
         h = grid[1] - grid[0]
-        total = cdf[bucket, -1]
-        target = u * total
         n = grid.size
-        idx = np.empty(u.size, dtype=np.int64)
-        order = np.argsort(bucket, kind="stable")
-        bsorted = bucket[order]
-        bounds = np.searchsorted(bsorted, np.arange(self.n_phases + 1))
-        for b in range(self.n_phases):
-            lo, hi = bounds[b], bounds[b + 1]
-            if hi > lo:
-                sel = order[lo:hi]
-                idx[sel] = np.searchsorted(cdf[b], target[sel], side="right") - 1
-        idx = np.clip(idx, 0, n - 2)
-        c0 = cdf[bucket, idx]
-        c1 = cdf[bucket, idx + 1]
+        cdf = self.cdf.ravel()  # views: both tables are C-contiguous
+        pdf = self.pdf.ravel()
+        base = bucket * n
+        target = u * cdf[base + (n - 1)]
+        cell = base + np.minimum(_search_rows(cdf, base, n, target), n - 2)
+        c0 = cdf[cell]
+        c1 = cdf[cell + 1]
         # Fritsch-Carlson clamp keeps the Hermite cubic monotone
         sec = np.maximum(c1 - c0, 1e-300) / h
-        d0 = np.minimum(pdf[bucket, idx], 3.0 * sec)
-        d1 = np.minimum(pdf[bucket, idx + 1], 3.0 * sec)
-        s = self._solve_cubic(c1 - c0, d0 * h, d1 * h, target - c0)
-        return grid[idx] + s * h
+        d0 = np.minimum(pdf[cell], 3.0 * sec)
+        d1 = np.minimum(pdf[cell + 1], 3.0 * sec)
+        s, _ = self._solve_cubic(c1 - c0, d0 * h, d1 * h, target - c0)
+        return grid[cell - base] + s * h
 
     @staticmethod
     def _solve_cubic(dc, m0, m1, t):
         """Solve H(s) = t on [0, 1] for the monotone Hermite cubic with
         H(0)=0, H(1)=dc, H'(0)=m0, H'(1)=m1 (all arrays), by bisection-
-        safeguarded Newton."""
+        safeguarded Newton.
+
+        Each sweep shrinks every record's bracket [lo, hi] to the side of
+        the root its H(s) - t shows, takes the Newton step, and bisects
+        instead where that step leaves the bracket or H' <= 0 with the
+        root not yet hit.  The sweeps stop once no record moved by more
+        than _SOLVE_TOL, at most _MAX_SWEEPS (enough for bisection alone
+        to reach _SOLVE_TOL).  Returns (s, sweeps run).
+        """
         a = m0 + m1 - 2.0 * dc
         b = 3.0 * dc - 2.0 * m0 - m1
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,7 +256,7 @@ class QuadratureSampler:
         s = np.clip(s, 0.0, 1.0)
         lo = np.zeros_like(s)
         hi = np.ones_like(s)
-        for _ in range(40):
+        for sweep in range(1, _MAX_SWEEPS + 1):
             val = ((a * s + b) * s + m0) * s - t
             der = (3.0 * a * s + 2.0 * b) * s + m0
             hi = np.where(val > 0.0, s, hi)
@@ -260,9 +264,13 @@ class QuadratureSampler:
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(der > 0.0, val / np.where(der > 0.0, der, 1.0), 0.0)
             s_new = s - step
-            bad = (s_new <= lo) | (s_new >= hi) | (der <= 0.0)
-            s = np.where(bad, 0.5 * (lo + hi), s_new)
-        return np.clip(s, 0.0, 1.0)
+            bad = (s_new < lo) | (s_new > hi) | ((der <= 0.0) & (val != 0.0))
+            s_new = np.where(bad, 0.5 * (lo + hi), s_new)
+            moved = float(np.max(np.abs(s_new - s)))
+            s = s_new
+            if moved <= _SOLVE_TOL:
+                break
+        return np.clip(s, 0.0, 1.0), sweep
 
     def sample(self, n: int, seed: int) -> IdealSample:
         if n < 1:

@@ -76,16 +76,15 @@ def x_support_radius(dim: int) -> float:
     return math.sqrt(2.0 * dim) + 6.0
 
 
-def _diagonal_profiles(rho: DensityMatrix, x: np.ndarray) -> list:
-    """s_d(x) = sum_j rho_{j,j+d} psi_j(x) psi_{j+d}(x) for every diagonal d."""
+def _diagonal_profiles(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
+    """s_d(x) = sum_j rho_{j,j+d} psi_j(x) psi_{j+d}(x) as row d of a
+    (dim, x.size) complex array; rows of all-zero diagonals stay zero."""
     psi = hermite_psi_table(rho.dim - 1, x)
-    out = []
+    out = np.zeros((rho.dim, x.size), dtype=complex)
     for d in range(rho.dim):
         diag = np.diagonal(rho.entries, offset=d)
         if np.any(diag):
-            out.append((d, diag @ (psi[: rho.dim - d] * psi[d:])))
-        else:
-            out.append((d, None))
+            out[d] = diag @ (psi[: rho.dim - d] * psi[d:])
     return out
 
 

@@ -71,6 +71,18 @@ class TestSimulate:
                   "--seed", "1", "--frobnicate", "1", "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_seed_out_of_range_exit_1(self, tmp_path, capsys, seed):
+        # -5 and 2**64 - 5 must not alias to the same data
+        out = tmp_path / "x.csv"
+        rc = run(["simulate", "--state", "fock:0", "--n", "10", "--eta", "0.9",
+                  f"--seed={seed}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "--seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exit_1(self, tmp_path):
         rc = run(["estimate", "--data", str(tmp_path / "absent.csv"), "--h", "0.4",
                   "--grid", "0:1:2,0:1:2", "--out", str(tmp_path / "o.csv")])
@@ -141,6 +153,18 @@ class TestRisk:
         assert len(report["per_point_mse"]) == 2
         assert len(report["per_rep_losses"]) == 3
         assert report["meta"]["seed"] == 5
+
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_seed_out_of_range_exit_1(self, tmp_path, capsys, seed):
+        out = tmp_path / "risk.json"
+        rc = run(["risk", "--state", "fock:0", "--eta", "0.9", "--n", "100",
+                  "--reps", "2", "--points", "0,0", "--rule", "fixed",
+                  "--hfixed", "0.4", f"--seed={seed}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "--seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_risk_threads_identical_output(self, tmp_path):
         outs = []

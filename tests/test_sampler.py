@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
+from scipy.optimize import brentq
 from scipy.stats import chisquare, kstest
 
 from wignerscope import fockspace as fs
@@ -67,6 +68,99 @@ class TestSampleIdeal:
         expect = dens * width * 10**6
         sigma = np.sqrt(np.maximum(expect, 1.0))
         assert np.all(np.abs(counts - expect) <= 3.0 * sigma + 3.0)
+
+
+@pytest.fixture(scope="module")
+def cat_sampler():
+    return sp.QuadratureSampler(fs.materialize(fs.StateSpec.cat(3.0)))
+
+
+class TestTable:
+    def test_pdf_rows_match_quad_density_profile(self, cat_sampler):
+        # quad_density_profile sums the diagonals in another order, so it
+        # checks the table's diagonal decomposition independently
+        rho = cat_sampler.rho
+        for k in (0, cat_sampler.n_phases // 3, cat_sampler.n_phases - 1):
+            ref = tg.quad_density_profile(
+                rho, cat_sampler.x_grid, float(cat_sampler._phases[k])
+            )
+            assert np.max(np.abs(cat_sampler.pdf[k] - ref)) <= 1e-12
+
+
+class TestInversion:
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 100, 4097])
+    def test_row_search_equals_searchsorted(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.cumsum(rng.exponential(size=(6, n)), axis=1)
+        rows -= rows[:, :1]
+        # zero-mass cells: a leading, an interior and a trailing plateau
+        rows[1, : n // 3 + 1] = 0.0
+        rows[2, n // 2:] = rows[2, n // 2]
+        rows[3, n // 4: n // 2 + 1] = rows[3, n // 4]
+        rows[4] = 0.0
+        bucket = np.repeat(np.arange(6), 60)
+        t = rng.uniform(-0.1, 1.1, bucket.size) * rows[bucket, -1]
+        # targets on the nodes themselves, at 0 and at the row total
+        t[::3] = rows[bucket[::3], rng.integers(0, n, bucket[::3].size)]
+        t[1::10] = 0.0
+        t[2::10] = rows[bucket[2::10], -1]
+        t = np.maximum(t, 0.0)
+        got = sp._search_rows(rows.ravel(), bucket * n, n, t)
+        want = np.array(
+            [np.searchsorted(rows[b], v, side="right") - 1 for b, v in zip(bucket, t)]
+        )
+        assert np.array_equal(got, want)
+
+    def test_draws_are_roots_of_their_cell_cubic(self, cat_sampler, monkeypatch):
+        # brentq oracle on each record's own monotone Hermite cubic; the
+        # cell is rebuilt from the same RNG stream the sampler reads
+        sweeps = []
+        solve = sp.QuadratureSampler._solve_cubic
+
+        def spy(*args):
+            s, k = solve(*args)
+            sweeps.append(k)
+            return s, k
+
+        monkeypatch.setattr(sp.QuadratureSampler, "_solve_cubic", staticmethod(spy))
+        n_rec, seed = 500, 2024
+        x = cat_sampler.sample(n_rec, seed).x
+        assert sweeps and max(sweeps) < sp._MAX_SWEEPS
+
+        rng = sp._stream(seed, sp._PHI_STREAM)
+        phi = rng.uniform(0.0, math.pi, size=n_rec)
+        u = rng.random(n_rec)
+        npha = cat_sampler.n_phases
+        bucket = np.minimum((phi / math.pi * npha).astype(np.int64), npha - 1)
+        grid, cdf, pdf = cat_sampler.x_grid, cat_sampler.cdf, cat_sampler.pdf
+        h = grid[1] - grid[0]
+        for i in range(n_rec):
+            row = cdf[bucket[i]]
+            target = u[i] * row[-1]
+            j = min(int(np.searchsorted(row, target, side="right")) - 1, grid.size - 2)
+            dc = row[j + 1] - row[j]
+            sec = max(dc, 1e-300) / h
+            m0 = min(pdf[bucket[i], j], 3.0 * sec) * h
+            m1 = min(pdf[bucket[i], j + 1], 3.0 * sec) * h
+            t = target - row[j]
+
+            def resid(s):
+                return dc * s * s * (3.0 - 2.0 * s) + m0 * s * (1.0 - s) ** 2 \
+                    - m1 * s * s * (1.0 - s) - t
+
+            root = brentq(resid, 0.0, 1.0, xtol=1e-16, rtol=4.0 * np.finfo(float).eps)
+            assert abs(x[i] - (grid[j] + root * h)) <= 1e-12 * h
+
+    def test_generator_version(self, tmp_path):
+        ds = sp.simulate(fs.StateSpec.fock(1), 20, 0.9, seed=3)
+        assert ds.meta.generator_version == "wignerscope-sampler/2"
+        path = tmp_path / "old.csv"
+        sp.write_dataset(ds, path)
+        text = path.read_text().replace("wignerscope-sampler/2", "wignerscope-sampler/1")
+        path.write_text(text)
+        old = sp.read_dataset(path)
+        assert old.meta.generator_version == "wignerscope-sampler/1"
+        assert np.array_equal(old.y, ds.y)
 
 
 class TestAddNoise:
