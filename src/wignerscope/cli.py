@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .errors import NumericGuardError, ValidationError
-from .fockspace import DensityMatrix, PhasePoint, StateSpec, materialize, wigner_eval
+from .fockspace import DensityMatrix, PhasePoint, StateSpec, materialize, wigner_eval_many
 from .kernels import KernelSpec, build_table
 from .sampler import read_dataset, simulate, write_dataset
 from .tomography import NoiseModel, SmoothnessClass
@@ -37,6 +36,13 @@ from .lowerbound import AlphaXi, BumpSpec, verify_pair
 _RULE_NAMES = ("opt", "h1", "h2", "r2", "adaptive")
 
 
+def _state_number(text: str, convert=float):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValidationError(f"--state: {text!r} is not a number")
+
+
 def parse_state(text: str) -> StateSpec:
     """State mini-grammar: fock:<n>, coherent:<q0>,<p0>, squeezed:<s>,
     cat:<q0>[,axis=q|p], file:<path>."""
@@ -44,14 +50,14 @@ def parse_state(text: str) -> StateSpec:
     if not sep:
         raise ValidationError(f"--state: missing ':' in {text!r}")
     if kind == "fock":
-        return StateSpec.fock(int(rest))
+        return StateSpec.fock(_state_number(rest, int))
     if kind == "coherent":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValidationError("--state coherent:<q0>,<p0>")
-        return StateSpec.coherent(float(parts[0]), float(parts[1]))
+        return StateSpec.coherent(_state_number(parts[0]), _state_number(parts[1]))
     if kind == "squeezed":
-        return StateSpec.squeezed(float(rest))
+        return StateSpec.squeezed(_state_number(rest))
     if kind == "cat":
         parts = rest.split(",")
         axis = "q"
@@ -60,10 +66,14 @@ def parse_state(text: str) -> StateSpec:
             if key != "axis":
                 raise ValidationError(f"--state cat: unknown option {extra!r}")
             axis = val
-        return StateSpec.cat(float(parts[0]), axis=axis)
+        return StateSpec.cat(_state_number(parts[0]), axis=axis)
     if kind == "file":
         with open(rest) as fh:
-            return StateSpec.custom(DensityMatrix.from_json_dict(json.load(fh)))
+            try:
+                return StateSpec.custom(DensityMatrix.from_json_dict(json.load(fh)))
+            except (ValueError, KeyError, TypeError) as exc:
+                # bad JSON, or JSON without the {dim, tail_mass, re, im} fields
+                raise ValidationError(f"--state: {rest!r} is not a density-matrix JSON: {exc}")
     raise ValidationError(f"--state: unknown kind {kind!r}")
 
 
@@ -155,13 +165,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("WIGNERSCOPE_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def cmd_estimate(args) -> int:
     ds = read_dataset(args.data)
     noise = NoiseModel(ds.meta.eta)
@@ -175,7 +178,9 @@ def cmd_estimate(args) -> int:
                         float(pmin), float(pmax), int(psteps))
     except ValueError:
         raise ValidationError("--grid expects qmin:qmax:steps,pmin:pmax:steps")
-    wg = estimate_grid(ds, kspec, grid, threads=_threads(args))
+    if grid.q_steps < 1 or grid.p_steps < 1:
+        raise ValidationError(f"--grid: steps must be >= 1, got {args.grid!r}")
+    wg = estimate_grid(ds, kspec, grid)
     with open(args.out, "w") as fh:
         fh.write("q,p,west\n")
         for iq, q in enumerate(wg.q):
@@ -194,19 +199,20 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_cut(args) -> int:
+    if args.steps < 1:
+        raise ValidationError(f"--steps must be >= 1, got {args.steps}")
     ds = read_dataset(args.data)
     noise = NoiseModel(ds.meta.eta)
     h, rule_desc = _resolve_rule(args, noise, ds.n)
     kspec = KernelSpec(h=h, noise=noise, variant=args.variant)
     rho = materialize(ds.meta.state)
-    qs = np.linspace(args.qmin, args.qmax, args.steps)
     grid = GridSpec(args.qmin, args.qmax, args.steps, args.p, args.p, 1)
-    wg = estimate_grid(ds, kspec, grid, threads=_threads(args))
+    wg = estimate_grid(ds, kspec, grid)
+    wtrue = wigner_eval_many(rho, wg.q, np.full_like(wg.q, args.p))
     with open(args.out, "w") as fh:
         fh.write("q,west,wtrue\n")
-        for iq, q in enumerate(qs):
-            wt = wigner_eval(rho, (q, args.p))
-            fh.write(f"{_fmt(q)},{_fmt(wg.values[iq, 0])},{_fmt(wt)}\n")
+        for q, west, wt in zip(wg.q, wg.values[:, 0], wtrue):
+            fh.write(f"{_fmt(q)},{_fmt(west)},{_fmt(wt)}\n")
     _write_manifest(
         args.out,
         "cut",
@@ -227,8 +233,11 @@ def cmd_risk(args) -> int:
     noise = NoiseModel(args.eta)
     points = []
     for part in args.points.split(";"):
-        q, p = part.split(",")
-        points.append(PhasePoint(float(q), float(p)))
+        try:
+            q, p = part.split(",")
+            points.append(PhasePoint(float(q), float(p)))
+        except ValueError:
+            raise ValidationError(f"--points expects q1,p1;q2,p2;..., got {args.points!r}")
     if args.rule == "fixed":
         if args.hfixed is None:
             raise ValidationError("--rule fixed needs --hfixed")
@@ -240,7 +249,6 @@ def cmd_risk(args) -> int:
         rule = BandwidthRule(kind, cls=_smoothness(args))
     report = risk_eval(
         spec, noise, rule, args.variant, points, args.n, args.reps, args.seed,
-        threads=_threads(args),
     )
     with open(args.out, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
@@ -319,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=float)
         p.add_argument("--L", type=float)
         p.add_argument("--variant", choices=("sharp", "modified"), default="sharp")
-        p.add_argument("--threads", type=int, default=None)
 
     est = sub.add_parser("estimate", help="evaluate the estimator on a grid")
     est.add_argument("--data", required=True)
@@ -353,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--L", type=float)
     risk.add_argument("--variant", choices=("sharp", "modified"), default="sharp")
     risk.add_argument("--seed", type=int, required=True)
-    risk.add_argument("--threads", type=int, default=None)
     risk.add_argument("--out", required=True)
     risk.set_defaults(func=cmd_risk)
 

@@ -5,15 +5,17 @@ The estimator averages deconvolution-kernel values over records:
 
     West(z) = (1/n) sum_l K_h([z, Phi_l] - Y_l / sqrt(eta)),
 
-with [z, phi] = q cos phi + p sin phi.  Summation uses math.fsum
-(exactly rounded, order-independent), so parallel scheduling cannot
-change results.
+with [z, phi] = q cos phi + p sin phi.  One core evaluates it for every
+entry point: it looks the kernel up on blocks of (points x records)
+arguments and reduces each point's row with one fixed-order numpy sum
+over that point's own records.  The row is the same contiguous
+reduction whatever the block, so a grid value equals the pointwise call
+bit for bit and a replay reproduces every value exactly.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -184,13 +186,6 @@ def _check_eta(data_eta, spec: KernelSpec) -> None:
         )
 
 
-def _kernel_sum(u: np.ndarray, weights, table: KernelTable) -> float:
-    vals = table(u)
-    if weights is None:
-        return math.fsum(vals)
-    return math.fsum(vals * weights)
-
-
 def default_table(data, spec: KernelSpec, points) -> KernelTable:
     """Kernel table wide enough for every |[z, phi] - y/sqrt(eta)| in data."""
     y, _, _, _ = _records(data)
@@ -199,18 +194,41 @@ def default_table(data, spec: KernelSpec, points) -> KernelTable:
     return build_table(spec, u_max)
 
 
-def estimate_point(data, spec: KernelSpec, z, *, table: Optional[KernelTable] = None) -> float:
-    """Pointwise estimate West(z) from records or from binned counts."""
-    zp = z if isinstance(z, PhasePoint) else PhasePoint(*z)
+# elements of one (points x records) block of kernel arguments: bounds the
+# temporaries of a lookup, and changes no value (each row sums alone)
+_BLOCK = 2**18
+
+
+def _estimate(data, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
+              table: Optional[KernelTable]) -> np.ndarray:
+    """West at the points (q[k], p[k]), one row of records per point."""
     y, phi, w, data_eta = _records(data)
     _check_eta(data_eta, spec)
     if y.size == 0:
         raise ValidationError("empty dataset")
     if table is None:
-        table = default_table(data, spec, [zp])
-    u = zp.q * np.cos(phi) + zp.p * np.sin(phi) - y / math.sqrt(spec.noise.eta)
+        far = int(np.argmax(np.hypot(q, p)))
+        table = default_table(data, spec, [PhasePoint(q[far], p[far])])
+    cos_phi = np.cos(phi)
+    sin_phi = np.sin(phi)
+    shift = y / math.sqrt(spec.noise.eta)
     total = float(w.sum()) if w is not None else float(y.size)
-    return _kernel_sum(u, w, table) / total
+    rows = max(1, _BLOCK // y.size)
+    out = np.empty(q.size)
+    for start in range(0, q.size, rows):
+        block = slice(start, start + rows)
+        u = q[block, None] * cos_phi + p[block, None] * sin_phi - shift
+        vals = table(u)
+        if w is not None:
+            vals *= w
+        out[block] = vals.sum(axis=1) / total
+    return out
+
+
+def estimate_point(data, spec: KernelSpec, z, *, table: Optional[KernelTable] = None) -> float:
+    """Pointwise estimate West(z) from records or from binned counts."""
+    zp = z if isinstance(z, PhasePoint) else PhasePoint(*z)
+    return float(_estimate(data, spec, np.array([zp.q]), np.array([zp.p]), table)[0])
 
 
 @dataclass(frozen=True)
@@ -242,39 +260,14 @@ def estimate_grid(
     grid: GridSpec,
     *,
     table: Optional[KernelTable] = None,
-    threads: int = 1,
 ) -> WignerGrid:
     """Dense evaluation of the estimator; values identical to pointwise calls."""
     qs, ps = grid.axes()
     if qs.size == 0 or ps.size == 0:
         return WignerGrid(q=qs, p=ps, values=np.zeros((qs.size, ps.size)))
-    y, phi, w, data_eta = _records(data)
-    _check_eta(data_eta, spec)
-    if table is None:
-        corners = [PhasePoint(q, p) for q in (qs[0], qs[-1]) for p in (ps[0], ps[-1])]
-        table = default_table(data, spec, corners)
-    values = np.empty((qs.size, ps.size))
-    jobs = [(iq, ip) for iq in range(qs.size) for ip in range(ps.size)]
-
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    shift = y / math.sqrt(spec.noise.eta)
-    total = float(w.sum()) if w is not None else float(y.size)
-
-    def work(job):
-        iq, ip = job
-        u = qs[iq] * cos_phi + ps[ip] * sin_phi - shift
-        return iq, ip, _kernel_sum(u, w, table) / total
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for iq, ip, v in pool.map(work, jobs):
-                values[iq, ip] = v
-    else:
-        for job in jobs:
-            iq, ip, v = work(job)
-            values[iq, ip] = v
-    return WignerGrid(q=qs, p=ps, values=values)
+    q, p = np.meshgrid(qs, ps, indexing="ij")
+    values = _estimate(data, spec, q.ravel(), p.ravel(), table)
+    return WignerGrid(q=qs, p=ps, values=values.reshape(qs.size, ps.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,8 +312,6 @@ def risk_eval(
     n: int,
     reps: int,
     seed: int,
-    *,
-    threads: int = 1,
 ) -> RiskReport:
     """Pointwise MSE of the estimator over `reps` fresh datasets.
 
@@ -354,11 +345,7 @@ def risk_eval(
         )
         return (est - truth) ** 2
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            losses = np.vstack(list(pool.map(one_rep, range(reps))))
-    else:
-        losses = np.vstack([one_rep(j) for j in range(reps)])
+    losses = np.vstack([one_rep(j) for j in range(reps)])
     mse = losses.mean(axis=0)
     phi2 = rate_phi2(rule.cls, n, noise) if rule.cls is not None else None
     meta = {

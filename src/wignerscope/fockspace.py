@@ -360,7 +360,7 @@ def materialize(
         tail = max(tail, 0.0)
         if tail <= tail_target:
             break
-        if not auto_grow or (spec.dim is not None and not auto_grow):
+        if not auto_grow:
             raise TruncationError(
                 f"dim {dim} leaves tail mass {tail:.3e} > {tail_target:.1e}"
             )

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from wignerscope import fockspace as fs
@@ -135,6 +136,36 @@ class TestEstimateAndCut:
         assert q0 == -4.0
         assert wtrue0 == pytest.approx(fs.wigner_eval(rho, (-4.0, 0.0)), rel=1e-12)
 
+    def test_cut_truth_column_non_diagonal_state(self, tmp_path):
+        # one wigner_eval_many call gives the per-point values exactly
+        data = tmp_path / "d.csv"
+        assert run(["simulate", "--state", "coherent:1,0.8", "--n", "2000", "--eta", "0.9",
+                    "--seed", "3", "--out", str(data)]) == 0
+        out = tmp_path / "cut.csv"
+        assert run(["cut", "--data", str(data), "--p", "0.3", "--qmin=-3", "--qmax", "3",
+                    "--steps", "41", "--h", "0.35", "--out", str(out)]) == 0
+        rho = fs.materialize(fs.StateSpec.coherent(1.0, 0.8))
+        assert rho.dim > 1 and np.any(np.diagonal(rho.entries, offset=1))
+        for line in out.read_text().splitlines()[1:]:
+            q, _, wtrue = map(float, line.split(","))
+            assert wtrue == fs.wigner_eval(rho, (q, 0.3))
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--grid=0:1:0,0:1:3"],
+        ["estimate", "--grid=0:1:3,0:1:0"],
+        ["estimate", "--grid=0:1:-2,0:1:3"],
+        ["cut", "--p", "0", "--qmin", "0", "--qmax", "1", "--steps", "0"],
+        ["cut", "--p", "0", "--qmin", "0", "--qmax", "1", "--steps", "-3"],
+    ])
+    def test_empty_or_negative_grid_exit_1(self, dataset, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        rc = run([*argv, "--data", str(dataset), "--h", "0.35", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "steps" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_numeric_guard_exit_2(self, dataset, tmp_path):
         rc = run(["estimate", "--data", str(dataset), "--h", "0.002",
                   "--grid=0:1:2,0:1:2", "--out", str(tmp_path / "o.csv")])
@@ -166,32 +197,40 @@ class TestRisk:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_risk_threads_identical_output(self, tmp_path):
-        outs = []
-        for name, threads in (("r1.json", "1"), ("r2.json", "4")):
-            out = tmp_path / name
-            rc = run(["risk", "--state", "fock:1", "--eta", "0.9", "--n", "500",
-                      "--reps", "4", "--points", "0,0", "--rule", "fixed",
-                      "--hfixed", "0.4", "--seed", "5", "--threads", threads,
-                      "--out", str(out)])
-            assert rc == 0
-            outs.append(json.loads(out.read_text())["per_rep_losses"])
-        assert outs[0] == outs[1]
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WIGNERSCOPE_THREADS", "3")
-        out = tmp_path / "env.json"
-        rc = run(["risk", "--state", "fock:1", "--eta", "0.9", "--n", "500",
-                  "--reps", "4", "--points", "0,0", "--rule", "fixed",
-                  "--hfixed", "0.4", "--seed", "5", "--out", str(out)])
-        assert rc == 0
-        ref = tmp_path / "ref.json"
-        monkeypatch.delenv("WIGNERSCOPE_THREADS")
-        assert run(["risk", "--state", "fock:1", "--eta", "0.9", "--n", "500",
-                    "--reps", "4", "--points", "0,0", "--rule", "fixed",
-                    "--hfixed", "0.4", "--seed", "5", "--out", str(ref)]) == 0
-        assert (json.loads(out.read_text())["per_rep_losses"]
-                == json.loads(ref.read_text())["per_rep_losses"])
+class TestParseErrors:
+    @pytest.fixture()
+    def bad_json(self, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text('{"dim": 2, "re": [[1, 0], [0, 0]')
+        return path
+
+    @pytest.mark.parametrize("state,points", [
+        ("fock:0", "0,0;zz"),
+        ("fock:0", ""),
+        ("fock:0", "1,2,3"),
+        ("fock:x", "0,0"),
+        ("coherent:a,b", "0,0"),
+        ("squeezed:", "0,0"),
+        ("cat:q", "0,0"),
+        ("file:{bad_json}", "0,0"),
+    ])
+    def test_risk_parse_error_exit_1(self, tmp_path, capsys, bad_json, state, points):
+        out = tmp_path / "risk.json"
+        rc = run(["risk", "--state", state.format(bad_json=bad_json), "--eta", "0.9",
+                  "--n", "100", "--reps", "2", "--points", points, "--rule", "fixed",
+                  "--hfixed", "0.4", "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_file_state_without_fields(self, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text('{"dim": 2}')
+        with pytest.raises(ValidationError):
+            parse_state(f"file:{path}")
 
 
 class TestKernelTableCli:

@@ -244,14 +244,60 @@ class TestEstimateGrid:
         )
         assert np.array_equal(full.values[:, 1], cut.values[:, 0])
 
-    def test_threads_do_not_change_results(self, nm):
-        ds = sp.simulate(fs.StateSpec.cat(3.0), 5000, 0.9, seed=10)
+    def test_multi_block_grid_matches_pointwise(self, nm):
+        # 41 x 41 points at n = 5000 span 33 blocks of the core; every value
+        # is still the pointwise call's, bit for bit
+        ds = sp.simulate(fs.StateSpec.fock(1), 5000, 0.9, seed=12)
+        kspec = kn.KernelSpec(0.35, nm, "sharp")
+        table = kn.build_table(kspec, 30.0)
+        wg = es.estimate_grid(ds, kspec, es.GridSpec(-4, 4, 41, -4, 4, 41), table=table)
+        assert max(1, es._BLOCK // ds.n) < wg.values.size
+        for iq, q in enumerate(wg.q):
+            for ip, p in enumerate(wg.p):
+                assert wg.values[iq, ip] == es.estimate_point(ds, kspec, (q, p), table=table)
+
+    @pytest.mark.parametrize("block", [1, 999, 2**18])
+    def test_block_size_does_not_change_values(self, nm, monkeypatch, block):
+        # weighted records too: each point's row is reduced on its own
+        ds = sp.simulate(fs.StateSpec.fock(1), 2000, 0.9, seed=13)
+        kspec = kn.KernelSpec(0.4, nm, "sharp")
+        table = kn.build_table(kspec, 30.0)
+        grid = es.GridSpec(-2, 2, 7, -2, 2, 5)
+        datasets = (ds, sp.bin2d(ds, bins=40))
+        ref = [es.estimate_grid(d, kspec, grid, table=table).values for d in datasets]
+        monkeypatch.setattr(es, "_BLOCK", block)
+        for d, expect in zip(datasets, ref):
+            assert np.array_equal(es.estimate_grid(d, kspec, grid, table=table).values, expect)
+
+    def test_against_fsum_reference_loop(self, nm):
+        # independent oracle: an exactly rounded sum per point over the
+        # same kernel values, written out here
+        ds = sp.simulate(fs.StateSpec.cat(3.0), 3000, 0.9, seed=14)
         kspec = kn.KernelSpec(0.3, nm, "sharp")
         table = kn.build_table(kspec, 30.0)
-        grid = es.GridSpec(-3, 3, 7, -3, 3, 7)
-        serial = es.estimate_grid(ds, kspec, grid, table=table, threads=1)
-        parallel = es.estimate_grid(ds, kspec, grid, table=table, threads=4)
-        assert np.array_equal(serial.values, parallel.values)
+        wg = es.estimate_grid(ds, kspec, es.GridSpec(-3, 3, 9, -3, 3, 9), table=table)
+        ref = np.empty_like(wg.values)
+        for iq, q in enumerate(wg.q):
+            for ip, p in enumerate(wg.p):
+                u = q * np.cos(ds.phi) + p * np.sin(ds.phi) - ds.y / math.sqrt(0.9)
+                ref[iq, ip] = math.fsum(table(u)) / ds.n
+        assert np.max(np.abs(wg.values - ref)) <= 1e-13 * kn.kernel_scale(kspec)
+
+    def test_short_table_grid_matches_pointwise(self, nm):
+        # most arguments fall past u_max and take the exact-integral
+        # fallback; its quadrature panels narrow for |u| > 18, and rows
+        # from q = 0 to |q| = 24 share a block, yet each value depends on
+        # its own u alone
+        ds = sp.simulate(fs.StateSpec.fock(1), 200, 0.9, seed=15)
+        kspec = kn.KernelSpec(0.35, nm, "sharp")
+        table = kn.build_table(kspec, 1.5)
+        grid = es.GridSpec(-24, 24, 5, -1, 1, 3)
+        wg = es.estimate_grid(ds, kspec, grid, table=table)
+        for iq, q in enumerate(wg.q):
+            for ip, p in enumerate(wg.p):
+                u = q * np.cos(ds.phi) + p * np.sin(ds.phi) - ds.y / math.sqrt(0.9)
+                assert np.mean(np.abs(u) > table.u_max) > 0.2
+                assert wg.values[iq, ip] == es.estimate_point(ds, kspec, (q, p), table=table)
 
     def test_binned_estimation(self, nm):
         # weighted cell-center records approximate the raw estimate
@@ -284,18 +330,6 @@ class TestRiskEval:
             [(0.0, 0.0)], 10**5, 20, seed=21,
         )
         assert rep.per_point_mse[0] <= 1e-3
-
-    def test_threads_identical(self, nm):
-        rule = es.BandwidthRule.fixed(0.4)
-        a = es.risk_eval(
-            fs.StateSpec.fock(1), nm, rule, "sharp", [(0.0, 0.0), (1.0, 0.0)],
-            1000, 6, seed=5, threads=1,
-        )
-        b = es.risk_eval(
-            fs.StateSpec.fock(1), nm, rule, "sharp", [(0.0, 0.0), (1.0, 0.0)],
-            1000, 6, seed=5, threads=3,
-        )
-        assert np.array_equal(a.per_rep_losses, b.per_rep_losses)
 
     def test_report_roundtrip(self, nm):
         rule = es.BandwidthRule.fixed(0.4)

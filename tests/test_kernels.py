@@ -164,6 +164,33 @@ class TestKernelTable:
         table = kn.build_table(spec, 10.0)
         assert table(11.3) == pytest.approx(kn.kernel_eval(spec, 11.3), rel=1e-12)
 
+    @pytest.mark.parametrize("variant,h,u_max,step", [
+        ("sharp", 0.5, 20.0, None),
+        ("sharp", 0.35, 12.3, 0.0437),
+        ("modified", 0.4, 15.0, None),
+    ])
+    def test_lookup_matches_spline_evaluation(self, nm_09, variant, h, u_max, step):
+        # the index-arithmetic Horner lookup is the same piecewise cubic as
+        # scipy's own evaluation of the table's spline
+        spec = kn.KernelSpec(h, nm_09, variant)
+        table = kn.build_table(spec, u_max, step)
+        nodes = np.arange(table.values.size) * table.step
+        rng = np.random.default_rng(3)
+        interior = rng.uniform(0.0, table.u_max, 500)
+        us = np.concatenate([nodes, [table.u_max], interior, -interior, -nodes])
+        scale = float(np.max(np.abs(table.values)))
+        err = np.abs(table(us) - table._spline(np.abs(us)))
+        assert np.max(err) <= 1e-14 * scale
+        assert table(table.u_max) == pytest.approx(table.values[-1], abs=1e-14 * scale)
+
+    def test_fallback_value_independent_of_batch(self, nm_09):
+        spec = kn.KernelSpec(0.5, nm_09, "sharp")
+        table = kn.build_table(spec, 10.0)
+        alone = table(11.3)
+        for others in ([40.0], [3.0, 60.0], [-90.0, 25.0, 0.5]):
+            batch = table(np.array(others + [11.3]))
+            assert batch[-1] == alone
+
     def test_even_lookup(self, nm_09):
         spec = kn.KernelSpec(0.4, nm_09, "modified")
         table = kn.build_table(spec, 15.0)
