@@ -39,14 +39,6 @@ def gl_panels(a: float, b: float, max_width: float, nodes: int = 16):
     return x, w
 
 
-def gl_integrate(f, a: float, b: float, max_width: float, nodes: int = 16):
-    """Integrate a vectorized callable with gl_panels."""
-    x, w = gl_panels(a, b, max_width, nodes)
-    if x.size == 0:
-        return 0.0
-    return float(np.dot(w, f(x)))
-
-
 @lru_cache(maxsize=32)
 def jacobi_unit(n: int, beta: float):
     """Nodes/weights for ∫₀¹ s^beta g(s) ds ≈ Σ w_i g(s_i), beta > -1.

@@ -1,11 +1,12 @@
 """Command-line interface: reproducible simulation, estimation, risk
 evaluation, kernel tabulation, and lower-bound verification runs.
 
-Every run writes its outputs plus a sidecar manifest
-(<out>.manifest.json) holding the resolved flags, seed, tool version and
-content digests; re-running the manifest's argv reproduces the outputs
-byte for byte.  Exit codes: 0 success, 1 validation error, 2 numeric
-guard tripped.
+Each cmd_* writes its output and returns what it resolved beyond its
+flags; run() then writes the sidecar manifest (<out>.manifest.json): every
+parsed flag, the resolved values, the tool version and content digests.
+Re-running with the manifest's flags reproduces the outputs byte for
+byte.  Exit codes: 0 success, 1 validation error (usage errors
+included), 2 numeric guard tripped.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import argparse
 import hashlib
 import json
 import sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
 from . import __version__
 from .errors import NumericGuardError, ValidationError
 from .fockspace import DensityMatrix, PhasePoint, StateSpec, materialize, wigner_eval_many
-from .kernels import KernelSpec, build_table
+from .kernels import VARIANTS, KernelSpec, build_table
 from .sampler import read_dataset, simulate, write_dataset
 from .tomography import NoiseModel, SmoothnessClass
 from .estimator import (
@@ -28,12 +30,12 @@ from .estimator import (
     GridSpec,
     bandwidth,
     estimate_grid,
-    estimate_point,
     risk_eval,
 )
 from .lowerbound import AlphaXi, BumpSpec, verify_pair
 
-_RULE_NAMES = ("opt", "h1", "h2", "r2", "adaptive")
+# rule names of --h and risk --rule, and the BandwidthRule kind of each
+_RULE_KINDS = {"opt": "opt", "h1": "h1", "h2": "h2", "r2": "r2_closed", "adaptive": "adaptive"}
 
 
 def _state_number(text: str, convert=float):
@@ -77,12 +79,6 @@ def parse_state(text: str) -> StateSpec:
     raise ValidationError(f"--state: unknown kind {kind!r}")
 
 
-def _check_eta(eta: float) -> float:
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"--eta must lie in (0, 1), got {eta}")
-    return eta
-
-
 def _check_seed(seed: int) -> int:
     # the RNG keys on 64 bits; wider seeds would silently alias smaller ones
     if not 0 <= seed < 2**64:
@@ -90,35 +86,49 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _check_r(r: float) -> float:
-    if not 0.0 < r <= 2.0:
-        raise ValidationError(f"--r must lie in (0, 2], got {r}")
-    return r
-
-
-def _smoothness(args) -> SmoothnessClass:
-    if args.beta is None or args.r is None or args.L is None:
-        raise ValidationError("bandwidth rule needs --beta, --r and --L")
-    _check_r(args.r)
-    return SmoothnessClass(args.beta, args.r, args.L)
-
-
-def _resolve_rule(args, noise: NoiseModel, n: int) -> tuple:
-    """(h, rule-description) from --h (float or rule name)."""
-    text = args.h
+def _integer(text: str) -> Decimal:
+    """argparse type of lb-verify --n: an exact integer, also in scientific
+    notation (1e120 is 10**120), no larger than the largest double."""
     try:
-        return float(text), {"kind": "fixed", "h": float(text)}
+        value = Decimal(text)
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite() or value != value.to_integral_value():
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if abs(value) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"{text!r} exceeds {sys.float_info.max:.3g}")
+    return value
+
+
+def parse_rule(value, beta, r, L) -> BandwidthRule:
+    """The BandwidthRule a rule name or a number (a fixed h) stands for;
+    the named rules but adaptive take their class from beta, r and L
+    (None where the flag was not given)."""
+    kind = _RULE_KINDS.get(value)
+    if kind == "adaptive":
+        return BandwidthRule.adaptive()
+    if kind is not None:
+        if beta is None or r is None or L is None:
+            raise ValidationError("bandwidth rule needs --beta, --r and --L")
+        return BandwidthRule(kind, cls=SmoothnessClass(beta, r, L))
+    try:
+        h = float(value)
     except ValueError:
-        pass
-    if text not in _RULE_NAMES:
-        raise ValidationError(f"--h must be a number or one of {_RULE_NAMES}")
-    if text == "adaptive":
-        rule = BandwidthRule.adaptive()
+        raise ValidationError(f"bandwidth must be a number or one of {tuple(_RULE_KINDS)}")
+    return BandwidthRule.fixed(h)
+
+
+def _data_and_kernel(args) -> tuple:
+    """(dataset, KernelSpec, resolved_rule) from --data, --variant and
+    --h, a number or a rule name."""
+    ds = read_dataset(args.data)
+    noise = NoiseModel(ds.meta.eta)
+    rule = parse_rule(args.h, args.beta, args.r, args.L)
+    if rule.kind == "fixed":  # needs no sample size
+        h, kind = rule.h, "fixed"
     else:
-        kind = {"r2": "r2_closed"}.get(text, text)
-        rule = BandwidthRule(kind, cls=_smoothness(args))
-    h = bandwidth(rule, n, noise)
-    return h, {"kind": text, "h": h}
+        h, kind = bandwidth(rule, ds.n, noise), args.h
+    return ds, KernelSpec(h=h, noise=noise, variant=args.variant), {"kind": kind, "h": h}
 
 
 def _digest(path: str) -> str:
@@ -129,47 +139,47 @@ def _digest(path: str) -> str:
     return sha.hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, flags: dict, outputs: list, inputs: list = ()):
+def _json_number(value: Decimal):
+    # an exact integer flag: the double it rounds to where that reads back
+    # as the same number, every digit otherwise
+    as_float = float(value)
+    return as_float if Decimal(repr(as_float)) == value else int(value)
+
+
+def _write_manifest(args, resolved: dict) -> None:
+    """<out>.manifest.json: every parsed flag plus what the command
+    resolved, with digests of the --data input and the output."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    flags.update(resolved)
+    inputs = [args.data] if "data" in flags else []
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "flags": flags,
         "inputs": {p: _digest(p) for p in inputs},
-        "outputs": {p: _digest(p) for p in outputs},
+        "outputs": {args.out: _digest(args.out)},
     }
-    path = out_path + ".manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path
+    with open(args.out + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_number)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def cmd_simulate(args) -> int:
-    _check_eta(args.eta)
+def cmd_simulate(args) -> dict:
+    NoiseModel(args.eta)  # refuses a bad eta before any sampling
     _check_seed(args.seed)
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
     spec = parse_state(args.state)
     ds = simulate(spec, args.n, args.eta, args.seed)
     write_dataset(ds, args.out)
-    _write_manifest(
-        args.out,
-        "simulate",
-        {"state": args.state, "n": args.n, "eta": args.eta, "seed": args.seed,
-         "out": args.out},
-        [args.out],
-    )
-    return 0
+    return {}
 
 
-def cmd_estimate(args) -> int:
-    ds = read_dataset(args.data)
-    noise = NoiseModel(ds.meta.eta)
-    h, rule_desc = _resolve_rule(args, noise, ds.n)
-    kspec = KernelSpec(h=h, noise=noise, variant=args.variant)
+def cmd_estimate(args) -> dict:
+    ds, kspec, rule_desc = _data_and_kernel(args)
     try:
         qpart, ppart = args.grid.split(",")
         qmin, qmax, qsteps = qpart.split(":")
@@ -186,25 +196,13 @@ def cmd_estimate(args) -> int:
         for iq, q in enumerate(wg.q):
             for ip, p in enumerate(wg.p):
                 fh.write(f"{_fmt(q)},{_fmt(p)},{_fmt(wg.values[iq, ip])}\n")
-    _write_manifest(
-        args.out,
-        "estimate",
-        {"data": args.data, "h": args.h, "beta": args.beta, "r": args.r,
-         "L": args.L, "variant": args.variant, "grid": args.grid,
-         "resolved_rule": rule_desc, "out": args.out},
-        [args.out],
-        inputs=[args.data],
-    )
-    return 0
+    return {"resolved_rule": rule_desc}
 
 
-def cmd_cut(args) -> int:
+def cmd_cut(args) -> dict:
     if args.steps < 1:
         raise ValidationError(f"--steps must be >= 1, got {args.steps}")
-    ds = read_dataset(args.data)
-    noise = NoiseModel(ds.meta.eta)
-    h, rule_desc = _resolve_rule(args, noise, ds.n)
-    kspec = KernelSpec(h=h, noise=noise, variant=args.variant)
+    ds, kspec, rule_desc = _data_and_kernel(args)
     rho = materialize(ds.meta.state)
     grid = GridSpec(args.qmin, args.qmax, args.steps, args.p, args.p, 1)
     wg = estimate_grid(ds, kspec, grid)
@@ -213,24 +211,13 @@ def cmd_cut(args) -> int:
         fh.write("q,west,wtrue\n")
         for q, west, wt in zip(wg.q, wg.values[:, 0], wtrue):
             fh.write(f"{_fmt(q)},{_fmt(west)},{_fmt(wt)}\n")
-    _write_manifest(
-        args.out,
-        "cut",
-        {"data": args.data, "p": args.p, "qmin": args.qmin, "qmax": args.qmax,
-         "steps": args.steps, "h": args.h, "beta": args.beta, "r": args.r,
-         "L": args.L, "variant": args.variant, "resolved_rule": rule_desc,
-         "out": args.out},
-        [args.out],
-        inputs=[args.data],
-    )
-    return 0
+    return {"resolved_rule": rule_desc}
 
 
-def cmd_risk(args) -> int:
-    _check_eta(args.eta)
+def cmd_risk(args) -> dict:
+    noise = NoiseModel(args.eta)
     _check_seed(args.seed)
     spec = parse_state(args.state)
-    noise = NoiseModel(args.eta)
     points = []
     for part in args.points.split(";"):
         try:
@@ -238,55 +225,30 @@ def cmd_risk(args) -> int:
             points.append(PhasePoint(float(q), float(p)))
         except ValueError:
             raise ValidationError(f"--points expects q1,p1;q2,p2;..., got {args.points!r}")
-    if args.rule == "fixed":
-        if args.hfixed is None:
-            raise ValidationError("--rule fixed needs --hfixed")
-        rule = BandwidthRule.fixed(args.hfixed)
-    elif args.rule == "adaptive":
-        rule = BandwidthRule.adaptive()
-    else:
-        kind = {"r2": "r2_closed"}.get(args.rule, args.rule)
-        rule = BandwidthRule(kind, cls=_smoothness(args))
+    if args.rule == "fixed" and args.hfixed is None:
+        raise ValidationError("--rule fixed needs --hfixed")
+    rule = parse_rule(args.hfixed if args.rule == "fixed" else args.rule,
+                      args.beta, args.r, args.L)
     report = risk_eval(
         spec, noise, rule, args.variant, points, args.n, args.reps, args.seed,
     )
     with open(args.out, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-    _write_manifest(
-        args.out,
-        "risk",
-        {"state": args.state, "eta": args.eta, "n": args.n, "reps": args.reps,
-         "points": args.points, "rule": args.rule, "beta": args.beta,
-         "r": args.r, "L": args.L, "variant": args.variant, "seed": args.seed,
-         "out": args.out},
-        [args.out],
-    )
-    return 0
+    return {}
 
 
-def cmd_kernel_table(args) -> int:
-    _check_eta(args.eta)
-    noise = NoiseModel(args.eta)
-    spec = KernelSpec(h=args.h_value, noise=noise, variant=args.variant)
+def cmd_kernel_table(args) -> dict:
+    spec = KernelSpec(h=args.h, noise=NoiseModel(args.eta), variant=args.variant)
     table = build_table(spec, args.umax, args.step)
     grid = np.arange(table.values.size) * table.step
     with open(args.out, "w") as fh:
         fh.write("u,value\n")
         for u, v in zip(grid, table.values):
             fh.write(f"{_fmt(u)},{_fmt(v)}\n")
-    _write_manifest(
-        args.out,
-        "kernel-table",
-        {"h": args.h_value, "eta": args.eta, "variant": args.variant,
-         "umax": args.umax, "step": args.step, "out": args.out},
-        [args.out],
-    )
-    return 0
+    return {}
 
 
-def cmd_lb_verify(args) -> int:
-    _check_eta(args.eta)
-    _check_r(args.r)
+def cmd_lb_verify(args) -> dict:
     axi = AlphaXi(args.alpha, args.xi)
     bump = BumpSpec(args.delta, args.bigD)
     cls = SmoothnessClass(args.beta, args.r, args.L)
@@ -294,19 +256,18 @@ def cmd_lb_verify(args) -> int:
     report = verify_pair(axi, bump, cls, noise, int(args.n), k_max=args.kmax)
     with open(args.out, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-    _write_manifest(
-        args.out,
-        "lb-verify",
-        {"alpha": args.alpha, "xi": args.xi, "beta": args.beta, "r": args.r,
-         "L": args.L, "eta": args.eta, "n": args.n, "delta": args.delta,
-         "bigD": args.bigD, "kmax": args.kmax, "out": args.out},
-        [args.out],
-    )
-    return 0
+    return {}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise one-line ValidationErrors."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wignerscope",
         description="Noisy homodyne tomography simulation and Wigner reconstruction.",
     )
@@ -322,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_kernel_flags(p):
         p.add_argument("--h", required=True,
-                       help="bandwidth: number or rule opt|h1|h2|r2|adaptive")
+                       help="bandwidth: number in (0, 1] or rule " + "|".join(_RULE_KINDS))
         p.add_argument("--beta", type=float)
         p.add_argument("--r", type=float)
         p.add_argument("--L", type=float)
-        p.add_argument("--variant", choices=("sharp", "modified"), default="sharp")
+        p.add_argument("--variant", choices=VARIANTS, default="sharp")
 
     est = sub.add_parser("estimate", help="evaluate the estimator on a grid")
     est.add_argument("--data", required=True)
@@ -352,21 +313,20 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--n", type=int, required=True)
     risk.add_argument("--reps", type=int, required=True)
     risk.add_argument("--points", required=True, help="q1,p1;q2,p2;...")
-    risk.add_argument("--rule", default="r2",
-                      choices=("opt", "h1", "h2", "r2", "adaptive", "fixed"))
+    risk.add_argument("--rule", default="r2", choices=(*_RULE_KINDS, "fixed"))
     risk.add_argument("--hfixed", type=float, default=None)
     risk.add_argument("--beta", type=float)
     risk.add_argument("--r", type=float)
     risk.add_argument("--L", type=float)
-    risk.add_argument("--variant", choices=("sharp", "modified"), default="sharp")
+    risk.add_argument("--variant", choices=VARIANTS, default="sharp")
     risk.add_argument("--seed", type=int, required=True)
     risk.add_argument("--out", required=True)
     risk.set_defaults(func=cmd_risk)
 
     kt = sub.add_parser("kernel-table", help="tabulate a deconvolution kernel")
-    kt.add_argument("--h", dest="h_value", type=float, required=True)
+    kt.add_argument("--h", type=float, required=True)
     kt.add_argument("--eta", type=float, required=True)
-    kt.add_argument("--variant", choices=("sharp", "modified"), default="sharp")
+    kt.add_argument("--variant", choices=VARIANTS, default="sharp")
     kt.add_argument("--umax", type=float, required=True)
     kt.add_argument("--step", type=float, required=True)
     kt.add_argument("--out", required=True)
@@ -379,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--r", type=float, required=True)
     lb.add_argument("--L", type=float, required=True)
     lb.add_argument("--eta", type=float, required=True)
-    lb.add_argument("--n", type=float, required=True)
+    lb.add_argument("--n", type=_integer, required=True)
     lb.add_argument("--delta", type=float, default=0.5)
     lb.add_argument("--bigD", type=float, default=5.0)
     lb.add_argument("--kmax", type=int, default=2000)
@@ -390,13 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    """Parse argv, run the command and write its manifest; the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        _write_manifest(args, args.func(args))
+        return 0
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -410,3 +370,7 @@ def run(argv) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

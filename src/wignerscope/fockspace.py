@@ -329,6 +329,16 @@ def _pure_state_vector(spec: StateSpec, dim: int) -> np.ndarray:
     raise ValidationError(f"unknown pure-state kind {kind!r}")
 
 
+def _mean_photons(spec: StateSpec) -> float:
+    """<N> of a coherent or squeezed recipe, the coherent bound |alpha|^2
+    of a cat; inf (not OverflowError) where it exceeds the floats."""
+    if spec.kind == "squeezed":
+        sinh_s = math.sinh(min(abs(spec.params["s"]), 710.0))
+        return sinh_s * sinh_s
+    q0, p0 = spec.params["q0"], spec.params.get("p0", 0.0)
+    return 0.5 * (q0 * q0 + p0 * p0)
+
+
 def materialize(
     spec: StateSpec,
     *,
@@ -353,6 +363,12 @@ def materialize(
         entries[n, n] = 1.0
         return DensityMatrix(dim=dim, entries=entries, tail_mass=0.0)
 
+    mean_n = _mean_photons(spec)
+    if not mean_n <= _MAX_AUTO_DIM:
+        raise TruncationError(
+            f"{spec.kind} state {spec.params}: mean photon number {mean_n:.3g} "
+            f"exceeds the dim cap {_MAX_AUTO_DIM}"
+        )
     dim = spec.dim if spec.dim is not None else 16
     while True:
         c = _pure_state_vector(spec, dim)

@@ -25,6 +25,10 @@ from .errors import BandwidthTooSmallError, TableStepError, ValidationError
 from .tomography import NoiseModel
 
 _EXP_CAP = 700.0  # hard guard on the deconvolution exponent
+# build_table's check: largest error at _TABLE_CHECKS random mid-node
+# points, relative to the table's largest |value|
+_TABLE_REL_TOL = 1e-4
+_TABLE_CHECKS = 64
 VARIANTS = ("sharp", "modified")
 
 
@@ -37,15 +41,10 @@ class KernelSpec:
     variant: str = "sharp"
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValidationError(f"bandwidth h must be > 0, got {self.h!r}")
+        if not 0.0 < self.h < math.inf:
+            raise ValidationError(f"bandwidth h must be finite and > 0, got {self.h!r}")
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant must be one of {VARIANTS}")
-
-    @property
-    def support_cut(self) -> float:
-        """Upper end of the Fourier support: 1/h (sharp) or 2/h (modified)."""
-        return (1.0 if self.variant == "sharp" else 2.0) / self.h
 
 
 def noise_ft(noise: NoiseModel, t) -> np.ndarray:
@@ -79,13 +78,11 @@ def _panel_width(spec: KernelSpec, u_abs_max: float) -> float:
     return width
 
 
-def _cosine_integral(spec: KernelSpec, u: np.ndarray, halve_panels: bool = False):
+def _cosine_integral(spec: KernelSpec, u: np.ndarray):
     """(1/2pi) * int_0^cut cos(u t) multiplier(t) dt for all u at once."""
     gamma = spec.noise.gamma
     h = spec.h
     width = _panel_width(spec, float(np.max(np.abs(u))) if u.size else 0.0)
-    if halve_panels:
-        width *= 0.5
     t1, w1 = gl_panels(0.0, 1.0 / h, width)
     log_f1 = np.log(t1) + gamma * t1 * t1
     if spec.variant == "sharp":
@@ -105,25 +102,15 @@ def _cosine_integral(spec: KernelSpec, u: np.ndarray, halve_panels: bool = False
 
 
 def kernel_eval(spec: KernelSpec, u):
-    """Sharp deconvolution kernel
+    """Deconvolution kernel of either variant,
 
-        K(u) = (1/2pi) int_0^{1/h} cos(u t) t e^{gamma t^2} dt,
+        K(u) = (1/2pi) int_0^{1/h} cos(u t) t e^{gamma t^2} dt   (sharp),
 
-    even in u, relative accuracy 1e-6 of the scale value K(0)."""
-    if spec.variant != "sharp":
-        raise ValidationError("kernel_eval expects a sharp KernelSpec")
-    return _eval_any(spec, u)
-
-
-def kernel_eval_modified(spec: KernelSpec, u):
-    """Modified kernel: same cosine-integral convention applied to the
-    tapered multiplier (plateau on [0, 1/h], C^1 taper on [1/h, 2/h])."""
-    if spec.variant != "modified":
-        raise ValidationError("kernel_eval_modified expects a modified KernelSpec")
-    return _eval_any(spec, u)
-
-
-def _eval_any(spec: KernelSpec, u):
+    the modified one applying the same convention to the tapered
+    multiplier (plateau on [0, 1/h], C^1 taper on [1/h, 2/h]).  Even in u,
+    relative accuracy 1e-6 of the scale value K(0).  The panels are sized
+    from the largest |u| given, so a value depends on its batch in the
+    last bits."""
     _guard(spec)
     scalar = np.ndim(u) == 0
     u_arr = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
@@ -136,8 +123,6 @@ def kernel_scale(spec: KernelSpec) -> float:
     (e^{gamma/h^2} - 1) / (4 pi gamma)."""
     _guard(spec)
     gamma = spec.noise.gamma
-    if gamma == 0.0:
-        return 1.0 / (4.0 * math.pi * spec.h**2)
     return math.expm1(gamma / spec.h**2) / (4.0 * math.pi * gamma)
 
 
@@ -169,29 +154,21 @@ class KernelTable:
         out = ((c3 * t + c2) * t + c1) * t + c0
         outside = ~(u_abs <= self.u_max)
         if np.any(outside):
-            # one value per call: _eval_any sizes its panels from the largest
-            # |u| it is given, and no value may depend on the rest of its batch
-            out[outside] = [_eval_any(self.spec, v) for v in u_abs[outside]]
+            # one value per call: no value may depend on the rest of its batch
+            out[outside] = [kernel_eval(self.spec, v) for v in u_abs[outside]]
         return float(out[0]) if np.ndim(u) == 0 else out
 
 
-def build_table(
-    spec: KernelSpec,
-    u_max: float,
-    step: Optional[float] = None,
-    *,
-    rel_tol: float = 1e-4,
-    n_checks: int = 64,
-) -> KernelTable:
+def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) -> KernelTable:
     """Tabulate the kernel on a uniform grid and validate the interpolant."""
     _guard(spec)
     if step is None:
         step = spec.h / 8.0
-    if step <= 0.0 or u_max <= step:
-        raise ValidationError("need u_max > step > 0")
+    if not 0.0 < step < u_max < math.inf:
+        raise ValidationError(f"need finite u_max > step > 0, got {u_max!r}, {step!r}")
     n = int(math.ceil(u_max / step)) + 1
     grid = np.arange(n) * step
-    values = _eval_any(spec, grid)
+    values = kernel_eval(spec, grid)
     table = KernelTable(
         spec=spec, u_max=float(grid[-1]), step=step, values=values,
         _spline=CubicSpline(grid, values, bc_type=((1, 0.0), "not-a-knot")),
@@ -200,11 +177,11 @@ def build_table(
     # modified kernel's K(0) can dwarf the sharp closed form)
     scale = float(np.max(np.abs(values)))
     rng = np.random.default_rng(0)
-    mids = rng.uniform(0.0, grid[-1], size=n_checks)
-    err = float(np.max(np.abs(table(mids) - _eval_any(spec, mids))))
-    if err > rel_tol * scale:
+    mids = rng.uniform(0.0, grid[-1], size=_TABLE_CHECKS)
+    err = float(np.max(np.abs(table(mids) - kernel_eval(spec, mids))))
+    if err > _TABLE_REL_TOL * scale:
         raise TableStepError(
             f"step {step} gives interpolation error {err:.3e} "
-            f"> {rel_tol:.0e} * scale ({scale:.3e})"
+            f"> {_TABLE_REL_TOL:.0e} * scale ({scale:.3e})"
         )
     return table

@@ -32,6 +32,7 @@ from .tomography import ClassIntegralResult, NoiseModel, SmoothnessClass, class_
 
 K_MAX_BUDGET = 5000
 _COS_BLOCK_ROWS = 2048  # rows of the cos(y t) matrix in perturbation_profile_noisy
+_N_MAX = 1e300  # keeps n log n, in htilde_solve, a finite double
 
 # Known-good regression configuration: all four verify_pair verdicts hold.
 # n is a formula parameter (nothing is sampled); the construction closes
@@ -96,8 +97,8 @@ class BumpSpec:
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ValidationError("delta must be > 0")
-        if not self.big_d > 4.0 * self.delta:
-            raise ValidationError("need D > 4*delta")
+        if not 4.0 * self.delta < self.big_d < math.inf:
+            raise ValidationError("need finite D > 4*delta")
 
     def j_value(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -392,8 +393,8 @@ def htilde_solve(cls: SmoothnessClass, noise: NoiseModel, n: int) -> float:
 
     or the closed form (log(n log n) / (2 (beta+gamma)))^{-1/2} for r = 2.
     """
-    if n < 16:
-        raise ValidationError("n must be >= 16")
+    if not 16 <= n <= _N_MAX:
+        raise ValidationError(f"n must lie in [16, {_N_MAX:.0e}]")
     beta, r = cls.beta, cls.r
     gamma = noise.gamma
     if r == 2.0:

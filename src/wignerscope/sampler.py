@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .fockspace import DensityMatrix, StateSpec
-from .tomography import _diagonal_profiles, x_support_radius
+from .tomography import NoiseModel, _diagonal_profiles, x_support_radius
 
 GENERATOR_VERSION = "wignerscope-sampler/2"
 
@@ -41,6 +41,13 @@ _NOISE_STREAM = 1
 # Newton stopping rule of QuadratureSampler._solve_cubic, in units of a cell
 _SOLVE_TOL = 1e-15
 _MAX_SWEEPS = 64
+
+# CDF tables: phases cached over [0, pi], the starting grid size, the
+# interpolation error target and the grid size at which refinement stops
+_N_PHASES = 1024
+_N_POINTS = 4097
+_CDF_TOL = 1e-6
+_MAX_POINTS = 65537
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -144,42 +151,32 @@ def _search_rows(flat: np.ndarray, base: np.ndarray, n: int, t: np.ndarray) -> n
 class QuadratureSampler:
     """Inverse-CDF sampler for the ideal quadrature data of one state.
 
-    Per cached phase (nearest reuse over a uniform grid of n_phases
+    Per cached phase (nearest reuse over a uniform grid of _N_PHASES
     phases), the CDF of p_rho(.|phi) is tabulated on an adaptive x grid,
     refined until the monotone-cubic interpolation error estimate is at
-    most cdf_tol.  Diagonal states are phase-independent and use a single
+    most _CDF_TOL.  Diagonal states are phase-independent and use a single
     cached phase.
     """
 
-    def __init__(
-        self,
-        rho: DensityMatrix,
-        *,
-        n_phases: int = 1024,
-        n_points: int = 4097,
-        cdf_tol: float = 1e-6,
-        max_points: int = 65537,
-    ):
-        if n_phases < 1:
-            raise ValidationError("n_phases must be >= 1")
+    def __init__(self, rho: DensityMatrix):
         self.rho = rho
         diag_only = not any(
             np.any(np.diagonal(rho.entries, offset=d)) for d in range(1, rho.dim)
         )
-        self.n_phases = 1 if diag_only else n_phases
+        self.n_phases = 1 if diag_only else _N_PHASES
         self._phases = (np.arange(self.n_phases) + 0.5) * math.pi / self.n_phases
         xm = x_support_radius(rho.dim)
-        n = n_points
+        n = _N_POINTS
         while True:
             grid = np.linspace(-xm, xm, n)
             pdf, cdf = self._tabulate(grid)
             err = self._interp_error_estimate(grid, pdf)
-            if err <= cdf_tol or n >= max_points:
+            if err <= _CDF_TOL or n >= _MAX_POINTS:
                 break
             n = 2 * n - 1
-        if err > cdf_tol:
+        if err > _CDF_TOL:
             raise ValidationError(
-                f"CDF table error {err:.2e} > {cdf_tol:.1e} at {n} points"
+                f"CDF table error {err:.2e} > {_CDF_TOL:.1e} at {n} points"
             )
         self.x_grid = grid
         self.pdf = pdf          # (n_phases, n)
@@ -285,9 +282,9 @@ class QuadratureSampler:
         return IdealSample(x=x, phi=phi)
 
 
-def sample_ideal(rho: DensityMatrix, n: int, seed: int, **sampler_kwargs) -> IdealSample:
+def sample_ideal(rho: DensityMatrix, n: int, seed: int) -> IdealSample:
     """Draw n ideal records (X, Phi): Phi ~ U[0, pi], X | Phi from quad_density."""
-    return QuadratureSampler(rho, **sampler_kwargs).sample(n, seed)
+    return QuadratureSampler(rho).sample(n, seed)
 
 
 def add_noise(
@@ -301,8 +298,7 @@ def add_noise(
     The Gaussians g come from an RNG stream independent of the one that
     produced the ideal sample, keyed by the same seed.
     """
-    if not 0.0 < eta < 1.0:
-        raise ValidationError(f"eta must lie in (0, 1), got {eta!r}")
+    NoiseModel(eta)  # refuses eta outside (0, 1)
     x, phi = np.asarray(ideal[0], dtype=float), np.asarray(ideal[1], dtype=float)
     rng = _stream(seed, _NOISE_STREAM)
     g = rng.standard_normal(x.size)
@@ -311,24 +307,11 @@ def add_noise(
     return Dataset(y=y, phi=phi, meta=meta)
 
 
-def simulate(
-    spec: StateSpec,
-    n: int,
-    eta: float,
-    seed: int,
-    *,
-    rho: Optional[DensityMatrix] = None,
-    sampler: Optional[QuadratureSampler] = None,
-    **sampler_kwargs,
-) -> Dataset:
+def simulate(spec: StateSpec, n: int, eta: float, seed: int) -> Dataset:
     """Materialize a state, draw ideal records, and add detection noise."""
     from .fockspace import materialize
 
-    if sampler is None:
-        if rho is None:
-            rho = materialize(spec)
-        sampler = QuadratureSampler(rho, **sampler_kwargs)
-    ideal = sampler.sample(n, seed)
+    ideal = QuadratureSampler(materialize(spec)).sample(n, seed)
     return add_noise(ideal, eta, seed, spec)
 
 

@@ -21,29 +21,21 @@ from ._quad import gl_panels
 from .errors import CoverageError, ForwardModelError, ValidationError
 from .fockspace import DensityMatrix, hermite_psi_table
 
-_GAMMA_OF = lambda eta: (1.0 - eta) / (4.0 * eta)
-
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Detection-efficiency noise: Y = sqrt(eta) X + sqrt((1-eta)/2) xi.
-
-    gamma = (1-eta)/(4 eta) is the deconvolution exponent constant.
-    """
+    """Detection-efficiency noise: Y = sqrt(eta) X + sqrt((1-eta)/2) xi."""
 
     eta: float
-    gamma: float = None  # derived from eta unless explicitly supplied
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValidationError(f"eta must lie in (0, 1), got {self.eta!r}")
-        g = _GAMMA_OF(self.eta)
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", g)
-        elif abs(self.gamma - g) > 4.0 * abs(g) * np.finfo(float).eps:
-            raise ValidationError(
-                f"gamma {self.gamma!r} inconsistent with eta {self.eta!r}"
-            )
+
+    @property
+    def gamma(self) -> float:
+        """Deconvolution exponent constant (1-eta)/(4 eta)."""
+        return (1.0 - self.eta) / (4.0 * self.eta)
 
 
 @dataclass(frozen=True)
@@ -58,12 +50,12 @@ class SmoothnessClass:
     L: float
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValidationError("beta must be > 0")
+        if not 0.0 < self.beta < math.inf:
+            raise ValidationError(f"beta must be finite and > 0, got {self.beta!r}")
         if not 0.0 < self.r <= 2.0:
-            raise ValidationError("r must lie in (0, 2]")
-        if not self.L > 0.0:
-            raise ValidationError("L must be > 0")
+            raise ValidationError(f"r must lie in (0, 2], got {self.r!r}")
+        if not 0.0 < self.L < math.inf:
+            raise ValidationError(f"L must be finite and > 0, got {self.L!r}")
 
     @property
     def rhs(self) -> float:

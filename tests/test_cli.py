@@ -7,8 +7,10 @@ import pytest
 
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
-from wignerscope.cli import parse_state, run
+from wignerscope.cli import parse_rule, parse_state, run
 from wignerscope.errors import ValidationError
+from wignerscope.estimator import BandwidthRule
+from wignerscope.tomography import SmoothnessClass
 
 
 def sha(path):
@@ -39,6 +41,31 @@ class TestParseState:
     def test_bad_kind(self):
         with pytest.raises(ValidationError):
             parse_state("thermal:1")
+
+
+class TestParseRule:
+    @pytest.mark.parametrize("name,kind", [
+        ("opt", "opt"), ("h1", "h1"), ("h2", "h2"), ("r2", "r2_closed"),
+    ])
+    def test_class_rules(self, name, kind):
+        cls = SmoothnessClass(0.2, 2.0, 1.0)
+        assert parse_rule(name, 0.2, 2.0, 1.0) == BandwidthRule(kind, cls=cls)
+
+    def test_adaptive_needs_no_class(self):
+        assert parse_rule("adaptive", None, None, None) == BandwidthRule.adaptive()
+
+    @pytest.mark.parametrize("value", ["0.35", 0.35])
+    def test_number_is_fixed(self, value):
+        assert parse_rule(value, None, None, None) == BandwidthRule.fixed(0.35)
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "-0.2", "nan", "inf", "fixed", "r2_closed"])
+    def test_refused(self, value):
+        with pytest.raises(ValidationError):
+            parse_rule(value, 0.2, 2.0, 1.0)
+
+    def test_class_rule_without_class(self):
+        with pytest.raises(ValidationError, match="--beta, --r and --L"):
+            parse_rule("opt", 0.2, None, 1.0)
 
 
 class TestSimulate:
@@ -272,3 +299,179 @@ class TestLbVerify:
                   "--r", "2", "--L", "1", "--eta", "0.9", "--n", "1e6",
                   "--out", str(tmp_path / "lb.json")])
         assert rc == 1
+
+
+# the README commands at small sizes; {data} is a fock:1 dataset of 200
+# records, {out} the output path
+SMALL_ARGV = {
+    "simulate": "simulate --state fock:1 --n 200 --eta 0.9 --seed 7 --out {out}",
+    "estimate": "estimate --data {data} --h r2 --beta 0.2 --r 2 --L 1 "
+                "--grid=-4:4:3,-4:4:3 --out {out}",
+    "cut": "cut --data {data} --p 0 --qmin=-4 --qmax 4 --steps 3 --h 0.35 --out {out}",
+    "risk": "risk --state cat:3 --eta 0.95 --n 200 --reps 2 --points 0,0;3,0 --rule r2 "
+            "--beta 0.08 --r 2 --L 1 --seed 11 --out {out}",
+    "kernel-table": "kernel-table --h 0.25 --eta 0.9 --variant modified --umax 50 "
+                    "--step 0.03125 --out {out}",
+    "lb-verify": "lb-verify --alpha 0.2 --xi 0.94 --beta 0.111111111111 --r 2 --L 7.6 "
+                 "--eta 0.2 --n 1e120 --delta 0.5 --bigD 5 --kmax 200 --out {out}",
+}
+
+# every parsed flag, plus what the command resolved
+MANIFEST_FLAGS = {
+    "simulate": {"state", "n", "eta", "seed", "out"},
+    "estimate": {"data", "h", "beta", "r", "L", "variant", "grid", "resolved_rule", "out"},
+    "cut": {"data", "p", "qmin", "qmax", "steps", "h", "beta", "r", "L", "variant",
+            "resolved_rule", "out"},
+    "risk": {"state", "eta", "n", "reps", "points", "rule", "hfixed", "beta", "r", "L",
+             "variant", "seed", "out"},
+    "kernel-table": {"h", "eta", "variant", "umax", "step", "out"},
+    "lb-verify": {"alpha", "xi", "beta", "r", "L", "eta", "n", "delta", "bigD", "kmax", "out"},
+}
+
+NUMERIC_FLAGS = [
+    (command, token)
+    for command, line in SMALL_ARGV.items()
+    for token in line.split()
+    if token.startswith("--")
+    and token.split("=")[0] not in ("--state", "--data", "--grid", "--points", "--rule",
+                                    "--variant", "--out")
+]
+
+BAD_VALUES = ["-1", "0", "nan", "inf", "-inf", "1e400", "x"]
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "d.csv"
+    assert run(SMALL_ARGV["simulate"].format(out=path).split()) == 0
+    return path
+
+
+def small_argv(command, data, out):
+    return SMALL_ARGV[command].format(data=data, out=out).split()
+
+
+class TestCliContract:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
+    def test_bad_numeric_value_one_line(self, small_data, tmp_path, capsys,
+                                        command, flag, value):
+        argv = small_argv(command, small_data, tmp_path / "out")
+        i = argv.index(flag)
+        name = flag.split("=")[0]
+        # --flag=value, so that "-inf" and "-1" reach the flag's own parsing
+        argv[i:i + (1 if "=" in flag else 2)] = [f"{name}={value}"]
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        assert (rc == 0) == (err == "")
+
+    @pytest.mark.parametrize("command", SMALL_ARGV)
+    def test_manifest_holds_every_flag(self, small_data, tmp_path, command):
+        out = tmp_path / "out"
+        assert run(small_argv(command, small_data, out)) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["flags"]) == MANIFEST_FLAGS[command]
+        assert manifest["flags"]["out"] == str(out)
+        expect_inputs = [str(small_data)] if "data" in MANIFEST_FLAGS[command] else []
+        assert list(manifest["inputs"]) == expect_inputs
+        assert manifest["outputs"] == {str(out): sha(out)}
+
+    def test_risk_fixed_manifest_replays(self, tmp_path):
+        out = tmp_path / "risk.json"
+        assert run(["risk", "--state", "cat:3", "--eta", "0.95", "--n", "500",
+                    "--reps", "2", "--points", "0,0;3,0", "--rule", "fixed",
+                    "--hfixed", "0.4", "--seed", "11", "--out", str(out)]) == 0
+        sidecar = tmp_path / "risk.json.manifest.json"
+        report, manifest = out.read_bytes(), sidecar.read_bytes()
+        flags = json.loads(manifest)["flags"]
+        assert flags["hfixed"] == 0.4 and flags["rule"] == "fixed"
+        replay = ["risk"] + [f"--{k}={v}" for k, v in flags.items() if v is not None]
+        assert run(replay) == 0
+        assert out.read_bytes() == report
+        assert sidecar.read_bytes() == manifest
+
+    @pytest.mark.parametrize("h", ["1.5", "0", "nan", "inf"])
+    def test_estimate_numeric_h_outside_unit_interval_exit_1(self, small_data, tmp_path,
+                                                             capsys, h):
+        out = tmp_path / "grid.csv"
+        rc = run(["estimate", "--data", str(small_data), f"--h={h}",
+                  "--grid=0:1:2,0:1:2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1 and "(0, 1]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["simulate", "--state", "fock:0", "--n", "nan", "--eta", "0.9", "--seed", "1"],
+         "--n"),
+        (["simulate", "--state", "fock:0", "--n", "10", "--eta", "-inf", "--seed", "1"],
+         "--eta"),
+        (["cut", "--data", "d.csv", "--p", "0"], "required"),
+        (["kernel-table", "--h", "0.5", "--eta", "0.9", "--variant", "boxcar",
+          "--umax", "5", "--step", "0.1"], "--variant"),
+    ])
+    def test_argparse_errors_one_line(self, tmp_path, capsys, argv, needle):
+        rc = run(argv + ["--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert needle in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["risk", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert run(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,n,recorded", [
+        ("1e120", 10**120, 1e120),
+        ("1.234560e120", 123456 * 10**115, 1.23456e120),
+        # no double reads back as this integer, so the manifest keeps its digits
+        ("12345678901234567891", 12345678901234567891, 12345678901234567891),
+    ])
+    def test_lb_verify_n_is_exact(self, tmp_path, monkeypatch, text, n, recorded):
+        import wignerscope.cli as cli
+
+        seen = []
+
+        class Report:
+            def to_json_dict(self):
+                return {}
+
+        def fake_verify_pair(axi, bump, cls, noise, n, *, k_max):
+            seen.append(n)
+            return Report()
+
+        monkeypatch.setattr(cli, "verify_pair", fake_verify_pair)
+        out = tmp_path / "lb.json"
+        argv = ["lb-verify", "--alpha", "0.2", "--xi", "0.94", "--beta", "0.1", "--r", "2",
+                "--L", "7.6", "--eta", "0.2", "--n", text, "--out", str(out)]
+        assert run(argv) == 0
+        assert seen == [n] and type(seen[0]) is int
+        # the manifest's n replays to the same exact integer
+        flags = json.loads((tmp_path / "lb.json.manifest.json").read_text())["flags"]
+        assert flags["n"] == recorded and type(flags["n"]) is type(recorded)
+        assert run(argv[:-4] + ["--n", repr(flags["n"]), "--out", str(out)]) == 0
+        assert seen == [n, n]
+
+    def test_python_m_runs_the_cli(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        out = tmp_path / "kt.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wignerscope.cli", "kernel-table", "--h", "0.5",
+             "--eta", "0.9", "--umax", "5", "--step", "0.0625", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert out.read_text().startswith("u,value\n")
+        assert (tmp_path / "kt.csv.manifest.json").exists()

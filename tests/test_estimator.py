@@ -348,6 +348,27 @@ class TestRiskEval:
         )
         assert np.allclose(rep.per_point_mse, rep.per_rep_losses.mean(axis=0))
 
+    def test_batched_losses_equal_pointwise(self, nm):
+        # risk_eval passes all points of a repetition to the core at once
+        # (at n = 1e5 a block holds two points, so these four span two);
+        # each loss equals the one estimate_point gives on the same records
+        state = fs.StateSpec.coherent(1.0, 0.5)
+        pts = [(0.0, 0.0), (1.0, 0.5), (-2.0, 1.5), (0.3, -0.7)]
+        n, reps, seed = 10**5, 2, 17
+        rep = es.risk_eval(state, nm, es.BandwidthRule.fixed(0.4), "sharp", pts, n, reps, seed)
+        rho = fs.materialize(state)
+        kspec = kn.KernelSpec(0.4, nm, "sharp")
+        u_max = (max(math.hypot(*z) for z in pts) + tg.x_support_radius(rho.dim)
+                 + 8.0 / math.sqrt(nm.eta))
+        table = kn.build_table(kspec, u_max)
+        sampler = sp.QuadratureSampler(rho)
+        for j in range(reps):
+            rep_seed = sp.derive_seed(seed, j)
+            ds = sp.add_noise(sampler.sample(n, rep_seed), nm.eta, rep_seed, state)
+            for k, z in enumerate(pts):
+                est = es.estimate_point(ds, kspec, z, table=table)
+                assert rep.per_rep_losses[j, k] == (est - fs.wigner_eval(rho, z)) ** 2
+
 
 class TestRiskEnvelopes:
     def test_bias_dominance_at_h_opt(self):

@@ -117,6 +117,19 @@ class TestMaterialize:
         with pytest.raises(TruncationError):
             fs.materialize(fs.StateSpec.coherent(3.0, 0.0, dim=4), auto_grow=False)
 
+    @pytest.mark.parametrize("spec", [
+        fs.StateSpec.coherent(1e300, 0.0),
+        fs.StateSpec.coherent(0.0, -1e200),
+        fs.StateSpec.squeezed(1e6),
+        fs.StateSpec.squeezed(-800.0),
+        fs.StateSpec.cat(math.nan),
+    ])
+    def test_too_many_photons_refused_without_overflow(self, spec):
+        # the parameters overflow the amplitude formulas; the refusal is a
+        # one-line TruncationError, not an OverflowError
+        with pytest.raises(TruncationError):
+            fs.materialize(spec)
+
     def test_statespec_roundtrip(self):
         spec = fs.StateSpec.cat(2.5, axis="p")
         assert fs.StateSpec.from_dict(spec.to_dict()) == spec

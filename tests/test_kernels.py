@@ -115,7 +115,7 @@ class TestModifiedKernel:
             float(np.sum(t1 * np.exp(g * t1 * t1))) * (1 / h / n)
             + float(np.sum(t2 * np.exp(g * t2 * t2) * taper)) * (1 / h / n)
         ) / (2 * math.pi)
-        got = kn.kernel_eval_modified(spec, 0.0)
+        got = kn.kernel_eval(spec, 0.0)
         assert got == pytest.approx(brute, rel=1e-6)
 
     def test_tail_envelope_faster_decay(self, nm_09):
@@ -126,12 +126,12 @@ class TestModifiedKernel:
         mod = kn.KernelSpec(0.25, nm_09, "modified")
         uu = np.linspace(10.0, 50.0, 2001)
         env_sharp = np.max(np.abs(kn.kernel_eval(sharp, uu)))
-        env_mod = np.max(np.abs(kn.kernel_eval_modified(mod, uu)))
-        assert env_mod / kn.kernel_eval_modified(mod, 0.0) < env_sharp / kn.kernel_eval(
+        env_mod = np.max(np.abs(kn.kernel_eval(mod, uu)))
+        assert env_mod / kn.kernel_eval(mod, 0.0) < env_sharp / kn.kernel_eval(
             sharp, 0.0
         )
         far = uu >= 40.0
-        assert np.max(np.abs(kn.kernel_eval_modified(mod, uu[far]))) < np.max(
+        assert np.max(np.abs(kn.kernel_eval(mod, uu[far]))) < np.max(
             np.abs(kn.kernel_eval(sharp, uu[far]))
         )
 
@@ -139,7 +139,7 @@ class TestModifiedKernel:
         # modified variant guards at 4 gamma / h^2
         h = math.sqrt(4.0 * 0.25 / 701.0)
         with pytest.raises(BandwidthTooSmallError):
-            kn.kernel_eval_modified(kn.KernelSpec(h, nm_half, "modified"), 0.0)
+            kn.kernel_eval(kn.KernelSpec(h, nm_half, "modified"), 0.0)
         # the same h is fine for the sharp variant
         kn.kernel_eval(kn.KernelSpec(h, nm_half, "sharp"), 0.0)
 
@@ -231,7 +231,18 @@ class TestKernelTable:
             rhs = float(np.dot(ws, multiplier(ss) * gauss))
             assert abs(lhs - rhs) <= 2e-4 * abs(multiplier(np.array([max(t, 0.3)]))[0]) + 1e-6
 
+    @pytest.mark.parametrize("u_max,step", [
+        (math.inf, 0.1), (math.nan, 0.1), (5.0, math.nan), (5.0, 0.0), (0.1, 0.1),
+    ])
+    def test_range_validation(self, nm_09, u_max, step):
+        # NaN and inf must not reach the node count
+        spec = kn.KernelSpec(0.5, nm_09, "sharp")
+        with pytest.raises(ValidationError):
+            kn.build_table(spec, u_max, step)
+
     def test_spec_validation(self, nm_09):
+        with pytest.raises(ValidationError):
+            kn.KernelSpec(math.inf, nm_09, "sharp")
         with pytest.raises(ValidationError):
             kn.KernelSpec(-0.5, nm_09, "sharp")
         with pytest.raises(ValidationError):

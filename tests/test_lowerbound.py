@@ -217,6 +217,11 @@ class TestWtilde:
 
 
 class TestBumpAndJ:
+    @pytest.mark.parametrize("delta,big_d", [(0.5, math.inf), (0.5, math.nan), (0.5, 2.0)])
+    def test_needs_finite_d_above_four_delta(self, delta, big_d):
+        with pytest.raises(ValidationError):
+            lb.BumpSpec(delta, big_d)
+
     def test_sandwich_on_grid(self):
         bump = lb.BumpSpec(0.1, 1.0)
         u = np.linspace(-0.5, 1.5, 10**4)
@@ -290,6 +295,13 @@ class TestHtildeSolve:
         cls = tg.SmoothnessClass(0.3, 1.5, 1.0)
         hts = [lb.htilde_solve(cls, nm, n) for n in (10**3, 10**4, 10**5, 10**6, 10**7)]
         assert all(a > b for a, b in zip(hts, hts[1:]))
+
+    @pytest.mark.parametrize("n", [15, 10**301, 10**400], ids=["15", "1e301", "1e400"])
+    def test_n_outside_range_refused(self, n):
+        # past 1e300, n log n overflows and htilde would collapse to 0
+        cls = tg.SmoothnessClass(0.1, 2.0, 1.0)
+        with pytest.raises(ValidationError):
+            lb.htilde_solve(cls, tg.NoiseModel(0.2), n)
 
 
 class TestTauDiag:

@@ -30,10 +30,6 @@ class TestNoiseModel:
         nm = tg.NoiseModel(0.9)
         assert nm.gamma == pytest.approx((1 - 0.9) / (4 * 0.9), rel=1e-15)
 
-    def test_gamma_consistency_enforced(self):
-        with pytest.raises(ValidationError):
-            tg.NoiseModel(0.9, gamma=0.5)
-
     def test_eta_range(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValidationError):
@@ -228,3 +224,14 @@ class TestClassIntegral:
             tg.SmoothnessClass(0.5, 2.5, 1.0)
         with pytest.raises(ValidationError):
             tg.SmoothnessClass(0.5, 2.0, -1.0)
+
+
+class TestSmoothnessClass:
+    @pytest.mark.parametrize("beta,r,L", [
+        (math.inf, 2.0, 1.0), (math.nan, 2.0, 1.0), (0.0, 2.0, 1.0),
+        (0.2, 2.0, math.inf), (0.2, 2.0, math.nan), (0.2, 2.0, -1.0),
+        (0.2, 2.5, 1.0), (0.2, math.nan, 1.0),
+    ])
+    def test_refuses_non_finite_or_out_of_range(self, beta, r, L):
+        with pytest.raises(ValidationError):
+            tg.SmoothnessClass(beta, r, L)
