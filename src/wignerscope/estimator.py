@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BandwidthError, ConfigurationError, ValidationError
 from .fockspace import PhasePoint, StateSpec, materialize, wigner_eval
 from .kernels import KernelSpec, KernelTable, build_table
-from .sampler import Dataset, Histogram2D, QuadratureSampler, add_noise, derive_seed
-from .tomography import NoiseModel, SmoothnessClass, x_support_radius
+from .sampler import Dataset, QuadratureSampler, add_noise, derive_seed
+from .tomography import NoiseModel, SmoothnessClass, bandwidth_root, x_support_radius
 
 __all__ = [
     "SmoothnessClass",
@@ -90,27 +89,6 @@ class BandwidthRule:
         return cls("fixed", h=h)
 
 
-def _solve_opt(smooth: SmoothnessClass, n: int, noise: NoiseModel) -> float:
-    beta, r = smooth.beta, smooth.r
-    gamma = noise.gamma
-    log_n = math.log(n)
-
-    def lhs(h):
-        return 2.0 * beta / h**r + 2.0 * gamma / h**2 - log_n
-
-    if lhs(1.0) >= 0.0:
-        raise BandwidthError(
-            f"log n = {log_n:.3f} <= 2 beta + 2 gamma; no root in (0, 1]"
-        )
-    h_lo = (log_n / (2.0 * beta + 2.0 * gamma) + 2.0) ** -0.5
-    while lhs(h_lo) <= 0.0:
-        h_lo *= 0.5
-        if h_lo < 1e-12:
-            raise BandwidthError("failed to bracket the bandwidth equation")
-    h = brentq(lhs, h_lo, 1.0, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-    return float(h)
-
-
 def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
     """Bandwidth produced by a rule for sample size n and noise level eta.
 
@@ -143,7 +121,7 @@ def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
             raise BandwidthError("h2 rule: inner expression not positive")
         h = inner ** -0.5
     else:
-        h = _solve_opt(rule.cls, n, noise)
+        h = bandwidth_root(rule.cls, noise, log_n)
     if h > 1.0:
         raise BandwidthError(f"n too small: rule {rule.kind!r} gives h = {h} > 1")
     return h
@@ -165,32 +143,10 @@ def rate_phi2(cls: SmoothnessClass, n: int, noise: NoiseModel) -> float:
     )
 
 
-def _records(data) -> tuple:
-    """(y, phi, weights, eta) view of a Dataset or a 2-d histogram;
-    weights/eta are None where not applicable."""
-    if isinstance(data, Dataset):
-        return data.y, data.phi, None, data.meta.eta
-    if isinstance(data, Histogram2D):
-        yc, pc = data.centers()
-        Y, P = np.meshgrid(yc, pc, indexing="ij")
-        w = data.counts.ravel()
-        keep = w > 0
-        return Y.ravel()[keep], P.ravel()[keep], w[keep], None
-    raise ValidationError(f"unsupported data object {type(data)!r}")
-
-
-def _check_eta(data_eta, spec: KernelSpec) -> None:
-    if data_eta is not None and abs(data_eta - spec.noise.eta) > 1e-12:
-        raise ConfigurationError(
-            f"dataset eta = {data_eta} but kernel eta = {spec.noise.eta}"
-        )
-
-
-def default_table(data, spec: KernelSpec, points) -> KernelTable:
+def default_table(data: Dataset, spec: KernelSpec, points) -> KernelTable:
     """Kernel table wide enough for every |[z, phi] - y/sqrt(eta)| in data."""
-    y, _, _, _ = _records(data)
     z_max = max((math.hypot(p.q, p.p) for p in points), default=0.0)
-    u_max = z_max + float(np.max(np.abs(y))) / math.sqrt(spec.noise.eta) + 1.0
+    u_max = z_max + float(np.max(np.abs(data.y))) / math.sqrt(spec.noise.eta) + 1.0
     return build_table(spec, u_max)
 
 
@@ -199,36 +155,41 @@ def default_table(data, spec: KernelSpec, points) -> KernelTable:
 _BLOCK = 2**18
 
 
-def _estimate(data, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
+def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
               table: Optional[KernelTable]) -> np.ndarray:
     """West at the points (q[k], p[k]), one row of records per point."""
-    y, phi, w, data_eta = _records(data)
-    _check_eta(data_eta, spec)
+    if abs(data.meta.eta - spec.noise.eta) > 1e-12:
+        raise ConfigurationError(
+            f"dataset eta = {data.meta.eta} but kernel eta = {spec.noise.eta}"
+        )
+    y = data.y
     if y.size == 0:
         raise ValidationError("empty dataset")
     if table is None:
         far = int(np.argmax(np.hypot(q, p)))
         table = default_table(data, spec, [PhasePoint(q[far], p[far])])
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
+    cos_phi = np.cos(data.phi)
+    sin_phi = np.sin(data.phi)
     shift = y / math.sqrt(spec.noise.eta)
-    total = float(w.sum()) if w is not None else float(y.size)
     rows = max(1, _BLOCK // y.size)
     out = np.empty(q.size)
     for start in range(0, q.size, rows):
         block = slice(start, start + rows)
         u = q[block, None] * cos_phi + p[block, None] * sin_phi - shift
-        vals = table(u)
-        if w is not None:
-            vals *= w
-        out[block] = vals.sum(axis=1) / total
+        out[block] = table(u).sum(axis=1) / y.size
     return out
 
 
-def estimate_point(data, spec: KernelSpec, z, *, table: Optional[KernelTable] = None) -> float:
-    """Pointwise estimate West(z) from records or from binned counts."""
+def estimate_point(data: Dataset, spec: KernelSpec, z, *,
+                   table: Optional[KernelTable] = None) -> float:
+    """Pointwise estimate West(z) from the records of a dataset."""
     zp = z if isinstance(z, PhasePoint) else PhasePoint(*z)
     return float(_estimate(data, spec, np.array([zp.q]), np.array([zp.p]), table)[0])
+
+
+# largest grid GridSpec accepts: its point arrays and values take 32 bytes a
+# point; the README's grid has 81 x 81 points
+_MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -243,6 +204,10 @@ class GridSpec:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.q_min, self.q_max, self.p_min, self.p_max))):
             raise ValidationError("grid bounds must be finite")
+        if max(self.q_steps, 0) * max(self.p_steps, 0) > _MAX_GRID_POINTS:
+            raise ValidationError(
+                f"grid of {self.q_steps} x {self.p_steps} points exceeds {_MAX_GRID_POINTS} points"
+            )
 
     def axes(self):
         return (
@@ -259,7 +224,7 @@ class WignerGrid:
 
 
 def estimate_grid(
-    data,
+    data: Dataset,
     spec: KernelSpec,
     grid: GridSpec,
     *,

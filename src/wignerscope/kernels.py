@@ -29,6 +29,9 @@ _EXP_CAP = 700.0  # hard guard on the deconvolution exponent
 # points, relative to the table's largest |value|
 _TABLE_REL_TOL = 1e-4
 _TABLE_CHECKS = 64
+# largest table build_table makes; the README's and the benchmark's hold
+# 1601 nodes, and the cosine sum behind a table grows with its node count
+_MAX_TABLE_NODES = 2**16
 VARIANTS = ("sharp", "modified")
 
 
@@ -166,6 +169,10 @@ def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) ->
         step = spec.h / 8.0
     if not 0.0 < step < u_max < math.inf:
         raise ValidationError(f"need finite u_max > step > 0, got {u_max!r}, {step!r}")
+    if u_max / step > _MAX_TABLE_NODES - 1:
+        raise ValidationError(
+            f"u_max / step = {u_max / step:.3g} asks for more than {_MAX_TABLE_NODES} table nodes"
+        )
     n = int(math.ceil(u_max / step)) + 1
     grid = np.arange(n) * step
     values = kernel_eval(spec, grid)

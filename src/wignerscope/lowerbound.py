@@ -22,17 +22,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn, gammaincc, gammaln
 
 from ._quad import gl_panels, jacobi_unit
 from .errors import BandwidthError, ValidationError
-from .fockspace import laguerre_table
-from .tomography import ClassIntegralResult, NoiseModel, SmoothnessClass, class_integral
+from .fockspace import MAX_ORDER, laguerre_table
+from .tomography import (
+    ClassIntegralResult, NoiseModel, SmoothnessClass, bandwidth_root, class_integral,
+)
 
-K_MAX_BUDGET = 5000
 _COS_BLOCK_ROWS = 2048  # rows of the cos(y t) matrix in perturbation_profile_noisy
 _N_MAX = 1e300  # keeps n log n, in htilde_solve, a finite double
+_SMALL_X_NODES = 256  # Gauss-Jacobi nodes of the small-|x| mixture branch
+_TAIL_TERMS = 6  # terms of p_tail_mass's asymptotic series
+# chi_squared's y quadrature: range [0, _CHI2_Y_MAX], panels at most _CHI2_PANEL wide
+_CHI2_Y_MAX = 120.0
+_CHI2_PANEL = 0.05
 
 # Known-good regression configuration: all four verify_pair verdicts hold.
 # n is a formula parameter (nothing is sampled); the construction closes
@@ -91,8 +96,8 @@ class BumpSpec:
     plateau 1 on [2*delta, D-2*delta], fall on [D-2*delta, D-delta].
     """
 
-    delta: float = 0.1
-    big_d: float = 1.0
+    delta: float
+    big_d: float
 
     def __post_init__(self):
         if not self.delta > 0.0:
@@ -171,8 +176,8 @@ def rho_alpha_xi_diag(axi: AlphaXi, k_max: int) -> np.ndarray:
     (1 - (1-xi)s)^k, so the Gauss-Jacobi rule with enough nodes is exact
     up to roundoff.
     """
-    if k_max < 0 or k_max > K_MAX_BUDGET:
-        raise ValidationError(f"k_max must lie in [0, {K_MAX_BUDGET}]")
+    if not 0 <= k_max <= MAX_ORDER:
+        raise ValidationError(f"k_max must lie in [0, {MAX_ORDER}]")
     a, xi = axi.alpha, axi.xi
     n_nodes = max(64, k_max // 2 + 2)
     s, w = jacobi_unit(n_nodes, a)
@@ -196,12 +201,12 @@ def rho_tail_mass(axi: AlphaXi, k_max: int) -> float:
     return a * float(np.dot(w, base ** (k_max + 1)))
 
 
-def _p_small_x(axi: AlphaXi, x: np.ndarray, eta: float = 1.0, n_nodes: int = 256) -> np.ndarray:
+def _p_small_x(axi: AlphaXi, x: np.ndarray, eta: float = 1.0) -> np.ndarray:
     # substitution 1-z = (1-xi)s: weight s^{alpha-1/2}, smooth remainder;
     # 1 + kappa z = 1 + kappa - kappa (1-xi) s
     a, xi = axi.alpha, axi.xi
     kappa = 2.0 * eta - 1.0
-    s, w = jacobi_unit(n_nodes, a - 0.5)
+    s, w = jacobi_unit(_SMALL_X_NODES, a - 0.5)
     om = 1.0 - xi
     var_den = (1.0 + kappa) - kappa * om * s
     g = var_den ** -0.5 * np.exp(-np.multiply.outer(x * x, om * s / var_den))
@@ -258,7 +263,7 @@ def p_alpha_xi(axi: AlphaXi, x):
     return _p_mixture(axi, x, 1.0)
 
 
-def p_tail_mass(axi: AlphaXi, x_cut: float, terms: int = 6, eta: float = 1.0) -> float:
+def p_tail_mass(axi: AlphaXi, x_cut: float, eta: float = 1.0) -> float:
     """Analytic tail integral int_{x_cut}^inf p(x) dx via the asymptotic
     series p(x) = pref * x^{-1-2 alpha} sum_k c_k kappa^k x^{-2k}; the
     leading term is the |x|^{-(1+2 alpha)} power law with its exact constant.
@@ -271,7 +276,7 @@ def p_tail_mass(axi: AlphaXi, x_cut: float, terms: int = 6, eta: float = 1.0) ->
     kappa = 2.0 * eta - 1.0
     pref = a * 2.0 ** (a + 1.0) * eta**a / ((1.0 - xi) ** a * math.sqrt(math.pi))
     total = 0.0
-    for k in range(terms):
+    for k in range(_TAIL_TERMS):
         binom = _binom_neg(a, k) * kappa**k
         moment = 0.5 * math.exp(gammaln(a + k + 0.5))   # int_0^inf u^{2a+2k} e^{-u^2} du
         power = 2.0 * a + 2.0 * k
@@ -399,20 +404,7 @@ def htilde_solve(cls: SmoothnessClass, noise: NoiseModel, n: int) -> float:
     gamma = noise.gamma
     if r == 2.0:
         return (math.log(n * math.log(n)) / (2.0 * (beta + gamma))) ** -0.5
-    target = math.log(n) + math.log(math.log(n)) ** 2
-
-    def g(h):
-        return 2.0 * beta / h**r + 2.0 * gamma / h**2 - target
-
-    h_hi = 1.0
-    while g(h_hi) >= 0.0:
-        h_hi *= 2.0
-    h_lo = h_hi
-    while g(h_lo) <= 0.0:
-        h_lo *= 0.5
-        if h_lo < 1e-12:
-            raise BandwidthError("failed to bracket htilde equation")
-    return float(brentq(g, h_lo, h_hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+    return bandwidth_root(cls, noise, math.log(n) + math.log(math.log(n)) ** 2)
 
 
 def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) -> np.ndarray:
@@ -422,8 +414,8 @@ def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) ->
 
     integrated over the compact support of J with oscillation-aware panels.
     """
-    if k_max < 0 or k_max > K_MAX_BUDGET:
-        raise ValidationError(f"k_max must lie in [0, {K_MAX_BUDGET}]")
+    if not 0 <= k_max <= MAX_ORDER:
+        raise ValidationError(f"k_max must lie in [0, {MAX_ORDER}]")
     t_lo, t_hi = j_support(bump, cls, htilde)
     osc = math.sqrt(2.0 * k_max + 1.0)
     width = min(math.pi / (4.0 * osc), (t_hi - t_lo) / 8.0)
@@ -512,9 +504,6 @@ def chi_squared(
     cls: SmoothnessClass,
     noise: NoiseModel,
     htilde: float,
-    *,
-    y_max: float = 120.0,
-    panel: float = 0.05,
 ) -> dict:
     """chi^2 = pi * int (p_2^eta - p_1^eta)^2 / p_1^eta dy, by direct
     quadrature in y (rotation invariance makes the angular integral trivial).
@@ -526,14 +515,14 @@ def chi_squared(
     Returns the value plus the L2 and y^2-weighted tail-control diagnostics.
     """
     t_lo, t_hi = j_support(bump, cls, htilde)
-    width = min(panel, math.pi / (4.0 * t_hi))
-    y, w = gl_panels(0.0, y_max, width)
+    width = min(_CHI2_PANEL, math.pi / (4.0 * t_hi))
+    y, w = gl_panels(0.0, _CHI2_Y_MAX, width)
     q = perturbation_profile_noisy(bump, cls, noise, htilde, y)
     # p_0^eta is smooth and monotone-tailed: evaluate on a coarse grid and
     # interpolate onto the oscillation-resolving grid of q
     from scipy.interpolate import CubicSpline
 
-    y_coarse = np.linspace(0.0, y_max, max(int(y_max * 8), 400))
+    y_coarse = np.linspace(0.0, _CHI2_Y_MAX, max(int(_CHI2_Y_MAX * 8), 400))
     p0_spline = CubicSpline(y_coarse, base_density_noisy(axi, noise, y_coarse))
     p0 = p0_spline(y)
     p1 = p0 + q
@@ -542,7 +531,7 @@ def chi_squared(
     integrand = 4.0 * q * q / p1
     chi2 = 2.0 * math.pi * float(np.dot(w, integrand))
     # crude tail bound from the measured power-law decay of the integrand
-    tail = float(integrand[-1]) * y_max / 4.0
+    tail = float(integrand[-1]) * _CHI2_Y_MAX / 4.0
     return {
         "chi2": chi2,
         "tail_estimate": 2.0 * math.pi * tail,

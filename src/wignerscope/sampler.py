@@ -24,13 +24,9 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import (
-    DatasetFormatError,
-    ForwardModelError,
-    ValidationError,
-)
+from .errors import DatasetFormatError, ValidationError
 from .fockspace import DensityMatrix, StateSpec
-from .tomography import NoiseModel, _diagonal_profiles, x_support_radius
+from .tomography import NoiseModel, quad_density_table, x_support_radius
 
 GENERATOR_VERSION = "wignerscope-sampler/2"
 
@@ -185,19 +181,10 @@ class QuadratureSampler:
 
     def _tabulate(self, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         n = grid.size
-        # densities on the doubled grid for per-cell Simpson integration;
-        # all phases at once through the diagonal decomposition
-        #   p(x | phi) = s_0(x) + 2 Re sum_{d>=1} e^{i d phi} s_d(x)
+        # densities of all phases on the doubled grid, for per-cell Simpson
+        # integration
         fine = np.linspace(grid[0], grid[-1], 2 * n - 1)
-        profiles = _diagonal_profiles(self.rho, fine)
-        coeff = np.exp(1j * np.outer(self._phases, np.arange(self.rho.dim)))
-        coeff[:, 1:] *= 2.0
-        pdf_fine = (coeff @ profiles).real
-        if float(pdf_fine.min()) < -1e-9:
-            raise ForwardModelError(
-                f"negative quadrature density ({pdf_fine.min():.3e}) in CDF table"
-            )
-        np.clip(pdf_fine, 0.0, None, out=pdf_fine)
+        pdf_fine = quad_density_table(self.rho, fine, self._phases)
         h = grid[1] - grid[0]
         cell = (h / 6.0) * (
             pdf_fine[:, 0:-2:2] + 4.0 * pdf_fine[:, 1::2] + pdf_fine[:, 2::2]
@@ -313,37 +300,6 @@ def simulate(spec: StateSpec, n: int, eta: float, seed: int) -> Dataset:
 
     ideal = QuadratureSampler(materialize(spec)).sample(n, seed)
     return add_noise(ideal, eta, seed, spec)
-
-
-@dataclass(frozen=True)
-class Histogram2D:
-    counts: np.ndarray
-    y_edges: np.ndarray
-    phi_edges: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def centers(self) -> Tuple[np.ndarray, np.ndarray]:
-        return (
-            0.5 * (self.y_edges[:-1] + self.y_edges[1:]),
-            0.5 * (self.phi_edges[:-1] + self.phi_edges[1:]),
-        )
-
-
-def bin2d(data, bins: int) -> Histogram2D:
-    """Histogram records into a bins x bins grid over (y, phi)."""
-    if bins < 2:
-        raise ValidationError("bins must be >= 2")
-    if isinstance(data, Dataset):
-        y, phi = data.y, data.phi
-    else:
-        y, phi = np.asarray(data[0], dtype=float), np.asarray(data[1], dtype=float)
-    counts, y_edges, phi_edges = np.histogram2d(
-        y, phi, bins=bins, range=[[y.min(), y.max()], [0.0, math.pi]]
-    )
-    return Histogram2D(counts=counts, y_edges=y_edges, phi_edges=phi_edges)
 
 
 def write_dataset(ds: Dataset, path) -> None:

@@ -16,10 +16,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ._quad import gl_panels
-from .errors import CoverageError, ForwardModelError, ValidationError
+from .errors import BandwidthError, CoverageError, ForwardModelError, ValidationError
 from .fockspace import DensityMatrix, hermite_psi_table
+
+# Gauss-Legendre panel width of radon_numeric's line integral
+_RADON_PANEL = 0.125
+# class_integral: t-blocks of this length, panels of this width, and the
+# t at which an unconverged integral gives up
+_CLASS_BLOCK = 8.0
+_CLASS_PANEL = 0.25
+_CLASS_T_CAP = 400.0
 
 
 @dataclass(frozen=True)
@@ -63,54 +72,63 @@ class SmoothnessClass:
         return (2.0 * math.pi) ** 2 * self.L
 
 
+def bandwidth_root(cls: SmoothnessClass, noise: NoiseModel, target: float) -> float:
+    """The h > 0 with 2 beta / h^r + 2 gamma / h^2 = target (> 0).
+
+    The left side falls in h, so doubling from h = 1 and then halving
+    brackets the root before brentq refines it.
+    """
+    beta, r, gamma = cls.beta, cls.r, noise.gamma
+
+    def g(h):
+        return 2.0 * beta / h**r + 2.0 * gamma / h**2 - target
+
+    h_hi = 1.0
+    while g(h_hi) >= 0.0:
+        h_hi *= 2.0
+    h_lo = h_hi
+    while g(h_lo) <= 0.0:
+        h_lo *= 0.5
+        if h_lo < 1e-12:
+            raise BandwidthError("failed to bracket the bandwidth equation")
+    return float(brentq(g, h_lo, h_hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+
+
 def x_support_radius(dim: int) -> float:
     """Quadrature truncation radius: classical turning point plus margin."""
     return math.sqrt(2.0 * dim) + 6.0
 
 
-def _diagonal_profiles(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
-    """s_d(x) = sum_j rho_{j,j+d} psi_j(x) psi_{j+d}(x) as row d of a
-    (dim, x.size) complex array; rows of all-zero diagonals stay zero."""
+def quad_density_table(rho: DensityMatrix, x, phases) -> np.ndarray:
+    """p_rho(x | phi) = sum_jk rho_jk psi_j(x) psi_k(x) e^{-i(j-k)phi} as a
+    (phases, x) array, through the diagonal decomposition
+
+        p(x | phi) = s_0(x) + 2 Re sum_{d>=1} e^{i d phi} s_d(x),
+        s_d(x) = sum_j rho_{j,j+d} psi_j(x) psi_{j+d}(x).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     psi = hermite_psi_table(rho.dim - 1, x)
-    out = np.zeros((rho.dim, x.size), dtype=complex)
+    profiles = np.zeros((rho.dim, x.size), dtype=complex)
     for d in range(rho.dim):
         diag = np.diagonal(rho.entries, offset=d)
         if np.any(diag):
-            out[d] = diag @ (psi[: rho.dim - d] * psi[d:])
-    return out
-
-
-def quad_density_profile(rho: DensityMatrix, x, phi: float) -> np.ndarray:
-    """Vectorized p_rho(x | phi) over an array of quadrature results x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = hermite_psi_table(rho.dim - 1, x)
-    total = np.zeros(x.shape, dtype=complex)
-    for d in range(rho.dim):
-        diag = np.diagonal(rho.entries, offset=d)
-        if not np.any(diag):
-            continue
-        s_d = (diag[:, None] * psi[: rho.dim - d] * psi[d:]).sum(axis=0)
-        if d == 0:
-            total += s_d
-        else:
-            total += 2.0 * (s_d * np.exp(1j * d * phi)).real
-    if np.max(np.abs(total.imag)) > 1e-10:
+            profiles[d] = diag @ (psi[: rho.dim - d] * psi[d:])
+    coeff = np.exp(1j * np.outer(phases, np.arange(rho.dim)))  # outer flattens a scalar phase
+    coeff[:, 1:] *= 2.0
+    p = (coeff @ profiles).real
+    if float(p.min()) < -1e-9:
         raise ForwardModelError(
-            f"quadrature density has imaginary part {np.max(np.abs(total.imag)):.3e}"
+            f"quadrature density is negative ({p.min():.3e}): broken DensityMatrix"
         )
-    p = total.real
-    if np.min(p) < -1e-9:
-        raise ForwardModelError(
-            f"quadrature density is negative ({np.min(p):.3e}): broken DensityMatrix"
-        )
-    return np.clip(p, 0.0, None)
+    np.clip(p, 0.0, None, out=p)
+    return p
 
 
 def quad_density(rho: DensityMatrix, x, phi: float):
-    """Quadrature density p_rho(x | phi) = sum_jk rho_jk psi_j psi_k e^{-i(j-k)phi}."""
-    if np.ndim(x) == 0:
-        return float(quad_density_profile(rho, [float(x)], phi)[0])
-    return quad_density_profile(rho, x, phi)
+    """Quadrature density p_rho(x | phi) at one phase: a float for scalar x,
+    else an array over x (one row of quad_density_table)."""
+    p = quad_density_table(rho, x, phi)[0]
+    return float(p[0]) if np.ndim(x) == 0 else p
 
 
 def radon_numeric(
@@ -118,8 +136,6 @@ def radon_numeric(
     x: float,
     phi: float,
     radius: float,
-    *,
-    panel_width: float = 0.125,
 ) -> float:
     """Line integral of a Wigner evaluator along the direction phi at offset x.
 
@@ -130,7 +146,7 @@ def radon_numeric(
     if abs(x) >= radius:
         raise CoverageError(f"|x| = {abs(x)} outside evaluator radius {radius}")
     t_max = math.sqrt(radius * radius - x * x)
-    t, w = gl_panels(-t_max, t_max, panel_width)
+    t, w = gl_panels(-t_max, t_max, _RADON_PANEL)
     q = x * math.cos(phi) - t * math.sin(phi)
     p = x * math.sin(phi) + t * math.cos(phi)
     return float(np.dot(w, wigner(q, p)))
@@ -160,7 +176,7 @@ def noisy_density(rho: DensityMatrix, noise: NoiseModel, y: float, phi: float) -
         return 0.0
     width = min(0.25, sigma_g / 2.0)
     t, w = gl_panels(lo, hi, width)
-    dens = quad_density_profile(rho, t, phi)
+    dens = quad_density(rho, t, phi)
     kern = np.exp(-eta / (1.0 - eta) * (t - center) ** 2)
     val = float(np.dot(w, dens * kern)) / math.sqrt(math.pi * (1.0 - eta))
     return max(val, 0.0)
@@ -171,7 +187,7 @@ def fourier_slice(rho: DensityMatrix, t: float, phi: float) -> complex:
     xm = x_support_radius(rho.dim)
     width = min(0.25, math.pi / (4.0 * abs(t))) if t != 0.0 else 0.25
     xs, w = gl_panels(-xm, xm, width)
-    dens = quad_density_profile(rho, xs, phi)
+    dens = quad_density(rho, xs, phi)
     val = complex(np.dot(w, dens * np.exp(1j * t * xs)))
     return val
 
@@ -189,10 +205,6 @@ class ClassIntegralResult:
 def class_integral(
     profile: Callable[[np.ndarray], np.ndarray],
     cls: SmoothnessClass,
-    *,
-    block: float = 8.0,
-    t_cap: float = 400.0,
-    panel_width: float = 0.25,
 ) -> ClassIntegralResult:
     """Weighted L2 integral of a radial Fourier profile:
 
@@ -206,8 +218,8 @@ def class_integral(
     prev_contrib = None
     grow_count = 0
     t0 = 0.0
-    while t0 < t_cap:
-        t, w = gl_panels(t0, t0 + block, panel_width)
+    while t0 < _CLASS_T_CAP:
+        t, w = gl_panels(t0, t0 + _CLASS_BLOCK, _CLASS_PANEL)
         g = 2.0 * math.pi * t * np.abs(np.asarray(profile(t), dtype=float)) ** 2
         g = g * np.exp(2.0 * cls.beta * t ** cls.r)
         contrib = float(np.dot(w, g))
@@ -219,7 +231,7 @@ def class_integral(
                     value=total,
                     converged=False,
                     in_class=False,
-                    diagnostic=f"integrand growing past t = {t0 + block:.1f}",
+                    diagnostic=f"integrand growing past t = {t0 + _CLASS_BLOCK:.1f}",
                 )
         else:
             grow_count = 0
@@ -228,10 +240,10 @@ def class_integral(
                 value=total, converged=True, in_class=total <= cls.rhs
             )
         prev_contrib = contrib
-        t0 += block
+        t0 += _CLASS_BLOCK
     return ClassIntegralResult(
         value=total,
         converged=False,
         in_class=False,
-        diagnostic=f"no convergence by t = {t_cap}",
+        diagnostic=f"no convergence by t = {_CLASS_T_CAP}",
     )

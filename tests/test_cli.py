@@ -193,6 +193,20 @@ class TestEstimateAndCut:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--grid=0:1:100000,0:1:100000"],
+        ["cut", "--p", "0", "--qmin", "0", "--qmax", "1", "--steps", "10000000000"],
+    ])
+    def test_oversized_grid_exit_1(self, dataset, tmp_path, capsys, argv):
+        # refused before the point arrays are allocated (74.5 GiB for the
+        # estimate grid)
+        out = tmp_path / "o.csv"
+        rc = run([*argv, "--data", str(dataset), "--h", "0.35", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("error:") and "points" in err
+        assert not out.exists()
+
     def test_numeric_guard_exit_2(self, dataset, tmp_path):
         rc = run(["estimate", "--data", str(dataset), "--h", "0.002",
                   "--grid=0:1:2,0:1:2", "--out", str(tmp_path / "o.csv")])
@@ -279,6 +293,16 @@ class TestKernelTableCli:
         rc = run(["kernel-table", "--h", "0.003", "--eta", "0.5", "--umax", "1",
                   "--step", "0.0001", "--out", str(tmp_path / "kt.csv")])
         assert rc == 2
+
+    def test_oversized_table_exit_1(self, tmp_path, capsys):
+        # the node count of u_max / step = 1e301 used to reach np.arange
+        out = tmp_path / "kt.csv"
+        rc = run(["kernel-table", "--h", "0.25", "--eta", "0.9", "--umax", "1e300",
+                  "--step", "0.1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("error:") and "table nodes" in err
+        assert not out.exists()
 
 
 class TestLbVerify:

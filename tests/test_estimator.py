@@ -258,16 +258,14 @@ class TestEstimateGrid:
 
     @pytest.mark.parametrize("block", [1, 999, 2**18])
     def test_block_size_does_not_change_values(self, nm, monkeypatch, block):
-        # weighted records too: each point's row is reduced on its own
+        # each point's row is reduced on its own
         ds = sp.simulate(fs.StateSpec.fock(1), 2000, 0.9, seed=13)
         kspec = kn.KernelSpec(0.4, nm, "sharp")
         table = kn.build_table(kspec, 30.0)
         grid = es.GridSpec(-2, 2, 7, -2, 2, 5)
-        datasets = (ds, sp.bin2d(ds, bins=40))
-        ref = [es.estimate_grid(d, kspec, grid, table=table).values for d in datasets]
+        expect = es.estimate_grid(ds, kspec, grid, table=table).values
         monkeypatch.setattr(es, "_BLOCK", block)
-        for d, expect in zip(datasets, ref):
-            assert np.array_equal(es.estimate_grid(d, kspec, grid, table=table).values, expect)
+        assert np.array_equal(es.estimate_grid(ds, kspec, grid, table=table).values, expect)
 
     def test_against_fsum_reference_loop(self, nm):
         # independent oracle: an exactly rounded sum per point over the
@@ -298,16 +296,6 @@ class TestEstimateGrid:
                 u = q * np.cos(ds.phi) + p * np.sin(ds.phi) - ds.y / math.sqrt(0.9)
                 assert np.mean(np.abs(u) > table.u_max) > 0.2
                 assert wg.values[iq, ip] == es.estimate_point(ds, kspec, (q, p), table=table)
-
-    def test_binned_estimation(self, nm):
-        # weighted cell-center records approximate the raw estimate
-        ds = sp.simulate(fs.StateSpec.fock(1), 10**5, 0.9, seed=11)
-        hist = sp.bin2d(ds, bins=100)
-        kspec = kn.KernelSpec(0.4, nm, "sharp")
-        table = kn.build_table(kspec, 30.0)
-        raw = es.estimate_point(ds, kspec, (0.0, 0.0), table=table)
-        binned = es.estimate_point(hist, kspec, (0.0, 0.0), table=table)
-        assert binned == pytest.approx(raw, abs=5e-3)
 
 
 class TestRiskEval:

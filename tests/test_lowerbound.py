@@ -58,9 +58,18 @@ class TestRhoDiag:
 
     def test_sum_with_tail_is_one(self, axi_ref):
         # heavy k^{-(1+alpha)} tail: partial sum plus the exact tail mass
-        rho = lb.rho_alpha_xi_diag(axi_ref, 5000)
-        total = rho.sum() + lb.rho_tail_mass(axi_ref, 5000)
+        rho = lb.rho_alpha_xi_diag(axi_ref, fs.MAX_ORDER)
+        total = rho.sum() + lb.rho_tail_mass(axi_ref, fs.MAX_ORDER)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_order_past_max_order_refused(self, axi_ref):
+        # one Fock-order budget: the base diagonal and the perturbation stop
+        # where laguerre_table does
+        with pytest.raises(ValidationError):
+            lb.rho_alpha_xi_diag(axi_ref, fs.MAX_ORDER + 1)
+        with pytest.raises(ValidationError):
+            lb.tau_diag(lb.BumpSpec(0.1, 1.0), tg.SmoothnessClass(0.5, 1.0, 1.0), 0.2,
+                        fs.MAX_ORDER + 1)
 
     def test_diagonal_asymptotic_power_law_at_200(self, axi_ref):
         rho = lb.rho_alpha_xi_diag(axi_ref, 200)
@@ -435,8 +444,8 @@ class TestVerifyPair:
         # W~(0) = 1 <-> int p = 1 <-> sum rho_kk = 1, tail-compensated
         axi, bump, cls, nm, n, k_max = fixture_objects
         assert lb.wtilde_alpha_xi(axi, 0.0) == 1.0
-        rho = lb.rho_alpha_xi_diag(axi, 4000)
-        assert rho.sum() + lb.rho_tail_mass(axi, 4000) == pytest.approx(
+        rho = lb.rho_alpha_xi_diag(axi, fs.MAX_ORDER)
+        assert rho.sum() + lb.rho_tail_mass(axi, fs.MAX_ORDER) == pytest.approx(
             1.0, abs=1e-6
         )
         X = 8.0 * math.sqrt((1 + axi.xi) / (1 - axi.xi))

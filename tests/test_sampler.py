@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
-from scipy.stats import chisquare, kstest
+from scipy.stats import kstest
 
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
@@ -63,7 +63,7 @@ class TestSampleIdeal:
         # phase-averaged density (phases are uniform)
         phis = (np.arange(512) + 0.5) * math.pi / 512
         dens = np.mean(
-            [tg.quad_density_profile(rho, centers, phi) for phi in phis], axis=0
+            [tg.quad_density(rho, centers, phi) for phi in phis], axis=0
         )
         expect = dens * width * 10**6
         sigma = np.sqrt(np.maximum(expect, 1.0))
@@ -77,14 +77,18 @@ def cat_sampler():
 
 class TestTable:
     def test_pdf_rows_match_quad_density_profile(self, cat_sampler):
-        # quad_density_profile sums the diagonals in another order, so it
-        # checks the table's diagonal decomposition independently
-        rho = cat_sampler.rho
-        for k in (0, cat_sampler.n_phases // 3, cat_sampler.n_phases - 1):
-            ref = tg.quad_density_profile(
-                rho, cat_sampler.x_grid, float(cat_sampler._phases[k])
-            )
-            assert np.max(np.abs(cat_sampler.pdf[k] - ref)) <= 1e-12
+        # independent oracle for pure states rho = c c^*: the amplitude sum
+        # p(x | phi) = |sum_j c_j e^{-i j phi} psi_j(x)|^2 walks no diagonals
+        others = (fs.StateSpec.coherent(1.5, -0.5), fs.StateSpec.squeezed(0.4))
+        for sampler in (cat_sampler, *(sp.QuadratureSampler(fs.materialize(s)) for s in others)):
+            rho = sampler.rho.entries
+            top = int(np.argmax(np.diag(rho).real))
+            c = rho[:, top] / math.sqrt(rho[top, top].real)  # c up to a global phase
+            psi = fs.hermite_psi_table(rho.shape[0] - 1, sampler.x_grid)
+            for k in (0, sampler.n_phases // 3, sampler.n_phases - 1):
+                phase = np.exp(-1j * np.arange(c.size) * sampler._phases[k])
+                ref = np.abs((c * phase) @ psi) ** 2
+                assert np.max(np.abs(sampler.pdf[k] - ref)) <= 1e-12
 
 
 class TestInversion:
@@ -218,38 +222,6 @@ class TestAddNoise:
         meta = sp.read_dataset(path).meta
         again = sp.simulate(meta.state, meta.n, meta.eta, meta.seed)
         assert np.array_equal(again.y, ds.y) and np.array_equal(again.phi, ds.phi)
-
-
-class TestBin2d:
-    def test_exact_cell_counts(self):
-        meta = sp.DatasetMeta(fs.StateSpec.fock(0), 0.9, 1, 4)
-        ds = sp.Dataset(
-            y=np.array([0.1, 0.1, 2.9, -1.0]),
-            phi=np.array([0.1, 0.1, 3.0, 1.5]),
-            meta=meta,
-        )
-        hist = sp.bin2d(ds, bins=2)
-        assert hist.total == 4
-        # y-range [-1, 2.9] splits at 0.95; phi splits at pi/2
-        assert hist.counts[0, 0] == 3.0   # (0.1, 0.1) twice and (-1.0, 1.5)
-        assert hist.counts[1, 1] == 1.0   # (2.9, 3.0)
-
-    def test_count_conservation(self):
-        rng = np.random.default_rng(0)
-        y = rng.normal(size=5000)
-        phi = rng.uniform(0, math.pi, 5000)
-        hist = sp.bin2d((y, phi), bins=37)
-        assert hist.total == 5000
-
-    def test_uniform_chi_square(self):
-        rng = np.random.default_rng(8)
-        n = 10**5
-        y = rng.uniform(-1.0, 1.0, n)
-        phi = rng.uniform(0.0, math.pi, n)
-        hist = sp.bin2d((y, phi), bins=10)
-        # interior cells are exactly uniform; edge bins of y are data-ranged
-        res = chisquare(hist.counts.ravel())
-        assert res.pvalue > 0.01
 
 
 class TestDatasetIO:

@@ -55,7 +55,7 @@ class TestQuadDensity:
         rho = fs.materialize(fs.StateSpec.cat(3.0))
         xm = tg.x_support_radius(rho.dim)
         xs, w = gl_panels(-xm, xm, 0.1)
-        total = float(np.dot(w, tg.quad_density_profile(rho, xs, 0.33)))
+        total = float(np.dot(w, tg.quad_density(rho, xs, 0.33)))
         assert total == pytest.approx(1.0 - rho.tail_mass, abs=1e-8)
 
 
