@@ -1,7 +1,8 @@
 """Shared fixed-order quadrature helpers.
 
-Panelled Gauss-Legendre rules (deterministic, vectorizable) and cached
-Gauss-Jacobi rules for integrands with an algebraic endpoint singularity.
+Panelled Gauss-Legendre rules (deterministic, vectorizable), their cosine
+transform summed panel by panel, and cached Gauss-Jacobi rules for
+integrands with an algebraic endpoint singularity.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
+# elements of one (y rows x panels) block in gl_cos_sum: bounds its four
+# block arrays at 2 MiB each, whatever the number of y values
+_COS_SUM_BUDGET = 2**18
+
 
 @lru_cache(maxsize=64)
 def _leggauss(n: int):
@@ -19,6 +24,19 @@ def _leggauss(n: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _panel_rule(a: float, b: float, max_width: float, nodes: int):
+    # equal panels no wider than max_width: midpoints, half-widths and the
+    # (panels, nodes) Gauss-Legendre nodes and weights
+    n_panels = max(1, int(math.ceil((b - a) / max_width)))
+    edges = np.linspace(a, b, n_panels + 1)
+    x0, w0 = _leggauss(nodes)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x = mid[:, None] + half[:, None] * x0[None, :]
+    w = half[:, None] * w0[None, :]
+    return mid, half, x, w
 
 
 def gl_panels(a: float, b: float, max_width: float, nodes: int = 16):
@@ -29,14 +47,46 @@ def gl_panels(a: float, b: float, max_width: float, nodes: int = 16):
     """
     if b <= a:
         return np.empty(0), np.empty(0)
-    n_panels = max(1, int(math.ceil((b - a) / max_width)))
-    edges = np.linspace(a, b, n_panels + 1)
-    x0, w0 = _leggauss(nodes)
-    half = 0.5 * (edges[1:] - edges[:-1])     # (n_panels,)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    w = (half[:, None] * w0[None, :]).ravel()
-    return x, w
+    _, _, x, w = _panel_rule(a, b, max_width, nodes)
+    return x.ravel(), w.ravel()
+
+
+def gl_cos_sum(y, a: float, b: float, max_width: float, g) -> np.ndarray:
+    """sum_j w_j g(t_j) cos(y t_j) for every y, over the rule gl_panels(a, b,
+    max_width) builds: the same panels, 16 nodes each, the same weights.
+
+    ``g`` maps the flat array of nodes to integrand values.  The panels are
+    equal, so every node is t = m_p + d_i, a panel midpoint plus one of 16
+    shared offsets, and angle addition,
+
+        cos(y t) = cos(y m_p) cos(y d_i) - sin(y m_p) sin(y d_i),
+
+    turns the sum into two (rows x 16) @ (16 x panels) products and two
+    row-wise dot products: 2 (16 + panels) transcendentals per y in place
+    of 16 panels.  The y values are taken in row blocks of
+    max(1, _COS_SUM_BUDGET // panels) rows.  A value depends on its row's
+    place in the block only through the BLAS product's grouping of rows,
+    in the last bits, so results are deterministic for the fixed budget.
+    """
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.zeros(ys.size)
+    if b <= a:
+        return out
+    mid, half, t, w = _panel_rule(a, b, max_width, 16)
+    wg = (w * np.reshape(g(t.ravel()), t.shape)).T      # (16, panels)
+    offsets = half[0] * _leggauss(16)[0]
+    rows = max(1, _COS_SUM_BUDGET // mid.size)
+    for i in range(0, ys.size, rows):
+        yb = ys[i : i + rows]
+        phase = np.multiply.outer(yb, offsets)
+        at_cos = np.cos(phase) @ wg                      # (rows, panels)
+        at_sin = np.sin(phase) @ wg
+        phase = np.multiply.outer(yb, mid)
+        out[i : i + yb.size] = (
+            np.einsum("ij,ij->i", np.cos(phase), at_cos)
+            - np.einsum("ij,ij->i", np.sin(phase), at_sin)
+        )
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -7,8 +7,12 @@ Radon filter |t|).  The modified variant extends the multiplier over
 faster-decaying kernel in real space.
 
 Kernels are evaluated as cosine integrals with oscillation-aware composite
-Gauss-Legendre panels, and cached in cubic-interpolation tables for the
-estimator's inner loop.
+Gauss-Legendre panels, summed panel by panel (``_quad.gl_cos_sum``: angle
+addition about each panel midpoint makes the sum over one band segment two
+matrix products), and cached in cubic-interpolation tables for the
+estimator's inner loop.  The panels are sized from the largest |u| of a
+batch and the products group rows, so a value depends on its batch in the
+last bits.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._quad import gl_panels
+from ._quad import gl_cos_sum
 from .errors import BandwidthTooSmallError, TableStepError, ValidationError
 from .tomography import NoiseModel
 
@@ -86,21 +90,13 @@ def _cosine_integral(spec: KernelSpec, u: np.ndarray):
     gamma = spec.noise.gamma
     h = spec.h
     width = _panel_width(spec, float(np.max(np.abs(u))) if u.size else 0.0)
-    t1, w1 = gl_panels(0.0, 1.0 / h, width)
-    log_f1 = np.log(t1) + gamma * t1 * t1
-    if spec.variant == "sharp":
-        t = t1
-        w = w1
-        log_f = log_f1
-    else:
-        t2, w2 = gl_panels(1.0 / h, 2.0 / h, width)
-        taper = h * h - 1.0 / (t2 * (2.0 / h - t2))
-        log_f2 = np.log(t2) + gamma * t2 * t2 + taper
-        t = np.concatenate([t1, t2])
-        w = np.concatenate([w1, w2])
-        log_f = np.concatenate([log_f1, log_f2])
-    f = w * np.exp(log_f)
-    vals = np.cos(np.multiply.outer(u, t)) @ f
+    vals = gl_cos_sum(u, 0.0, 1.0 / h, width, lambda t: np.exp(np.log(t) + gamma * t * t))
+    if spec.variant == "modified":
+        def tapered(t):
+            taper = h * h - 1.0 / (t * (2.0 / h - t))
+            return np.exp(np.log(t) + gamma * t * t + taper)
+
+        vals += gl_cos_sum(u, 1.0 / h, 2.0 / h, width, tapered)
     return vals / (2.0 * math.pi)
 
 
@@ -111,8 +107,10 @@ def kernel_eval(spec: KernelSpec, u):
 
     the modified one applying the same convention to the tapered
     multiplier (plateau on [0, 1/h], C^1 taper on [1/h, 2/h]).  Even in u,
-    relative accuracy 1e-6 of the scale value K(0).  The panels are sized
-    from the largest |u| given, so a value depends on its batch in the
+    relative accuracy 1e-6 of the scale value K(0).  Each band segment is
+    one panel-separable cosine sum (``_quad.gl_cos_sum``).  The panels are
+    sized from the largest |u| given, and the sum's matrix products group
+    the u values in row blocks, so a value depends on its batch in the
     last bits."""
     _guard(spec)
     scalar = np.ndim(u) == 0

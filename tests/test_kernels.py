@@ -67,6 +67,28 @@ class TestSharpKernel:
         scale = kn.kernel_scale(spec)
         assert abs(got - brute) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("h, eta", [(0.1, 0.95), (0.25, 0.9), (0.5, 0.5), (0.3, 0.99), (0.1, 0.999)])
+    def test_faddeeva_closed_form_oracle(self, h, eta):
+        # with T = 1/h, F = e^{gamma T^2 + iuT}, s0 = iu/(2 sqrt(gamma)) and
+        # s1 = sqrt(gamma) T + s0 (both in the upper half-plane, so w = wofz
+        # cannot overflow):
+        # K(u) = Re{(F-1)/(2 gamma) - u sqrt(pi)/(4 gamma^{3/2}) (F w(s1) - w(s0))} / 2pi
+        from scipy.special import wofz
+
+        spec = kn.KernelSpec(h, NoiseModel(eta), "sharp")
+        gamma, big_t = spec.noise.gamma, 1.0 / h
+        u = np.arange(1601) / 32.0
+        f = np.exp(gamma * big_t**2 + 1j * u * big_t)
+        s0 = 1j * u / (2.0 * math.sqrt(gamma))
+        s1 = math.sqrt(gamma) * big_t + s0
+        closed = ((f - 1.0) / (2.0 * gamma)
+                  - u * math.sqrt(math.pi) / (4.0 * gamma**1.5) * (f * wofz(s1) - wofz(s0)))
+        want = closed.real / (2.0 * math.pi)
+        scale = kn.kernel_scale(spec)
+        assert np.max(np.abs(kn.kernel_eval(spec, u) - want)) <= 1e-12 * scale
+        table = kn.build_table(spec, 50.0, 1.0 / 32.0)
+        assert np.max(np.abs(table.values - want)) <= 1e-12 * scale
+
     @given(st.floats(-20.0, 20.0))
     @settings(max_examples=40, deadline=None)
     def test_even(self, u):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, gamma as gamma_fn
 
+from wignerscope import _quad
 from wignerscope import fockspace as fs
 from wignerscope import lowerbound as lb
 from wignerscope import tomography as tg
@@ -413,15 +414,25 @@ class TestVerifyPair:
         assert max(resid) - min(resid) <= 3.0
 
     def test_perturbation_profile_blocked_equals_one_shot(self, fixture_objects, monkeypatch):
-        # a chi_squared-shaped y grid (16-node panels) spanning three blocks
+        # chi_squared's own y grid spanning more than two blocks: the profile
+        # sums over at least 16 t panels, so a block holds at most budget // 16 rows
         axi, bump, cls, nm, n, k_max = fixture_objects
         ht = lb.htilde_solve(cls, nm, n)
-        ys, _ = gl_panels(0.0, 40.0, 0.1)
-        assert ys.size > 2 * lb._COS_BLOCK_ROWS
+        ys, _ = gl_panels(0.0, lb._CHI2_Y_MAX, lb._CHI2_PANEL)
+        rows = _quad._COS_SUM_BUDGET // 16
+        assert ys.size > 2 * rows
         blocked = lb.perturbation_profile_noisy(bump, cls, nm, ht, ys)
-        monkeypatch.setattr(lb, "_COS_BLOCK_ROWS", ys.size)
+        monkeypatch.setattr(_quad, "_COS_SUM_BUDGET", 2**62)   # one block
         one_shot = lb.perturbation_profile_noisy(bump, cls, nm, ht, ys)
         assert np.array_equal(blocked, one_shot)
+
+    def test_chi2_verdict_counts_tail_estimate(self, fixture_objects):
+        # at this scale n chi^2 alone stays <= 1, chi^2 plus its tail does not
+        axi, bump, cls, nm, n, k_max = fixture_objects
+        rep = lb.verify_pair(axi, bump, cls, nm, n, k_max=k_max, tau_scale=1.315)
+        tail_n = n * rep.diagnostics["chi2_tail_estimate"] * 1.315**2
+        assert rep.chi2_times_n <= 1.0 < rep.chi2_times_n + tail_n
+        assert not rep.verdict_chi2
 
     def test_separation_structure_bound(self, fixture_objects):
         axi, bump, cls, nm, n, k_max = fixture_objects
