@@ -16,38 +16,31 @@ from scipy.special import roots_jacobi
 # elements of one (y rows x panels) block in gl_cos_sum: bounds its four
 # block arrays at 2 MiB each, whatever the number of y values
 _COS_SUM_BUDGET = 2**18
+# the one Gauss-Legendre rule of every panel: 16 nodes on [-1, 1]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _panel_rule(a: float, b: float, max_width: float, nodes: int):
+def _panel_rule(a: float, b: float, max_width: float):
     # equal panels no wider than max_width: midpoints, half-widths and the
-    # (panels, nodes) Gauss-Legendre nodes and weights
+    # (panels, 16) Gauss-Legendre nodes and weights
     n_panels = max(1, int(math.ceil((b - a) / max_width)))
     edges = np.linspace(a, b, n_panels + 1)
-    x0, w0 = _leggauss(nodes)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = mid[:, None] + half[:, None] * x0[None, :]
-    w = half[:, None] * w0[None, :]
+    x = mid[:, None] + half[:, None] * _GL_X[None, :]
+    w = half[:, None] * _GL_W[None, :]
     return mid, half, x, w
 
 
-def gl_panels(a: float, b: float, max_width: float, nodes: int = 16):
+def gl_panels(a: float, b: float, max_width: float):
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b].
 
     The interval is split into equal panels no wider than ``max_width``;
-    each panel carries an ``nodes``-point Gauss-Legendre rule.
+    each panel carries the 16-point Gauss-Legendre rule.
     """
     if b <= a:
         return np.empty(0), np.empty(0)
-    _, _, x, w = _panel_rule(a, b, max_width, nodes)
+    _, _, x, w = _panel_rule(a, b, max_width)
     return x.ravel(), w.ravel()
 
 
@@ -72,9 +65,9 @@ def gl_cos_sum(y, a: float, b: float, max_width: float, g) -> np.ndarray:
     out = np.zeros(ys.size)
     if b <= a:
         return out
-    mid, half, t, w = _panel_rule(a, b, max_width, 16)
+    mid, half, t, w = _panel_rule(a, b, max_width)
     wg = (w * np.reshape(g(t.ravel()), t.shape)).T      # (16, panels)
-    offsets = half[0] * _leggauss(16)[0]
+    offsets = half[0] * _GL_X
     rows = max(1, _COS_SUM_BUDGET // mid.size)
     for i in range(0, ys.size, rows):
         yb = ys[i : i + rows]

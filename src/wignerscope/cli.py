@@ -5,8 +5,8 @@ Each cmd_* writes its output and returns what it resolved beyond its
 flags; run() then writes the sidecar manifest (<out>.manifest.json): every
 parsed flag, the resolved values, the tool version and content digests.
 Re-running with the manifest's flags reproduces the outputs byte for
-byte.  Exit codes: 0 success, 1 validation error (usage errors
-included), 2 numeric guard tripped.
+byte.  Exit codes: 0 success, 1 validation error (usage and file-system
+errors included), 2 numeric guard tripped.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def parse_rule(value, beta, r, L) -> BandwidthRule:
     (None where the flag was not given)."""
     kind = _RULE_KINDS.get(value)
     if kind == "adaptive":
-        return BandwidthRule.adaptive()
+        return BandwidthRule(kind)
     if kind is not None:
         if beta is None or r is None or L is None:
             raise ValidationError("bandwidth rule needs --beta, --r and --L")
@@ -115,7 +115,7 @@ def parse_rule(value, beta, r, L) -> BandwidthRule:
         h = float(value)
     except ValueError:
         raise ValidationError(f"bandwidth must be a number or one of {tuple(_RULE_KINDS)}")
-    return BandwidthRule.fixed(h)
+    return BandwidthRule("fixed", h=h)
 
 
 def _data_and_kernel(args) -> tuple:
@@ -184,12 +184,12 @@ def cmd_estimate(args) -> dict:
         qpart, ppart = args.grid.split(",")
         qmin, qmax, qsteps = qpart.split(":")
         pmin, pmax, psteps = ppart.split(":")
-        grid = GridSpec(float(qmin), float(qmax), int(qsteps),
-                        float(pmin), float(pmax), int(psteps))
+        qsteps, psteps = int(qsteps), int(psteps)
+        if qsteps < 1 or psteps < 1:
+            raise ValidationError(f"--grid: steps must be >= 1, got {args.grid!r}")
+        grid = GridSpec(float(qmin), float(qmax), qsteps, float(pmin), float(pmax), psteps)
     except ValueError:
         raise ValidationError("--grid expects qmin:qmax:steps,pmin:pmax:steps")
-    if grid.q_steps < 1 or grid.p_steps < 1:
-        raise ValidationError(f"--grid: steps must be >= 1, got {args.grid!r}")
     wg = estimate_grid(ds, kspec, grid)
     with open(args.out, "w") as fh:
         fh.write("q,p,west\n")
@@ -363,7 +363,7 @@ def run(argv) -> int:
     except NumericGuardError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or directory paths
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

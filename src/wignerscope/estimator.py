@@ -9,8 +9,10 @@ with [z, phi] = q cos phi + p sin phi.  One core evaluates it for every
 entry point: it looks the kernel up on blocks of (points x records)
 arguments and reduces each point's row with one fixed-order numpy sum
 over that point's own records.  The row is the same contiguous
-reduction whatever the block, so a grid value equals the pointwise call
-bit for bit and a replay reproduces every value exactly.
+reduction whatever the block, so, given the same kernel table, a grid
+value equals the pointwise call bit for bit, and a replay reproduces
+every value exactly.  Calls that each build their own default table size
+it from their own points, and their values can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BandwidthError, ConfigurationError, ValidationError
-from .fockspace import PhasePoint, StateSpec, materialize, wigner_eval
+from .fockspace import PhasePoint, StateSpec, _as_phase_point, materialize, wigner_eval
 from .kernels import KernelSpec, KernelTable, build_table
 from .sampler import Dataset, QuadratureSampler, add_noise, derive_seed
 from .tomography import NoiseModel, SmoothnessClass, bandwidth_root, x_support_radius
 
 __all__ = [
-    "SmoothnessClass",
     "BandwidthRule",
     "bandwidth",
     "estimate_point",
@@ -45,11 +46,11 @@ _RULES = ("opt", "h1", "h2", "r2_closed", "adaptive", "fixed")
 
 @dataclass(frozen=True)
 class BandwidthRule:
-    """A bandwidth selection rule.
+    """A bandwidth selection rule: BandwidthRule(kind, cls=..., h=...).
 
     opt solves 2 beta / h^r + 2 gamma / h^2 = log n; h1/h2/r2_closed are
-    the closed-form variants; adaptive depends only on (n, eta); fixed
-    pins h directly.
+    the closed-form variants; these four need the SmoothnessClass cls.
+    adaptive depends only on (n, eta); fixed pins h directly.
     """
 
     kind: str
@@ -63,30 +64,6 @@ class BandwidthRule:
             raise ValidationError(f"rule {self.kind!r} needs a SmoothnessClass")
         if self.kind == "fixed" and not (self.h and 0.0 < self.h <= 1.0):
             raise ValidationError("fixed rule needs h in (0, 1]")
-
-    @classmethod
-    def opt(cls, smooth: SmoothnessClass) -> "BandwidthRule":
-        return cls("opt", cls=smooth)
-
-    @classmethod
-    def h1(cls, smooth: SmoothnessClass) -> "BandwidthRule":
-        return cls("h1", cls=smooth)
-
-    @classmethod
-    def h2(cls, smooth: SmoothnessClass) -> "BandwidthRule":
-        return cls("h2", cls=smooth)
-
-    @classmethod
-    def r2_closed(cls, smooth: SmoothnessClass) -> "BandwidthRule":
-        return cls("r2_closed", cls=smooth)
-
-    @classmethod
-    def adaptive(cls) -> "BandwidthRule":
-        return cls("adaptive")
-
-    @classmethod
-    def fixed(cls, h: float) -> "BandwidthRule":
-        return cls("fixed", h=h)
 
 
 def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
@@ -115,7 +92,7 @@ def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
             raise BandwidthError("h1 rule: inner expression not positive")
         h = inner ** -0.5
     elif rule.kind == "h2":
-        h1 = bandwidth(BandwidthRule.h1(rule.cls), n, noise)
+        h1 = bandwidth(BandwidthRule("h1", cls=rule.cls), n, noise)
         inner = log_n / (2.0 * gamma) - (rule.cls.beta / gamma) * h1 ** -rule.cls.r
         if inner <= 0.0:
             raise BandwidthError("h2 rule: inner expression not positive")
@@ -137,7 +114,7 @@ def rate_phi2(cls: SmoothnessClass, n: int, noise: NoiseModel) -> float:
         raise ValidationError("n must be >= 2")
     if cls.r == 2.0:
         return float(n) ** (-cls.beta / (cls.beta + noise.gamma))
-    h = bandwidth(BandwidthRule.opt(cls), n, noise)
+    h = bandwidth(BandwidthRule("opt", cls=cls), n, noise)
     return (cls.L * h ** (cls.r - 2.0) / (4.0 * math.pi * cls.beta * cls.r)) * math.exp(
         -2.0 * cls.beta / h**cls.r
     )
@@ -183,7 +160,7 @@ def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
 def estimate_point(data: Dataset, spec: KernelSpec, z, *,
                    table: Optional[KernelTable] = None) -> float:
     """Pointwise estimate West(z) from the records of a dataset."""
-    zp = z if isinstance(z, PhasePoint) else PhasePoint(*z)
+    zp = _as_phase_point(z)
     return float(_estimate(data, spec, np.array([zp.q]), np.array([zp.p]), table)[0])
 
 
@@ -204,7 +181,10 @@ class GridSpec:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.q_min, self.q_max, self.p_min, self.p_max))):
             raise ValidationError("grid bounds must be finite")
-        if max(self.q_steps, 0) * max(self.p_steps, 0) > _MAX_GRID_POINTS:
+        steps = (self.q_steps, self.p_steps)
+        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in steps):
+            raise ValidationError(f"grid steps must be integers >= 0, got {steps!r}")
+        if int(self.q_steps) * int(self.p_steps) > _MAX_GRID_POINTS:  # numpy ints wrap
             raise ValidationError(
                 f"grid of {self.q_steps} x {self.p_steps} points exceeds {_MAX_GRID_POINTS} points"
             )
@@ -230,7 +210,8 @@ def estimate_grid(
     *,
     table: Optional[KernelTable] = None,
 ) -> WignerGrid:
-    """Dense evaluation of the estimator; values identical to pointwise calls."""
+    """Dense evaluation of the estimator; values identical to pointwise
+    calls given the same ``table``."""
     qs, ps = grid.axes()
     if qs.size == 0 or ps.size == 0:
         return WignerGrid(q=qs, p=ps, values=np.zeros((qs.size, ps.size)))
@@ -289,7 +270,7 @@ def risk_eval(
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    pts = tuple(p if isinstance(p, PhasePoint) else PhasePoint(*p) for p in points)
+    pts = tuple(map(_as_phase_point, points))
     if not pts:
         raise ValidationError("need at least one evaluation point")
     rho = materialize(state)

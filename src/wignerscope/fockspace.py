@@ -339,26 +339,18 @@ def _mean_photons(spec: StateSpec) -> float:
     return 0.5 * (q0 * q0 + p0 * p0)
 
 
-def materialize(
-    spec: StateSpec,
-    *,
-    auto_grow: bool = True,
-    tail_target: float = DEFAULT_TAIL_MASS,
-) -> DensityMatrix:
+def materialize(spec: StateSpec) -> DensityMatrix:
     """Build the DensityMatrix for a StateSpec.
 
-    The truncation dim grows (when allowed) until the diagonal tail mass is
-    at most tail_target; the realized tail is recorded in tail_mass.
+    The truncation dim starts at spec.dim (16 if unset) and doubles until
+    the diagonal tail mass is at most DEFAULT_TAIL_MASS; the realized tail
+    is recorded in tail_mass.  A fock state gets at least n + 1 levels.
     """
     if spec.kind == "custom":
         return spec.params["matrix"]
     if spec.kind == "fock":
         n = spec.params["n"]
-        dim = spec.dim if spec.dim is not None else n + 1
-        if dim < n + 1:
-            if not auto_grow:
-                raise TruncationError(f"fock({n}) needs dim >= {n + 1}, got {dim}")
-            dim = n + 1
+        dim = max(spec.dim or 0, n + 1)
         entries = np.zeros((dim, dim), dtype=complex)
         entries[n, n] = 1.0
         return DensityMatrix(dim=dim, entries=entries, tail_mass=0.0)
@@ -374,15 +366,11 @@ def materialize(
         c = _pure_state_vector(spec, dim)
         tail = 1.0 - float(np.sum(np.abs(c) ** 2))
         tail = max(tail, 0.0)
-        if tail <= tail_target:
+        if tail <= DEFAULT_TAIL_MASS:
             break
-        if not auto_grow:
-            raise TruncationError(
-                f"dim {dim} leaves tail mass {tail:.3e} > {tail_target:.1e}"
-            )
         if dim >= _MAX_AUTO_DIM:
             raise TruncationError(
-                f"tail target {tail_target:.1e} not reached at dim {_MAX_AUTO_DIM}"
+                f"tail target {DEFAULT_TAIL_MASS:.1e} not reached at dim {_MAX_AUTO_DIM}"
             )
         dim = min(2 * dim, _MAX_AUTO_DIM)
     entries = np.outer(c, c.conj())

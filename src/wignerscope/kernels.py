@@ -54,18 +54,6 @@ class KernelSpec:
             raise ValidationError(f"variant must be one of {VARIANTS}")
 
 
-def noise_ft(noise: NoiseModel, t) -> np.ndarray:
-    """Fourier transform of the rescaled-noise density:
-
-        N~^eta(t) = E exp(i t sqrt((1-eta)/2) xi) = exp(-(1-eta) t^2 / 4),
-
-    so that N~^eta(t/sqrt(eta)) = exp(-gamma t^2).
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.exp(-(1.0 - noise.eta) * t * t / 4.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def _guard(spec: KernelSpec) -> None:
     expo = spec.noise.gamma / spec.h**2
     if spec.variant == "modified":
@@ -85,21 +73,6 @@ def _panel_width(spec: KernelSpec, u_abs_max: float) -> float:
     return width
 
 
-def _cosine_integral(spec: KernelSpec, u: np.ndarray):
-    """(1/2pi) * int_0^cut cos(u t) multiplier(t) dt for all u at once."""
-    gamma = spec.noise.gamma
-    h = spec.h
-    width = _panel_width(spec, float(np.max(np.abs(u))) if u.size else 0.0)
-    vals = gl_cos_sum(u, 0.0, 1.0 / h, width, lambda t: np.exp(np.log(t) + gamma * t * t))
-    if spec.variant == "modified":
-        def tapered(t):
-            taper = h * h - 1.0 / (t * (2.0 / h - t))
-            return np.exp(np.log(t) + gamma * t * t + taper)
-
-        vals += gl_cos_sum(u, 1.0 / h, 2.0 / h, width, tapered)
-    return vals / (2.0 * math.pi)
-
-
 def kernel_eval(spec: KernelSpec, u):
     """Deconvolution kernel of either variant,
 
@@ -113,10 +86,18 @@ def kernel_eval(spec: KernelSpec, u):
     the u values in row blocks, so a value depends on its batch in the
     last bits."""
     _guard(spec)
-    scalar = np.ndim(u) == 0
+    gamma, h = spec.noise.gamma, spec.h
     u_arr = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-    vals = _cosine_integral(spec, u_arr)
-    return float(vals[0]) if scalar else vals
+    width = _panel_width(spec, float(np.max(u_arr)) if u_arr.size else 0.0)
+    vals = gl_cos_sum(u_arr, 0.0, 1.0 / h, width, lambda t: np.exp(np.log(t) + gamma * t * t))
+    if spec.variant == "modified":
+        def tapered(t):
+            taper = h * h - 1.0 / (t * (2.0 / h - t))
+            return np.exp(np.log(t) + gamma * t * t + taper)
+
+        vals += gl_cos_sum(u_arr, 1.0 / h, 2.0 / h, width, tapered)
+    vals /= 2.0 * math.pi
+    return float(vals[0]) if np.ndim(u) == 0 else vals
 
 
 def kernel_scale(spec: KernelSpec) -> float:

@@ -338,6 +338,22 @@ def _log_upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _envelope(cls: SmoothnessClass, htilde: float, ts: np.ndarray) -> np.ndarray:
+    """2 sqrt(pi beta r L) htilde^{1 - r/2} e^{beta/htilde^r} e^{-2 beta t^r},
+    the part of j_htilde outside the window, evaluated in log space."""
+    if not 0.0 < htilde < 1.0:
+        raise ValidationError("htilde must lie in (0, 1)")
+    beta, r, L = cls.beta, cls.r, cls.L
+    if beta / htilde**r > 700.0:
+        raise BandwidthError("j_htilde amplitude exponent beyond overflow guard")
+    log_amp = (
+        math.log(2.0 * math.sqrt(math.pi * beta * r * L))
+        + (1.0 - r / 2.0) * math.log(htilde)
+        + beta / htilde**r
+    )
+    return np.exp(log_amp - 2.0 * beta * ts**r)
+
+
 def j_htilde(bump: BumpSpec, cls: SmoothnessClass, htilde: float, t):
     """Fourier profile of the perturbation:
 
@@ -346,39 +362,22 @@ def j_htilde(bump: BumpSpec, cls: SmoothnessClass, htilde: float, t):
 
     evaluated in log space; supported where delta <= t^r - htilde^{-r} <= D - delta.
     """
-    if not 0.0 < htilde < 1.0:
-        raise ValidationError("htilde must lie in (0, 1)")
-    beta, r, L = cls.beta, cls.r, cls.L
-    if beta / htilde**r > 700.0:
-        raise BandwidthError("j_htilde amplitude exponent beyond overflow guard")
     scalar = np.ndim(t) == 0
     ts = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    u = ts**r - htilde**-r
-    window = bump.j_value(u)
-    log_amp = (
-        math.log(2.0 * math.sqrt(math.pi * beta * r * L))
-        + (1.0 - r / 2.0) * math.log(htilde)
-        + beta / htilde**r
-    )
-    out = np.where(window > 0.0, np.exp(log_amp - 2.0 * beta * ts**r) * window, 0.0)
+    envelope = _envelope(cls, htilde, ts)
+    window = bump.j_value(ts**cls.r - htilde**-cls.r)
+    out = np.where(window > 0.0, envelope * window, 0.0)
     return float(out[0]) if scalar else out
 
 
 def j_htilde_derivative(bump: BumpSpec, cls: SmoothnessClass, htilde: float, t):
     """d/dt of j_htilde (chain rule through the window and the envelope)."""
-    beta, r, L = cls.beta, cls.r, cls.L
+    r = cls.r
     ts = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+    envelope = _envelope(cls, htilde, ts)
     u = ts**r - htilde**-r
-    window = bump.j_value(u)
-    dwindow = bump.j_derivative(u)
-    log_amp = (
-        math.log(2.0 * math.sqrt(math.pi * beta * r * L))
-        + (1.0 - r / 2.0) * math.log(htilde)
-        + beta / htilde**r
-    )
-    envelope = np.exp(log_amp - 2.0 * beta * ts**r)
     dt_tr = r * ts ** (r - 1.0)
-    return envelope * (-2.0 * beta * dt_tr * window + dwindow * dt_tr)
+    return envelope * (-2.0 * cls.beta * dt_tr * bump.j_value(u) + bump.j_derivative(u) * dt_tr)
 
 
 def j_support(bump: BumpSpec, cls: SmoothnessClass, htilde: float) -> tuple:

@@ -111,7 +111,7 @@ class Dataset:
             raise ValidationError("y and phi must be matching 1-d arrays")
         if y.size and not np.all(np.isfinite(y)):
             raise ValidationError("non-finite y value")
-        if y.size and (np.min(phi) < 0.0 or np.max(phi) > math.pi):
+        if not np.all((phi >= 0.0) & (phi <= math.pi)):
             raise ValidationError("phi outside [0, pi]")
         if self.meta.n != y.size:
             raise ValidationError(f"meta.n = {self.meta.n} but {y.size} records")
@@ -123,9 +123,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.y.size
-
-    def __len__(self) -> int:
-        return self.n
 
 
 def _search_rows(flat: np.ndarray, base: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
@@ -269,11 +266,6 @@ class QuadratureSampler:
         return IdealSample(x=x, phi=phi)
 
 
-def sample_ideal(rho: DensityMatrix, n: int, seed: int) -> IdealSample:
-    """Draw n ideal records (X, Phi): Phi ~ U[0, pi], X | Phi from quad_density."""
-    return QuadratureSampler(rho).sample(n, seed)
-
-
 def add_noise(
     ideal: IdealSample,
     eta: float,
@@ -313,33 +305,36 @@ def write_dataset(ds: Dataset, path) -> None:
 
 def read_dataset(path) -> Dataset:
     """Parse a dataset file; malformed content raises with the line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("# meta: "):
-            raise DatasetFormatError("missing '# meta:' header", line=1)
-        try:
-            meta = DatasetMeta.from_dict(json.loads(header[len("# meta: "):]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DatasetFormatError(f"bad metadata JSON ({exc})", line=1)
-        ys, phis = [], []
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = raw.split(",")
-            if len(parts) != 2:
-                raise DatasetFormatError("expected 'y,phi'", line=lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header.startswith("# meta: "):
+                raise DatasetFormatError("missing '# meta:' header", line=1)
             try:
-                y = float(parts[0])
-                phi = float(parts[1])
-            except ValueError:
-                raise DatasetFormatError("non-numeric field", line=lineno)
-            if not (0.0 <= phi <= math.pi):
-                raise DatasetFormatError(f"phi = {phi} outside [0, pi]", line=lineno)
-            if not math.isfinite(y):
-                raise DatasetFormatError("non-finite y", line=lineno)
-            ys.append(y)
-            phis.append(phi)
+                meta = DatasetMeta.from_dict(json.loads(header[len("# meta: "):]))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise DatasetFormatError(f"bad metadata JSON ({exc})", line=1)
+            ys, phis = [], []
+            for lineno, raw in enumerate(fh, start=2):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                parts = raw.split(",")
+                if len(parts) != 2:
+                    raise DatasetFormatError("expected 'y,phi'", line=lineno)
+                try:
+                    y = float(parts[0])
+                    phi = float(parts[1])
+                except ValueError:
+                    raise DatasetFormatError("non-numeric field", line=lineno)
+                if not (0.0 <= phi <= math.pi):
+                    raise DatasetFormatError(f"phi = {phi} outside [0, pi]", line=lineno)
+                if not math.isfinite(y):
+                    raise DatasetFormatError("non-finite y", line=lineno)
+                ys.append(y)
+                phis.append(phi)
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not UTF-8 text ({exc.reason})")
     if meta.n != len(ys):
         raise DatasetFormatError(
             f"metadata n = {meta.n} but {len(ys)} record lines", line=1

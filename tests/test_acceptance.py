@@ -48,7 +48,7 @@ def test_criterion_1_vacuum_estimator_mean():
 # Frozen cat-state MSE configuration: sharp kernel, smoothness beta = 0.08
 # (any beta < 1/4 admits these states), cat amplitude q0 = 3 (domes at +-3).
 _T1_CLS = tg.SmoothnessClass(0.08, 2.0, 1.0)
-_T1_RULE = es.BandwidthRule.r2_closed(_T1_CLS)
+_T1_RULE = es.BandwidthRule("r2_closed", cls=_T1_CLS)
 
 
 def _cat_mse(eta: float, n: int, reps: int, seed: int = 11) -> float:
@@ -191,16 +191,16 @@ def test_criterion_6_bandwidth_correctness():
                 for eta in (0.7, 0.9, 0.95):
                     noise = tg.NoiseModel(eta)
                     cls = tg.SmoothnessClass(beta, r, 1.0)
-                    h = es.bandwidth(es.BandwidthRule.opt(cls), n, noise)
+                    h = es.bandwidth(es.BandwidthRule("opt", cls=cls), n, noise)
                     resid = abs(2 * beta / h**r + 2 * noise.gamma / h**2 - math.log(n))
                     max_resid = max(max_resid, resid)
     noise = tg.NoiseModel(0.9)
     cls2 = tg.SmoothnessClass(0.2, 2.0, 1.0)
     n = 5000
-    h_root = es.bandwidth(es.BandwidthRule.opt(cls2), n, noise)
+    h_root = es.bandwidth(es.BandwidthRule("opt", cls=cls2), n, noise)
     h_closed = math.sqrt((2 * 0.2 + 2 * noise.gamma) / math.log(n))
     r2_dev = abs(h_root - h_closed)
-    h_ad = es.bandwidth(es.BandwidthRule.adaptive(), 10**4, noise)
+    h_ad = es.bandwidth(es.BandwidthRule("adaptive"), 10**4, noise)
     a = 2 * 0.9 * math.log(10**4) / 0.1
     ad_dev = abs(h_ad - (a - math.sqrt(a)) ** -0.5)
     ok = max_resid <= 1e-12 and r2_dev <= 1e-12 and ad_dev <= 1e-12

@@ -52,11 +52,11 @@ class TestParseRule:
         assert parse_rule(name, 0.2, 2.0, 1.0) == BandwidthRule(kind, cls=cls)
 
     def test_adaptive_needs_no_class(self):
-        assert parse_rule("adaptive", None, None, None) == BandwidthRule.adaptive()
+        assert parse_rule("adaptive", None, None, None) == BandwidthRule("adaptive")
 
     @pytest.mark.parametrize("value", ["0.35", 0.35])
     def test_number_is_fixed(self, value):
-        assert parse_rule(value, None, None, None) == BandwidthRule.fixed(0.35)
+        assert parse_rule(value, None, None, None) == BandwidthRule("fixed", h=0.35)
 
     @pytest.mark.parametrize("value", ["1.5", "0", "-0.2", "nan", "inf", "fixed", "r2_closed"])
     def test_refused(self, value):
@@ -427,6 +427,28 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert rc == 1 and err.count("\n") == 1 and "(0, 1]" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,path_flag,target", [
+        ("estimate", "--data", "directory"),
+        ("estimate", "--data", "non-utf8-file"),
+        ("simulate", "--out", "directory"),
+        ("simulate", "--state", "directory"),
+    ])
+    def test_unreadable_path_one_line(self, small_data, tmp_path, capsys,
+                                      command, path_flag, target):
+        path = tmp_path / "target"
+        if target == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"# meta: {}\n1.0,0.5 \xb5m\n")
+        argv = small_argv(command, small_data, tmp_path / "out")
+        i = argv.index(path_flag) + 1
+        argv[i] = f"file:{path}" if path_flag == "--state" else str(path)
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv,needle", [
         (["simulate", "--state", "fock:0", "--n", "nan", "--eta", "0.9", "--seed", "1"],

@@ -20,8 +20,8 @@ def nm():
 class TestBandwidth:
     def test_r2_closed_form_matches_root(self, nm):
         cls = tg.SmoothnessClass(0.2, 2.0, 1.0)
-        h_root = es.bandwidth(es.BandwidthRule.opt(cls), 5000, nm)
-        h_closed = es.bandwidth(es.BandwidthRule.r2_closed(cls), 5000, nm)
+        h_root = es.bandwidth(es.BandwidthRule("opt", cls=cls), 5000, nm)
+        h_closed = es.bandwidth(es.BandwidthRule("r2_closed", cls=cls), 5000, nm)
         expect = math.sqrt((0.4 + 2.0 / 36.0) / math.log(5000))
         assert h_root == pytest.approx(expect, abs=1e-12)
         assert h_closed == pytest.approx(expect, abs=1e-15)
@@ -29,13 +29,13 @@ class TestBandwidth:
     def test_r1_quadratic_formula_oracle(self, nm):
         # x = 1/h solves x^2/18 + x = log 1e6 (gamma = 1/36, beta = 0.5)
         cls = tg.SmoothnessClass(0.5, 1.0, 1.0)
-        h = es.bandwidth(es.BandwidthRule.opt(cls), 10**6, nm)
+        h = es.bandwidth(es.BandwidthRule("opt", cls=cls), 10**6, nm)
         a, b, c = 1.0 / 18.0, 1.0, -math.log(10**6)
         x = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
         assert h == pytest.approx(1.0 / x, rel=1e-12)
 
     def test_adaptive_closed_form(self, nm):
-        h = es.bandwidth(es.BandwidthRule.adaptive(), 10**4, nm)
+        h = es.bandwidth(es.BandwidthRule("adaptive"), 10**4, nm)
         a = 2 * 0.9 * math.log(10**4) / 0.1
         expect = (a - math.sqrt(a)) ** -0.5
         assert h == pytest.approx(expect, abs=1e-15)
@@ -52,7 +52,7 @@ class TestBandwidth:
                     for eta in etas:
                         noise = tg.NoiseModel(eta)
                         cls = tg.SmoothnessClass(beta, r, 1.0)
-                        h = es.bandwidth(es.BandwidthRule.opt(cls), n, noise)
+                        h = es.bandwidth(es.BandwidthRule("opt", cls=cls), n, noise)
                         resid = (
                             2 * beta / h**r + 2 * noise.gamma / h**2 - math.log(n)
                         )
@@ -68,10 +68,10 @@ class TestBandwidth:
                     cls = tg.SmoothnessClass(beta, r, 1.0)
                     for n in (10**4, 10**6):
                         try:
-                            h1 = es.bandwidth(es.BandwidthRule.h1(cls), n, noise)
+                            h1 = es.bandwidth(es.BandwidthRule("h1", cls=cls), n, noise)
                         except BandwidthError:
                             continue
-                        h_opt = es.bandwidth(es.BandwidthRule.opt(cls), n, noise)
+                        h_opt = es.bandwidth(es.BandwidthRule("opt", cls=cls), n, noise)
                         assert h_opt <= h1 + 1e-15
 
     def test_adaptive_undersmooths_on_lattice(self):
@@ -87,10 +87,10 @@ class TestBandwidth:
                         beta = beta_min * mult
                         cls = tg.SmoothnessClass(beta, r, 1.0)
                         try:
-                            h1 = es.bandwidth(es.BandwidthRule.h1(cls), n, noise)
+                            h1 = es.bandwidth(es.BandwidthRule("h1", cls=cls), n, noise)
                         except BandwidthError:
                             continue
-                        h_ad = es.bandwidth(es.BandwidthRule.adaptive(), n, noise)
+                        h_ad = es.bandwidth(es.BandwidthRule("adaptive"), n, noise)
                         assert h_ad <= h1 + 1e-12
 
     def test_adaptive_variance_identity(self):
@@ -98,15 +98,15 @@ class TestBandwidth:
         for eta in (0.7, 0.9):
             noise = tg.NoiseModel(eta)
             for n in (10**4, 10**6):
-                h = es.bandwidth(es.BandwidthRule.adaptive(), n, noise)
+                h = es.bandwidth(es.BandwidthRule("adaptive"), n, noise)
                 lhs = math.log(1.0 / n) + 2 * noise.gamma / h**2
                 rhs = -math.sqrt(2 * noise.gamma * math.log(n))
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_h2_rule(self, nm):
         cls = tg.SmoothnessClass(0.02, 1.2, 1.0)
-        h1 = es.bandwidth(es.BandwidthRule.h1(cls), 10**6, nm)
-        h2 = es.bandwidth(es.BandwidthRule.h2(cls), 10**6, nm)
+        h1 = es.bandwidth(es.BandwidthRule("h1", cls=cls), 10**6, nm)
+        h2 = es.bandwidth(es.BandwidthRule("h2", cls=cls), 10**6, nm)
         expect = (math.log(10**6) / (2 * nm.gamma) - (0.02 / nm.gamma) * h1**-1.2) ** -0.5
         assert h2 == pytest.approx(expect, rel=1e-14)
 
@@ -114,18 +114,18 @@ class TestBandwidth:
         # needs 2 eta log n / (1 - eta) > 1, violated at eta = 0.2, n = 2
         noise = tg.NoiseModel(0.2)
         with pytest.raises(BandwidthError):
-            es.bandwidth(es.BandwidthRule.adaptive(), 2, noise)
+            es.bandwidth(es.BandwidthRule("adaptive"), 2, noise)
 
     def test_fixed(self, nm):
-        assert es.bandwidth(es.BandwidthRule.fixed(0.33), 100, nm) == 0.33
+        assert es.bandwidth(es.BandwidthRule("fixed", h=0.33), 100, nm) == 0.33
 
     def test_produced_h_in_unit_interval(self, nm):
         # rules landing above 1 (n too small for the asymptotics) refuse
         cls = tg.SmoothnessClass(2.0, 2.0, 1.0)
         with pytest.raises(BandwidthError):
-            es.bandwidth(es.BandwidthRule.r2_closed(cls), 8, nm)
+            es.bandwidth(es.BandwidthRule("r2_closed", cls=cls), 8, nm)
         with pytest.raises(ValidationError):
-            es.BandwidthRule.fixed(1.5)
+            es.BandwidthRule("fixed", h=1.5)
 
 
 class TestRatePhi2:
@@ -136,7 +136,7 @@ class TestRatePhi2:
 
     def test_r1_plugin_from_bandwidth(self, nm):
         cls = tg.SmoothnessClass(0.5, 1.0, 1.0)
-        h = es.bandwidth(es.BandwidthRule.opt(cls), 10**6, nm)
+        h = es.bandwidth(es.BandwidthRule("opt", cls=cls), 10**6, nm)
         expect = (1.0 / (4 * math.pi * 0.5 * 1.0)) * h**-1.0 * math.exp(-2 * 0.5 / h)
         assert es.rate_phi2(cls, 10**6, nm) == pytest.approx(expect, rel=1e-12)
 
@@ -232,6 +232,18 @@ class TestEstimateGrid:
         wg = es.estimate_grid(ds, kspec, es.GridSpec(0, 1, 0, 0, 1, 0))
         assert wg.values.size == 0
 
+    @pytest.mark.parametrize("steps", [-1, 2.5])
+    def test_bad_step_count_refused(self, steps):
+        with pytest.raises(ValidationError, match="steps"):
+            es.GridSpec(0, 1, steps, 0, 1, 3)
+        with pytest.raises(ValidationError, match="steps"):
+            es.GridSpec(0, 1, 3, 0, 1, steps)
+
+    def test_numpy_step_counts_cannot_wrap_past_the_cap(self):
+        # 2**40 * 2**40 wraps to 0 in int64
+        with pytest.raises(ValidationError, match="points"):
+            es.GridSpec(0, 1, np.int64(2**40), 0, 1, np.int64(2**40))
+
     def test_row_extraction_equals_cut(self, nm):
         ds = sp.simulate(fs.StateSpec.fock(1), 3000, 0.9, seed=9)
         kspec = kn.KernelSpec(0.35, nm, "sharp")
@@ -300,7 +312,7 @@ class TestEstimateGrid:
 
 class TestRiskEval:
     def test_determinism(self, nm):
-        rule = es.BandwidthRule.fixed(0.4)
+        rule = es.BandwidthRule("fixed", h=0.4)
         a = es.risk_eval(
             fs.StateSpec.fock(0), nm, rule, "sharp", [(0.0, 0.0)], 500, 1, seed=5
         )
@@ -314,13 +326,13 @@ class TestRiskEval:
         noise = tg.NoiseModel(0.999)
         cls = tg.SmoothnessClass(0.2, 2.0, 1.0)
         rep = es.risk_eval(
-            fs.StateSpec.fock(0), noise, es.BandwidthRule.r2_closed(cls), "sharp",
+            fs.StateSpec.fock(0), noise, es.BandwidthRule("r2_closed", cls=cls), "sharp",
             [(0.0, 0.0)], 10**5, 20, seed=21,
         )
         assert rep.per_point_mse[0] <= 1e-3
 
     def test_report_roundtrip(self, nm):
-        rule = es.BandwidthRule.fixed(0.4)
+        rule = es.BandwidthRule("fixed", h=0.4)
         rep = es.risk_eval(
             fs.StateSpec.fock(0), nm, rule, "sharp", [(0.0, 0.0)], 200, 2, seed=5
         )
@@ -329,7 +341,7 @@ class TestRiskEval:
         assert again.points == rep.points
 
     def test_mse_is_column_mean(self, nm):
-        rule = es.BandwidthRule.fixed(0.4)
+        rule = es.BandwidthRule("fixed", h=0.4)
         rep = es.risk_eval(
             fs.StateSpec.fock(1), nm, rule, "sharp", [(0.0, 0.0), (0.5, 0.5)],
             500, 5, seed=6,
@@ -343,7 +355,8 @@ class TestRiskEval:
         state = fs.StateSpec.coherent(1.0, 0.5)
         pts = [(0.0, 0.0), (1.0, 0.5), (-2.0, 1.5), (0.3, -0.7)]
         n, reps, seed = 10**5, 2, 17
-        rep = es.risk_eval(state, nm, es.BandwidthRule.fixed(0.4), "sharp", pts, n, reps, seed)
+        rep = es.risk_eval(state, nm, es.BandwidthRule("fixed", h=0.4), "sharp",
+                           pts, n, reps, seed)
         rho = fs.materialize(state)
         kspec = kn.KernelSpec(0.4, nm, "sharp")
         u_max = (max(math.hypot(*z) for z in pts) + tg.x_support_radius(rho.dim)
@@ -370,7 +383,7 @@ class TestRiskEnvelopes:
         L = res.value / (2 * math.pi) ** 2
         cls = tg.SmoothnessClass(beta, 2.0, L)
         for n in (10**4, 10**5):
-            h = es.bandwidth(es.BandwidthRule.opt(cls), n, noise)
+            h = es.bandwidth(es.BandwidthRule("opt", cls=cls), n, noise)
             bias_sq = (math.exp(-1.0 / (4 * h * h)) / math.pi) ** 2
             bound = (L / (4 * math.pi * beta * 2.0)) * math.exp(-2 * beta / h**2)
             assert bias_sq <= 1.5 * bound

@@ -101,7 +101,7 @@ class TestMaterialize:
     def test_coherent_poisson_diagonal_via_wavefunction_overlap(self):
         # oracle: <psi_k, rho psi_k> = |int psi_k(x) u(x) dx|^2 with the
         # coherent position wavefunction u(x) = pi^{-1/4} exp(-(x-3)^2/2)
-        rho = fs.materialize(fs.StateSpec.coherent(3.0, 0.0), tail_target=1e-10)
+        rho = fs.materialize(fs.StateSpec.coherent(3.0, 0.0, dim=32))
         xs, ws = hermgauss(250)
         # integrate f(x) e^{-x^2}: f = psi_k(x) u(x) e^{x^2}
         u = math.pi ** -0.25 * np.exp(-((xs - 3.0) ** 2) / 2.0 + xs * xs)
@@ -113,9 +113,10 @@ class TestMaterialize:
         mean_n = float(np.dot(np.arange(rho.dim), diag))
         assert mean_n == pytest.approx(4.5, abs=1e-7)
 
-    def test_auto_grow_disabled(self):
-        with pytest.raises(TruncationError):
-            fs.materialize(fs.StateSpec.coherent(3.0, 0.0, dim=4), auto_grow=False)
+    def test_too_small_dim_grows_to_the_tail_rule(self):
+        rho = fs.materialize(fs.StateSpec.coherent(3.0, 0.0, dim=4))
+        assert rho.dim == 32 and rho.tail_mass <= fs.DEFAULT_TAIL_MASS
+        assert fs.materialize(fs.StateSpec.fock(5, dim=2)).dim == 6
 
     @pytest.mark.parametrize("spec", [
         fs.StateSpec.coherent(1e300, 0.0),
@@ -163,7 +164,7 @@ class TestWignerEval:
 
     def test_squeezed_closed_form(self):
         s = 0.5
-        rho = fs.materialize(fs.StateSpec.squeezed(s), tail_target=1e-14)
+        rho = fs.materialize(fs.StateSpec.squeezed(s, dim=64))
         qs = np.array([0.0, 1.2, -0.7, 0.5])
         ps = np.array([0.0, 0.4, 0.6, -0.8])
         got = fs.wigner_eval_many(rho, qs, ps)
@@ -172,7 +173,7 @@ class TestWignerEval:
 
     def test_cat_closed_form(self):
         q0 = 3.0
-        rho = fs.materialize(fs.StateSpec.cat(q0), tail_target=1e-14)
+        rho = fs.materialize(fs.StateSpec.cat(q0, dim=32))
         n2 = 2.0 * (1.0 + math.exp(-q0 * q0))
 
         def truth(q, p):

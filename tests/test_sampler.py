@@ -11,7 +11,7 @@ from scipy.stats import kstest
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
-from wignerscope.errors import DatasetFormatError
+from wignerscope.errors import DatasetFormatError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +26,13 @@ def fock1():
 
 class TestSampleIdeal:
     def test_vacuum_moments(self, vac):
-        s = sp.sample_ideal(vac, 10**5, seed=42)
+        s = sp.QuadratureSampler(vac).sample(10**5, seed=42)
         # X ~ N(0, 1/2): 4-sigma band on the mean, variance window
         assert abs(s.x.mean()) < 4.0 * math.sqrt(0.5 / 10**5)
         assert 0.47 < s.x.var() < 0.53
 
     def test_fock1_ks_against_quadrature_cdf(self, fock1):
-        s = sp.sample_ideal(fock1, 10**5, seed=7)
+        s = sp.QuadratureSampler(fock1).sample(10**5, seed=7)
         # |X| has CDF P(3/2, x^2) (regularized lower incomplete gamma)
         from scipy.special import gammainc
 
@@ -40,12 +40,12 @@ class TestSampleIdeal:
         assert res.pvalue > 0.01
 
     def test_determinism(self, fock1):
-        a = sp.sample_ideal(fock1, 2000, seed=99)
-        b = sp.sample_ideal(fock1, 2000, seed=99)
+        a = sp.QuadratureSampler(fock1).sample(2000, seed=99)
+        b = sp.QuadratureSampler(fock1).sample(2000, seed=99)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.phi, b.phi)
 
     def test_phases_uniform(self, vac):
-        s = sp.sample_ideal(vac, 10**5, seed=1)
+        s = sp.QuadratureSampler(vac).sample(10**5, seed=1)
         res = kstest(s.phi / math.pi, "uniform")
         assert res.pvalue > 0.01
 
@@ -169,20 +169,20 @@ class TestInversion:
 
 class TestAddNoise:
     def test_noise_variance(self, fock1):
-        ideal = sp.sample_ideal(fock1, 10**5, seed=5)
+        ideal = sp.QuadratureSampler(fock1).sample(10**5, seed=5)
         ds = sp.add_noise(ideal, 0.9, seed=5, state=fs.StateSpec.fock(1))
         resid = ds.y - math.sqrt(0.9) * ideal.x
         assert 0.045 < resid.var() < 0.055
 
     def test_vacuum_noise_invariance_ks(self, vac):
         for eta in (0.7, 0.9, 0.99):
-            ideal = sp.sample_ideal(vac, 10**5, seed=11)
+            ideal = sp.QuadratureSampler(vac).sample(10**5, seed=11)
             ds = sp.add_noise(ideal, eta, seed=11, state=fs.StateSpec.fock(0))
             res = kstest(ds.y, "norm", args=(0.0, math.sqrt(0.5)))
             assert res.pvalue > 0.01, f"eta={eta}"
 
     def test_eta_near_one(self, fock1):
-        ideal = sp.sample_ideal(fock1, 10**5, seed=2)
+        ideal = sp.QuadratureSampler(fock1).sample(10**5, seed=2)
         ds = sp.add_noise(ideal, 0.999, seed=2, state=fs.StateSpec.fock(1))
         assert np.max(np.abs(ds.y - ideal.x)) < 0.2
         # distributional cross-check against the noisy density
@@ -263,6 +263,12 @@ class TestDatasetIO:
             sp.read_dataset(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 3.5])
+    def test_dataset_refuses_phase_outside_range(self, bad):
+        meta = sp.DatasetMeta(fs.StateSpec.fock(0), 0.9, 3, 2)
+        with pytest.raises(ValidationError, match="phi"):
+            sp.Dataset(y=[0.0, 1.0], phi=[bad, 0.5], meta=meta)
+
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         meta = sp.DatasetMeta(fs.StateSpec.fock(0), 0.5, 3, 0)
@@ -291,8 +297,8 @@ class TestDeriveSeed:
 
     def test_streams_independent(self, vac):
         # phases/uniform draws unchanged when only the noise stream is used
-        a = sp.sample_ideal(vac, 100, seed=4)
+        a = sp.QuadratureSampler(vac).sample(100, seed=4)
         ds = sp.add_noise(a, 0.9, seed=4, state=fs.StateSpec.fock(0))
-        b = sp.sample_ideal(vac, 100, seed=4)
+        b = sp.QuadratureSampler(vac).sample(100, seed=4)
         assert np.array_equal(a.x, b.x)
         assert not np.array_equal(ds.y, math.sqrt(0.9) * a.x)
