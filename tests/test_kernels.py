@@ -20,6 +20,30 @@ def nm_09():
     return NoiseModel(0.9)  # gamma = 1/36
 
 
+def _noise_ft(nm, t):
+    # Fourier transform of the N(0, (1-eta)/2) noise that every kernel divides
+    # out: exp(-(1-eta) t^2 / 4) = exp(-gamma eta t^2)
+    return math.exp(-nm.gamma * nm.eta * t * t)
+
+
+class TestNoiseFT:
+    def test_gamma_arithmetic(self, nm_09):
+        # N~^eta(t/sqrt(eta)) = exp(-gamma t^2); t = 6 gives exp(-36 gamma) = e^{-1}
+        t = 6.0 / math.sqrt(0.9)
+        assert _noise_ft(nm_09, t) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    def test_against_quadrature_of_density(self, nm_09):
+        # numeric Fourier transform of the N(0, (1-eta)/2) density
+        from wignerscope._quad import gl_panels
+
+        var = (1.0 - 0.9) / 2.0
+        xs, w = gl_panels(-10.0 * math.sqrt(var), 10.0 * math.sqrt(var), 0.02)
+        dens = np.exp(-xs * xs / (2 * var)) / math.sqrt(2 * math.pi * var)
+        for t in (0.5, 2.0, 5.0):
+            numeric = float(np.dot(w, dens * np.cos(t * xs)))
+            assert _noise_ft(nm_09, t) == pytest.approx(numeric, abs=1e-10)
+
+
 class TestSharpKernel:
     def test_closed_form_at_zero(self, nm_half):
         spec = kn.KernelSpec(1.0, nm_half, "sharp")

@@ -30,18 +30,6 @@ class TestNoiseModel:
         nm = tg.NoiseModel(0.9)
         assert nm.gamma == pytest.approx((1 - 0.9) / (4 * 0.9), rel=1e-15)
 
-    def test_gamma_is_the_noise_fourier_exponent(self):
-        # the numeric Fourier transform of the N(0, (1-eta)/2) noise density
-        # at t/sqrt(eta) is exp(-gamma t^2); t = 6 gives exp(-36 gamma) = e^{-1}
-        nm = tg.NoiseModel(0.9)
-        var = (1.0 - 0.9) / 2.0
-        xs, w = gl_panels(-10.0 * math.sqrt(var), 10.0 * math.sqrt(var), 0.02)
-        dens = np.exp(-xs * xs / (2 * var)) / math.sqrt(2 * math.pi * var)
-        for t in (0.5, 2.0, 6.0):
-            numeric = float(np.dot(w, dens * np.cos(t / math.sqrt(0.9) * xs)))
-            assert numeric == pytest.approx(math.exp(-nm.gamma * t * t), abs=1e-10)
-        assert math.exp(-nm.gamma * 36.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
     def test_eta_range(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValidationError):
