@@ -222,11 +222,16 @@ def estimate_grid(
 
 @dataclass(frozen=True, eq=False)
 class RiskReport:
-    """Monte Carlo pointwise-risk evaluation over repeated datasets."""
+    """Monte Carlo pointwise-risk evaluation over repeated datasets.
+
+    per_point_se is the standard error of per_point_mse,
+    std(losses, ddof=1) / sqrt(reps); NaN (null in JSON) for one rep.
+    """
 
     points: tuple
     reps: int
     per_point_mse: np.ndarray
+    per_point_se: np.ndarray
     per_rep_losses: np.ndarray     # shape (reps, n_points)
     rate_phi2: Optional[float]
     meta: dict
@@ -236,6 +241,7 @@ class RiskReport:
             "points": [[p.q, p.p] for p in self.points],
             "reps": self.reps,
             "per_point_mse": self.per_point_mse.tolist(),
+            "per_point_se": [None if math.isnan(v) else v for v in self.per_point_se.tolist()],
             "per_rep_losses": self.per_rep_losses.tolist(),
             "rate_phi2": self.rate_phi2,
             "meta": self.meta,
@@ -247,6 +253,7 @@ class RiskReport:
             points=tuple(PhasePoint(q, p) for q, p in d["points"]),
             reps=int(d["reps"]),
             per_point_mse=np.asarray(d["per_point_mse"], dtype=float),
+            per_point_se=np.asarray(d["per_point_se"], dtype=float),
             per_rep_losses=np.asarray(d["per_rep_losses"], dtype=float),
             rate_phi2=d.get("rate_phi2"),
             meta=d.get("meta", {}),
@@ -298,6 +305,10 @@ def risk_eval(
 
     losses = np.vstack([one_rep(j) for j in range(reps)])
     mse = losses.mean(axis=0)
+    if reps > 1:
+        se = losses.std(axis=0, ddof=1) / math.sqrt(reps)
+    else:
+        se = np.full(mse.shape, math.nan)
     phi2 = rate_phi2(rule.cls, n, noise) if rule.cls is not None else None
     meta = {
         "state": state.to_dict(),
@@ -318,6 +329,7 @@ def risk_eval(
         points=pts,
         reps=reps,
         per_point_mse=mse,
+        per_point_se=se,
         per_rep_losses=losses,
         rate_phi2=phi2,
         meta=meta,

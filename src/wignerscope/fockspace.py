@@ -26,7 +26,7 @@ from .errors import TruncationError, UnsupportedOrderError, ValidationError
 
 MAX_ORDER = 2000          # stability budget for hermite_psi / laguerre
 DEFAULT_TAIL_MASS = 1e-8  # truncation rule: diagonal tail mass target
-_MAX_AUTO_DIM = 4096
+_MAX_DIM = MAX_ORDER + 1  # truncation cap: psi_0..psi_MAX_ORDER
 
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
@@ -345,21 +345,29 @@ def materialize(spec: StateSpec) -> DensityMatrix:
     The truncation dim starts at spec.dim (16 if unset) and doubles until
     the diagonal tail mass is at most DEFAULT_TAIL_MASS; the realized tail
     is recorded in tail_mass.  A fock state gets at least n + 1 levels.
+    No dim past _MAX_DIM is built: a fock n past MAX_ORDER, an explicit
+    dim past _MAX_DIM, or a tail target the doubling would only reach past
+    _MAX_DIM is refused before the matrix is allocated.
     """
     if spec.kind == "custom":
         return spec.params["matrix"]
+    if spec.dim is not None and spec.dim > _MAX_DIM:
+        raise UnsupportedOrderError(
+            f"dim {spec.dim} exceeds the truncation cap {_MAX_DIM} (orders up to {MAX_ORDER})"
+        )
     if spec.kind == "fock":
         n = spec.params["n"]
+        _check_order(n)
         dim = max(spec.dim or 0, n + 1)
         entries = np.zeros((dim, dim), dtype=complex)
         entries[n, n] = 1.0
         return DensityMatrix(dim=dim, entries=entries, tail_mass=0.0)
 
     mean_n = _mean_photons(spec)
-    if not mean_n <= _MAX_AUTO_DIM:
+    if not mean_n <= _MAX_DIM:
         raise TruncationError(
             f"{spec.kind} state {spec.params}: mean photon number {mean_n:.3g} "
-            f"exceeds the dim cap {_MAX_AUTO_DIM}"
+            f"exceeds the dim cap {_MAX_DIM}"
         )
     dim = spec.dim if spec.dim is not None else 16
     while True:
@@ -368,11 +376,12 @@ def materialize(spec: StateSpec) -> DensityMatrix:
         tail = max(tail, 0.0)
         if tail <= DEFAULT_TAIL_MASS:
             break
-        if dim >= _MAX_AUTO_DIM:
+        if 2 * dim > _MAX_DIM:
             raise TruncationError(
-                f"tail target {DEFAULT_TAIL_MASS:.1e} not reached at dim {_MAX_AUTO_DIM}"
+                f"{spec.kind} state {spec.params}: tail target {DEFAULT_TAIL_MASS:.1e} "
+                f"not reached at dim {dim}, and dim {2 * dim} exceeds the cap {_MAX_DIM}"
             )
-        dim = min(2 * dim, _MAX_AUTO_DIM)
+        dim *= 2
     entries = np.outer(c, c.conj())
     return DensityMatrix(dim=dim, entries=entries, tail_mass=tail)
 

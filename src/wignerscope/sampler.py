@@ -5,6 +5,13 @@ tabulated inverse CDFs, applies detection noise Y = sqrt(eta) X +
 sqrt((1-eta)/2) xi from an independent RNG stream, and reads/writes
 datasets as CSV with a JSON metadata header.
 
+Tables: tomography.quad_density_blocks yields the densities in blocks of
+phases, and each block is written straight into the preallocated pdf and
+cdf tables (Simpson cells, running sums and the third differences of the
+error estimate), so the build holds one block's temporaries beside the
+two tables.  The tables equal those of one product over all phases bit
+for bit.
+
 Inversion: each record's phase bucket and target CDF value select a
 table cell by one branchless binary search over the flattened table,
 and the cell's monotone Hermite cubic is solved by bisection-safeguarded
@@ -26,7 +33,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, ValidationError
 from .fockspace import DensityMatrix, StateSpec
-from .tomography import NoiseModel, quad_density_table, x_support_radius
+from .tomography import NoiseModel, quad_density_blocks, x_support_radius
 
 GENERATOR_VERSION = "wignerscope-sampler/2"
 
@@ -162,8 +169,7 @@ class QuadratureSampler:
         n = _N_POINTS
         while True:
             grid = np.linspace(-xm, xm, n)
-            pdf, cdf = self._tabulate(grid)
-            err = self._interp_error_estimate(grid, pdf)
+            pdf, cdf, err = self._tabulate(grid)
             if err <= _CDF_TOL or n >= _MAX_POINTS:
                 break
             n = 2 * n - 1
@@ -176,27 +182,35 @@ class QuadratureSampler:
         self.cdf = cdf          # (n_phases, n), cdf[:, 0] = 0
         self.table_error = err
 
-    def _tabulate(self, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        n = grid.size
-        # densities of all phases on the doubled grid, for per-cell Simpson
-        # integration
-        fine = np.linspace(grid[0], grid[-1], 2 * n - 1)
-        pdf_fine = quad_density_table(self.rho, fine, self._phases)
-        h = grid[1] - grid[0]
-        cell = (h / 6.0) * (
-            pdf_fine[:, 0:-2:2] + 4.0 * pdf_fine[:, 1::2] + pdf_fine[:, 2::2]
-        )
-        cdf = np.zeros((self.n_phases, n))
-        np.cumsum(cell, axis=1, out=cdf[:, 1:])
-        return pdf_fine[:, ::2].copy(), cdf
+    def _tabulate(self, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+        """pdf and cdf tables on grid, and their interpolation error estimate.
 
-    @staticmethod
-    def _interp_error_estimate(grid: np.ndarray, pdf: np.ndarray) -> float:
-        # Hermite-cubic CDF interpolation error ~ h^4 max|p'''| / 384
+        The densities come in phase blocks on the doubled grid.  Each block
+        fills its rows of pdf (the even nodes) and of cdf (the running sums
+        of per-cell Simpson integrals) in place, so no temporary grows with
+        the phase count.  The Hermite-cubic CDF interpolation error is about
+        h^4 max|p'''| / 384, with p''' from third differences of pdf.
+        """
+        n = grid.size
         h = grid[1] - grid[0]
-        d3 = np.abs(np.diff(pdf, n=3, axis=1)) / h**3
-        m3 = float(np.max(d3)) if d3.size else 0.0
-        return h**4 * m3 / 384.0
+        fine = np.linspace(grid[0], grid[-1], 2 * n - 1)
+        pdf = np.empty((self.n_phases, n))
+        cdf = np.zeros((self.n_phases, n))
+        d3_max = 0.0
+        for start, block in quad_density_blocks(self.rho, fine, self._phases):
+            rows = slice(start, start + block.shape[0])
+            pdf[rows] = block[:, ::2]
+            cell = cdf[rows, 1:]
+            np.multiply(block[:, 1::2], 4.0, out=cell)
+            cell += block[:, 0:-2:2]
+            cell += block[:, 2::2]
+            cell *= h / 6.0
+            np.cumsum(cell, axis=1, out=cell)
+            d3 = np.abs(np.diff(pdf[rows], n=3, axis=1))
+            d3_max = max(d3_max, float(np.max(d3, initial=0.0)))
+        # max|d3| / h^3 equals the max of |d3| / h^3: dividing by h^3 > 0
+        # is monotone in floating point
+        return pdf, cdf, h**4 * (d3_max / h**3) / 384.0
 
     def _invert(self, bucket: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Invert the tabulated CDF: per record, phase bucket and uniform u."""

@@ -29,6 +29,9 @@ _RADON_PANEL = 0.125
 _CLASS_BLOCK = 8.0
 _CLASS_PANEL = 0.25
 _CLASS_T_CAP = 400.0
+# phases per block of quad_density_blocks: bounds the complex block product
+# at _PHASE_BLOCK x len(x) values
+_PHASE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -99,36 +102,47 @@ def x_support_radius(dim: int) -> float:
     return math.sqrt(2.0 * dim) + 6.0
 
 
-def quad_density_table(rho: DensityMatrix, x, phases) -> np.ndarray:
-    """p_rho(x | phi) = sum_jk rho_jk psi_j(x) psi_k(x) e^{-i(j-k)phi} as a
-    (phases, x) array, through the diagonal decomposition
+def quad_density_blocks(rho: DensityMatrix, x, phases):
+    """p_rho(x | phi) = sum_jk rho_jk psi_j(x) psi_k(x) e^{-i(j-k)phi} for
+    an array of phases, yielded as (start, block) pairs: block is the
+    (phases[start:start + _PHASE_BLOCK], x) slice of the table.  rho's
+    diagonals are walked once, through the decomposition
 
         p(x | phi) = s_0(x) + 2 Re sum_{d>=1} e^{i d phi} s_d(x),
         s_d(x) = sum_j rho_{j,j+d} psi_j(x) psi_{j+d}(x).
+
+    Only one block's complex product is alive at a time.  A block of two
+    or more rows equals those rows of the one-shot product bit for bit; a
+    one-row block (one phase, as in quad_density) goes through BLAS's
+    matrix-vector path and may differ in the last bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    phases = np.atleast_1d(np.asarray(phases, dtype=float))
     psi = hermite_psi_table(rho.dim - 1, x)
     profiles = np.zeros((rho.dim, x.size), dtype=complex)
     for d in range(rho.dim):
         diag = np.diagonal(rho.entries, offset=d)
         if np.any(diag):
             profiles[d] = diag @ (psi[: rho.dim - d] * psi[d:])
-    coeff = np.exp(1j * np.outer(phases, np.arange(rho.dim)))  # outer flattens a scalar phase
-    coeff[:, 1:] *= 2.0
-    p = (coeff @ profiles).real
-    if float(p.min()) < -1e-9:
-        raise ForwardModelError(
-            f"quadrature density is negative ({p.min():.3e}): broken DensityMatrix"
-        )
-    np.clip(p, 0.0, None, out=p)
-    return p
+    del psi
+    orders = np.arange(rho.dim)
+    for start in range(0, phases.size, _PHASE_BLOCK):
+        coeff = np.exp(1j * np.outer(phases[start:start + _PHASE_BLOCK], orders))
+        coeff[:, 1:] *= 2.0
+        p = (coeff @ profiles).real
+        if float(p.min()) < -1e-9:
+            raise ForwardModelError(
+                f"quadrature density is negative ({p.min():.3e}): broken DensityMatrix"
+            )
+        np.clip(p, 0.0, None, out=p)
+        yield start, p
 
 
 def quad_density(rho: DensityMatrix, x, phi: float):
     """Quadrature density p_rho(x | phi) at one phase: a float for scalar x,
-    else an array over x (one row of quad_density_table)."""
-    p = quad_density_table(rho, x, phi)[0]
-    return float(p[0]) if np.ndim(x) == 0 else p
+    else an array over x (the one-phase view of quad_density_blocks)."""
+    _, p = next(quad_density_blocks(rho, x, phi))
+    return float(p[0, 0]) if np.ndim(x) == 0 else p[0]
 
 
 def radon_numeric(

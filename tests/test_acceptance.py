@@ -51,36 +51,39 @@ _T1_CLS = tg.SmoothnessClass(0.08, 2.0, 1.0)
 _T1_RULE = es.BandwidthRule("r2_closed", cls=_T1_CLS)
 
 
-def _cat_mse(eta: float, n: int, reps: int, seed: int = 11) -> float:
+def _cat_mse(eta: float, n: int, reps: int, seed: int = 11) -> tuple:
+    """(MSE, its standard error) at the origin."""
     rep = es.risk_eval(
         fs.StateSpec.cat(3.0), tg.NoiseModel(eta), _T1_RULE, "sharp",
         [(0.0, 0.0)], n, reps, seed=seed,
     )
-    return float(rep.per_point_mse[0])
+    return float(rep.per_point_mse[0]), float(rep.per_point_se[0])
 
 
 def test_criterion_2_cat_mse_band_and_monotonicity():
     t0 = time.time()
-    mse_1e4 = _cat_mse(0.95, 10**4, 100)
-    mse_1e5 = _cat_mse(0.95, 10**5, 100)
+    mse_1e4, se_1e4 = _cat_mse(0.95, 10**4, 100)
+    mse_1e5, se_1e5 = _cat_mse(0.95, 10**5, 100)
     elapsed = time.time() - t0
     in_band = 1.7e-3 <= mse_1e4 <= 1.5e-2
     monotone = mse_1e5 < mse_1e4
     ok = in_band and monotone and elapsed <= 900.0
     report("2 (cat MSE band)", ok,
-           f"MSE(n=1e4)={mse_1e4:.3e} in [1.7e-3, 1.5e-2]; "
-           f"MSE(n=1e5)={mse_1e5:.3e} monotone={monotone} elapsed={elapsed:.0f}s")
+           f"MSE(n=1e4)={mse_1e4:.3e} ± {se_1e4:.1e} in [1.7e-3, 1.5e-2]; "
+           f"MSE(n=1e5)={mse_1e5:.3e} ± {se_1e5:.1e} monotone={monotone} "
+           f"elapsed={elapsed:.0f}s")
     assert in_band
     assert monotone
     assert elapsed <= 900.0
 
 
 def test_criterion_3_noise_level_ordering():
-    mse_095 = _cat_mse(0.95, 10**4, 50)
-    mse_085 = _cat_mse(0.85, 10**4, 50)
+    mse_095, se_095 = _cat_mse(0.95, 10**4, 50)
+    mse_085, se_085 = _cat_mse(0.85, 10**4, 50)
     ok = mse_085 > mse_095
     report("3 (noise ordering)", ok,
-           f"MSE(eta=0.85)={mse_085:.3e} > MSE(eta=0.95)={mse_095:.3e}")
+           f"MSE(eta=0.85)={mse_085:.3e} ± {se_085:.1e} > "
+           f"MSE(eta=0.95)={mse_095:.3e} ± {se_095:.1e}")
     assert ok
 
 

@@ -111,6 +111,18 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("state", ["fock:2500", "coherent:42,0"])
+    def test_state_past_order_budget_exit_1(self, tmp_path, capsys, state):
+        # refused before the dense matrix is built (fock:2500 took 6.6 s
+        # and 276 MB to fail one layer down)
+        out = tmp_path / "x.csv"
+        rc = run(["simulate", "--state", state, "--n", "10", "--eta", "0.9",
+                  "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and err.startswith("error:") and "exceeds" in err
+        assert not out.exists()
+
     def test_missing_file_exit_1(self, tmp_path):
         rc = run(["estimate", "--data", str(tmp_path / "absent.csv"), "--h", "0.4",
                   "--grid", "0:1:2,0:1:2", "--out", str(tmp_path / "o.csv")])
@@ -223,6 +235,7 @@ class TestRisk:
         assert rc == 0
         report = json.loads(out.read_text())
         assert len(report["per_point_mse"]) == 2
+        assert len(report["per_point_se"]) == 2
         assert len(report["per_rep_losses"]) == 3
         assert report["meta"]["seed"] == 5
 

@@ -340,6 +340,30 @@ class TestRiskEval:
         assert np.array_equal(again.per_rep_losses, rep.per_rep_losses)
         assert again.points == rep.points
 
+    def test_standard_error_of_the_mse(self, nm):
+        rule = es.BandwidthRule("fixed", h=0.4)
+        rep = es.risk_eval(
+            fs.StateSpec.fock(1), nm, rule, "sharp", [(0.0, 0.0), (0.5, 0.5)],
+            500, 5, seed=6,
+        )
+        losses = rep.per_rep_losses
+        for k in range(2):
+            col = losses[:, k]
+            want = math.sqrt(np.sum((col - col.mean()) ** 2) / 4) / math.sqrt(5)
+            assert rep.per_point_se[k] == pytest.approx(want, rel=1e-12)
+        again = es.RiskReport.from_json_dict(rep.to_json_dict())
+        assert np.array_equal(again.per_point_se, rep.per_point_se)
+
+    def test_one_rep_has_no_standard_error(self, nm):
+        rule = es.BandwidthRule("fixed", h=0.4)
+        rep = es.risk_eval(
+            fs.StateSpec.fock(0), nm, rule, "sharp", [(0.0, 0.0)], 200, 1, seed=5
+        )
+        assert np.isnan(rep.per_point_se[0])
+        d = rep.to_json_dict()
+        assert d["per_point_se"] == [None]
+        assert np.isnan(es.RiskReport.from_json_dict(d).per_point_se[0])
+
     def test_mse_is_column_mean(self, nm):
         rule = es.BandwidthRule("fixed", h=0.4)
         rep = es.risk_eval(

@@ -131,6 +131,24 @@ class TestMaterialize:
         with pytest.raises(TruncationError):
             fs.materialize(spec)
 
+    @pytest.mark.parametrize("spec", [
+        fs.StateSpec.fock(10**6),
+        fs.StateSpec.fock(fs.MAX_ORDER + 1),
+        fs.StateSpec.fock(0, dim=10**6),
+        fs.StateSpec.coherent(1.0, 0.0, dim=fs.MAX_ORDER + 2),
+    ])
+    def test_past_the_order_budget_refused_before_allocation(self, spec):
+        # a dense (10^6)^2 complex matrix would need 16 TB: the refusal
+        # comes first, as an UnsupportedOrderError, not a MemoryError
+        with pytest.raises(UnsupportedOrderError, match=str(fs.MAX_ORDER)):
+            fs.materialize(spec)
+
+    def test_auto_growth_stays_within_the_order_budget(self):
+        # mean photon number 882: the tail rule needs more than 1024
+        # levels, and the next doubling (2048) passes MAX_ORDER + 1
+        with pytest.raises(TruncationError, match="dim 1024"):
+            fs.materialize(fs.StateSpec.coherent(42.0, 0.0))
+
     def test_statespec_roundtrip(self):
         spec = fs.StateSpec.cat(2.5, axis="p")
         assert fs.StateSpec.from_dict(spec.to_dict()) == spec

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.stats import kstest
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
-from wignerscope.errors import DatasetFormatError, ValidationError
+from wignerscope.errors import DatasetFormatError, ForwardModelError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +76,80 @@ def cat_sampler():
     return sp.QuadratureSampler(fs.materialize(fs.StateSpec.cat(3.0)))
 
 
+def _one_shot_tables(rho, phases, grid):
+    """Reference tables from one complex product over all phases at once:
+    the pdf and cdf tables, their interpolation error estimate, and the
+    density table on the doubled grid."""
+    fine = np.linspace(grid[0], grid[-1], 2 * grid.size - 1)
+    psi = fs.hermite_psi_table(rho.dim - 1, fine)
+    profiles = np.zeros((rho.dim, fine.size), dtype=complex)
+    for d in range(rho.dim):
+        diag = np.diagonal(rho.entries, offset=d)
+        if np.any(diag):
+            profiles[d] = diag @ (psi[: rho.dim - d] * psi[d:])
+    coeff = np.exp(1j * np.outer(phases, np.arange(rho.dim)))
+    coeff[:, 1:] *= 2.0
+    p = np.clip((coeff @ profiles).real, 0.0, None)
+    h = grid[1] - grid[0]
+    cell = (h / 6.0) * (p[:, 0:-2:2] + 4.0 * p[:, 1::2] + p[:, 2::2])
+    cdf = np.zeros((phases.size, grid.size))
+    np.cumsum(cell, axis=1, out=cdf[:, 1:])
+    pdf = p[:, ::2].copy()
+    err = h**4 * float(np.max(np.abs(np.diff(pdf, n=3, axis=1)) / h**3)) / 384.0
+    return pdf, cdf, err, p
+
+
 class TestTable:
-    def test_pdf_rows_match_quad_density_profile(self, cat_sampler):
+    @pytest.mark.parametrize("spec", [
+        fs.StateSpec.fock(3), fs.StateSpec.coherent(1.0, 0.8),
+        fs.StateSpec.squeezed(0.5), fs.StateSpec.cat(3.01),
+    ], ids=["fock3", "coherent", "squeezed", "cat"])
+    def test_blocked_build_equals_one_shot_product(self, spec):
+        # the phase-blocked build reproduces the one-shot product bit for
+        # bit, and so do the draws read from the tables
+        sampler = sp.QuadratureSampler(fs.materialize(spec))
+        pdf, cdf, err, _ = _one_shot_tables(sampler.rho, sampler._phases, sampler.x_grid)
+        assert np.array_equal(sampler.pdf, pdf)
+        assert np.array_equal(sampler.cdf, cdf)
+        assert sampler.table_error == err
+        ref = object.__new__(sp.QuadratureSampler)
+        ref.__dict__.update(vars(sampler), pdf=pdf, cdf=cdf)
+        a, b = sampler.sample(10**4, seed=5), ref.sample(10**4, seed=5)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.phi, b.phi)
+
+    def test_quad_density_is_the_one_phase_product(self):
+        rho = fs.materialize(fs.StateSpec.cat(3.01))
+        grid = np.linspace(-6.0, 6.0, 201)
+        *_, p = _one_shot_tables(rho, np.array([0.37]), grid)
+        fine = np.linspace(-6.0, 6.0, 401)
+        assert np.array_equal(tg.quad_density(rho, fine, 0.37), p[0])
+
+    @pytest.mark.parametrize("block", [2, 7, 1024])
+    def test_table_independent_of_phase_block(self, block, monkeypatch):
+        rho = fs.materialize(fs.StateSpec.coherent(1.0, 0.8))
+        default = sp.QuadratureSampler(rho)
+        monkeypatch.setattr(tg, "_PHASE_BLOCK", block)
+        blocked = sp.QuadratureSampler(rho)
+        assert np.array_equal(blocked.pdf, default.pdf)
+        assert np.array_equal(blocked.cdf, default.cdf)
+        assert blocked.table_error == default.table_error
+
+    def test_negativity_guard_past_the_first_block(self):
+        # rho_01 = 0.6i is not PSD: p(x | phi) < 0 somewhere iff
+        # 0.6 |sin phi| > 1/2, i.e. only for phases in (0.98, 2.16), which
+        # the first block of the sampler's phase grid does not reach
+        broken = SimpleNamespace(dim=2, entries=np.array([[0.5, 0.6j], [-0.6j, 0.5]]))
+        phases = (np.arange(sp._N_PHASES) + 0.5) * math.pi / sp._N_PHASES
+        x = np.linspace(-6.0, 6.0, 801)
+        blocks = tg.quad_density_blocks(broken, x, phases)
+        start, first = next(blocks)
+        assert start == 0 and first.shape == (tg._PHASE_BLOCK, x.size)
+        with pytest.raises(ForwardModelError, match="negative"):
+            list(blocks)
+        with pytest.raises(ForwardModelError, match="negative"):
+            sp.QuadratureSampler(broken)
+
+    def test_pdf_rows_match_amplitude_sum(self, cat_sampler):
         # independent oracle for pure states rho = c c^*: the amplitude sum
         # p(x | phi) = |sum_j c_j e^{-i j phi} psi_j(x)|^2 walks no diagonals
         others = (fs.StateSpec.coherent(1.5, -0.5), fs.StateSpec.squeezed(0.4))
