@@ -11,7 +11,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 # elements of one (y rows x panels) block in gl_cos_sum: bounds its four
 # block arrays at 2 MiB each, whatever the number of y values
@@ -89,6 +88,8 @@ def jacobi_unit(n: int, beta: float):
     Built from the Gauss-Jacobi rule with weight (1+x)^beta on [-1, 1];
     exact for g polynomial of degree ≤ 2n-1.
     """
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, 0.0, beta)
     s = 0.5 * (x + 1.0)
     w = w / 2.0 ** (beta + 1.0)

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._quad import gl_cos_sum
 from .errors import BandwidthTooSmallError, TableStepError, ValidationError
 from .tomography import NoiseModel
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 _EXP_CAP = 700.0  # hard guard on the deconvolution exponent
 # build_table's check: largest error at _TABLE_CHECKS random mid-node
@@ -143,6 +145,8 @@ class KernelTable:
 
 def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) -> KernelTable:
     """Tabulate the kernel on a uniform grid and validate the interpolant."""
+    from scipy.interpolate import CubicSpline
+
     _guard(spec)
     if step is None:
         step = spec.h / 8.0

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammaincc, gammaln
 
 from ._quad import gl_cos_sum, gl_panels, jacobi_unit
 from .errors import BandwidthError, ValidationError
@@ -271,6 +270,8 @@ def p_tail_mass(axi: AlphaXi, x_cut: float, eta: float = 1.0) -> float:
     eta = 1 is p_alpha_xi itself).  Valid once the endpoint correction
     exp(-u_top^2) is negligible, i.e. x_cut >= ~8 sqrt((1+kappa xi)/(1-xi)).
     """
+    from scipy.special import gammaln
+
     a, xi = axi.alpha, axi.xi
     kappa = 2.0 * eta - 1.0
     pref = a * 2.0 ** (a + 1.0) * eta**a / ((1.0 - xi) ** a * math.sqrt(math.pi))
@@ -321,6 +322,8 @@ def wtilde_alpha_xi(axi: AlphaXi, t):
 def _log_upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
     """log Gamma(s, x) for 0 < s < 1, elementwise; asymptotic series for
     large x where gammaincc underflows."""
+    from scipy.special import gamma as gamma_fn, gammaincc
+
     out = np.empty_like(x)
     small = x < 600.0
     if np.any(small):

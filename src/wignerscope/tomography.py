@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._quad import gl_panels
 from .errors import BandwidthError, CoverageError, ForwardModelError, ValidationError
@@ -81,6 +80,8 @@ def bandwidth_root(cls: SmoothnessClass, noise: NoiseModel, target: float) -> fl
     The left side falls in h, so doubling from h = 1 and then halving
     brackets the root before brentq refines it.
     """
+    from scipy.optimize import brentq
+
     beta, r, gamma = cls.beta, cls.r, noise.gamma
 
     def g(h):
