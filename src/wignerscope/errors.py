@@ -26,10 +26,6 @@ class TruncationError(ValidationError):
     """Fock truncation too small for the requested tail mass."""
 
 
-class CoverageError(ValidationError):
-    """Quadrature domain does not cover the integration region."""
-
-
 class DatasetFormatError(ValidationError):
     """Malformed dataset file; carries the offending line number."""
 

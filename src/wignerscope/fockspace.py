@@ -1,9 +1,9 @@
 """Fock-basis linear algebra and special functions.
 
-Hermite oscillator eigenfunctions, Laguerre polynomials, standard quantum
-states (number, coherent, squeezed vacuum, cat), pointwise Wigner-function
-evaluation through the closed Laguerre form of the basis kernels, and the
-Hilbert-Schmidt distance that realizes the state <-> Wigner isometry.
+Tables of the Hermite oscillator eigenfunctions and of the Laguerre
+polynomials, standard quantum states (number, coherent, squeezed vacuum,
+cat), and pointwise Wigner-function evaluation through the closed Laguerre
+form of the basis kernels.
 
 All number conventions: the oscillator eigenfunctions are
 
@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import TruncationError, UnsupportedOrderError, ValidationError
 
-MAX_ORDER = 2000          # stability budget for hermite_psi / laguerre
+MAX_ORDER = 2000          # stability budget for hermite_psi_table / laguerre_table
 DEFAULT_TAIL_MASS = 1e-8  # truncation rule: diagonal tail mass target
 _MAX_DIM = MAX_ORDER + 1  # truncation cap: psi_0..psi_MAX_ORDER
 
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
-_INV_QUARTIC_PI = math.pi ** -0.25
 
 
 def _check_order(j: int) -> None:
@@ -39,47 +38,19 @@ def _check_order(j: int) -> None:
         raise UnsupportedOrderError(f"order {j} exceeds stability budget {MAX_ORDER}")
 
 
-def hermite_psi(j: int, x: float) -> float:
-    """Oscillator eigenfunction psi_j(x).
+def hermite_psi_table(j_max: int, x) -> np.ndarray:
+    """All psi_0..psi_{j_max} on an array of points; shape (j_max+1, len(x)).
 
     Uses the normalized three-term recurrence
 
         psi_{j+1} = x sqrt(2/(j+1)) psi_j - sqrt(j/(j+1)) psi_{j-1},
 
-    with the pair carried as mantissa * 2^exponent so that the deep
-    Gaussian tail (where exp(-x^2/2) underflows) still recovers correct
-    values inside the classically allowed region of high orders.
-    """
-    _check_order(j)
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValidationError("x must be finite")
-    # psi_0 = pi^{-1/4} exp(-x^2/2), split into base-2 mantissa/exponent
-    log2_psi0 = -0.25 * math.log2(math.pi) - x * x / (2.0 * _LOG2)
-    expo = int(math.floor(log2_psi0))
-    prev = 2.0 ** (log2_psi0 - expo)
-    if j == 0:
-        return math.ldexp(prev, expo)
-    cur = x * _SQRT2 * prev
-    for k in range(1, j):
-        cur, prev = x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev, cur
-        m = max(abs(prev), abs(cur))
-        if m > 2.0 ** 500:
-            prev = math.ldexp(prev, -500)
-            cur = math.ldexp(cur, -500)
-            expo += 500
-        elif 0.0 < m < 2.0 ** -500:
-            prev = math.ldexp(prev, 500)
-            cur = math.ldexp(cur, 500)
-            expo -= 500
-    return math.ldexp(cur, expo)
-
-
-def hermite_psi_table(j_max: int, x) -> np.ndarray:
-    """All psi_0..psi_{j_max} on an array of points; shape (j_max+1, len(x)).
-
-    Same renormalized recurrence as hermite_psi, with blockwise per-element
-    rescaling so intermediate under/overflow cannot corrupt the table.
+    with the pair carried as mantissa * 2^exponent per point, so that the
+    deep Gaussian tail (where exp(-x^2/2) underflows) still recovers
+    correct values inside the classically allowed region of high orders.
+    Every 48 orders, a point whose pair has left [2^-500, 2^500] is
+    rescaled back by a factor 2^500 and its exponent adjusted, so
+    intermediate under/overflow cannot corrupt the table.
     """
     _check_order(j_max)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -105,18 +76,6 @@ def hermite_psi_table(j_max: int, x) -> np.ndarray:
                 expo = expo - shift
         out[k + 1] = np.ldexp(cur, expo)
     return out
-
-
-def laguerre(k: int, x: float) -> float:
-    """Laguerre polynomial L_k(x) by the stable three-term recurrence."""
-    _check_order(k)
-    x = float(x)
-    if k == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 - x
-    for m in range(1, k):
-        prev, cur = cur, ((2 * m + 1 - x) * cur - m * prev) / (m + 1)
-    return cur
 
 
 def laguerre_table(k_max: int, x) -> np.ndarray:
@@ -418,10 +377,9 @@ def wigner_eval_many(rho: DensityMatrix, q, p) -> np.ndarray:
         else:
             total += 2.0 * (acc * phase_d).real
         phase_d = phase_d * theta_phase
-    if np.max(np.abs(total.imag)) > 1e-10:
-        raise ValidationError(
-            f"non-real Wigner value, max |imag| = {np.max(np.abs(total.imag)):.3e}"
-        )
+    max_imag = float(np.max(np.abs(total.imag), initial=0.0))   # 0.0 for no points
+    if max_imag > 1e-10:
+        raise ValidationError(f"non-real Wigner value, max |imag| = {max_imag:.3e}")
     return total.real / math.pi
 
 
@@ -430,16 +388,3 @@ def wigner_eval(rho: DensityMatrix, z) -> float:
     z = _as_phase_point(z)
     return float(wigner_eval_many(rho, [z.q], [z.p])[0])
 
-
-def hs_distance_sq(rho: DensityMatrix, tau: DensityMatrix) -> float:
-    """Squared Hilbert-Schmidt distance sum_jk |rho_jk - tau_jk|^2.
-
-    Equals 2*pi times the squared L2 distance of the Wigner functions.
-    The smaller matrix is zero-padded.
-    """
-    d = max(rho.dim, tau.dim)
-    a = np.zeros((d, d), dtype=complex)
-    b = np.zeros((d, d), dtype=complex)
-    a[: rho.dim, : rho.dim] = rho.entries
-    b[: tau.dim, : tau.dim] = tau.entries
-    return float(np.sum(np.abs(a - b) ** 2))

@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._quad import gl_cos_sum
 from .errors import BandwidthTooSmallError, TableStepError, ValidationError
 from .tomography import NoiseModel
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 _EXP_CAP = 700.0  # hard guard on the deconvolution exponent
 # build_table's check: largest error at _TABLE_CHECKS random mid-node
@@ -115,26 +112,27 @@ class KernelTable:
     """Tabulated kernel on [0, u_max] with cubic interpolation.
 
     Lookup uses even symmetry and evaluates the cubic spline of the
-    uniform grid directly, cell by index arithmetic.  |u| beyond u_max
-    falls back to the exact integral, one value at a time, so every value
-    depends on its own u alone.  build_table refuses steps whose measured
-    mid-node error exceeds 1e-4 of the kernel scale.
+    uniform grid directly, cell by index arithmetic: coef holds the
+    spline's (4, cells) polynomial coefficients, highest power first,
+    cell k starting at k * step.  |u| beyond u_max falls back to the exact
+    integral, one value at a time, so every value depends on its own u
+    alone.  build_table refuses steps whose measured mid-node error
+    exceeds 1e-4 of the kernel scale.
     """
 
     spec: KernelSpec
     u_max: float
     step: float
     values: np.ndarray
-    _spline: CubicSpline = None
+    coef: np.ndarray
 
     def __call__(self, u):
         u_abs = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-        coef = self._spline.c                 # (4, cells), cell k starts at k * step
         # the grid is uniform, so the cell comes from index arithmetic; |u|
         # past u_max (and NaN) lands in the last cell and is replaced below
-        cell = np.fmin(u_abs / self.step, coef.shape[1] - 1).astype(np.intp)
+        cell = np.fmin(u_abs / self.step, self.coef.shape[1] - 1).astype(np.intp)
         t = u_abs - cell * self.step
-        c3, c2, c1, c0 = np.take(coef, cell, axis=1)
+        c3, c2, c1, c0 = np.take(self.coef, cell, axis=1)
         out = ((c3 * t + c2) * t + c1) * t + c0
         outside = ~(u_abs <= self.u_max)
         if np.any(outside):
@@ -161,7 +159,7 @@ def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) ->
     values = kernel_eval(spec, grid)
     table = KernelTable(
         spec=spec, u_max=float(grid[-1]), step=step, values=values,
-        _spline=CubicSpline(grid, values, bc_type=((1, 0.0), "not-a-knot")),
+        coef=CubicSpline(grid, values, bc_type=((1, 0.0), "not-a-knot")).c,
     )
     # accuracy is relative to the variant's own magnitude scale (the
     # modified kernel's K(0) can dwarf the sharp closed form)

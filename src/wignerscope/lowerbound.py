@@ -479,8 +479,13 @@ def perturbation_l2(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, hti
 
 
 def tail_control_term(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, htilde: float) -> float:
-    """y^2-weighted counterpart: int y^2 (p_2^eta - p_1^eta)^2 dy
-    = (2/pi) int_0^inf |d/dt J(sqrt(eta) t) e^{-(1-eta) t^2/4}|^2 dt."""
+    """y^2-weighted counterpart of perturbation_l2, over the full line:
+
+        int y^2 (p_2^eta - p_1^eta)^2 dy
+            = (4/pi) int_0^inf |d/dt J(sqrt(eta) t) e^{-(1-eta) t^2/4}|^2 dt,
+
+    by Parseval, since y times a function transforms to the t-derivative
+    of its transform."""
     t_lo, t_hi = j_support(bump, cls, htilde)
     se = math.sqrt(noise.eta)
     t, w = gl_panels(t_lo / se, t_hi / se, (t_hi - t_lo) / (se * 256.0))
@@ -489,7 +494,7 @@ def tail_control_term(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, h
         se * j_htilde_derivative(bump, cls, htilde, se * t).ravel() * env
         - (1.0 - noise.eta) * t / 2.0 * j_htilde(bump, cls, htilde, se * t) * env
     )
-    return 2.0 / math.pi * float(np.dot(w, d * d))
+    return 4.0 / math.pi * float(np.dot(w, d * d))
 
 
 def chi_squared(

@@ -1,8 +1,8 @@
 """Forward model of homodyne tomography.
 
-Quadrature densities of a state, the Radon transform of its Wigner
-function, Fourier-slice relations, the Gaussian detection-noise
-convolution, and the weighted-L2 class-membership integral.
+Quadrature densities of a state, the detection-noise model, the
+supersmooth class and its bandwidth equation, and the weighted-L2
+class-membership integral.
 
 Density convention: all densities here are conditional-in-x densities
 with respect to Lebesgue measure at fixed phase; the uniform phase
@@ -18,11 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import gl_panels
-from .errors import BandwidthError, CoverageError, ForwardModelError, ValidationError
+from .errors import BandwidthError, ForwardModelError, ValidationError
 from .fockspace import DensityMatrix, hermite_psi_table
 
-# Gauss-Legendre panel width of radon_numeric's line integral
-_RADON_PANEL = 0.125
 # class_integral: t-blocks of this length, panels of this width, and the
 # t at which an unconverged integral gives up
 _CLASS_BLOCK = 8.0
@@ -131,9 +129,10 @@ def quad_density_blocks(rho: DensityMatrix, x, phases):
         coeff = np.exp(1j * np.outer(phases[start:start + _PHASE_BLOCK], orders))
         coeff[:, 1:] *= 2.0
         p = (coeff @ profiles).real
-        if float(p.min()) < -1e-9:
+        p_min = float(p.min(initial=0.0))      # 0.0 for an empty x
+        if p_min < -1e-9:
             raise ForwardModelError(
-                f"quadrature density is negative ({p.min():.3e}): broken DensityMatrix"
+                f"quadrature density is negative ({p_min:.3e}): broken DensityMatrix"
             )
         np.clip(p, 0.0, None, out=p)
         yield start, p
@@ -144,67 +143,6 @@ def quad_density(rho: DensityMatrix, x, phi: float):
     else an array over x (the one-phase view of quad_density_blocks)."""
     _, p = next(quad_density_blocks(rho, x, phi))
     return float(p[0, 0]) if np.ndim(x) == 0 else p[0]
-
-
-def radon_numeric(
-    wigner: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: float,
-    phi: float,
-    radius: float,
-) -> float:
-    """Line integral of a Wigner evaluator along the direction phi at offset x.
-
-    Integrates W(x cos phi - t sin phi, x sin phi + t cos phi) over t with a
-    composite Gauss-Legendre rule; the evaluator must cover the disc of the
-    given radius (absolute error target 1e-7 for smooth Wigner functions).
-    """
-    if abs(x) >= radius:
-        raise CoverageError(f"|x| = {abs(x)} outside evaluator radius {radius}")
-    t_max = math.sqrt(radius * radius - x * x)
-    t, w = gl_panels(-t_max, t_max, _RADON_PANEL)
-    q = x * math.cos(phi) - t * math.sin(phi)
-    p = x * math.sin(phi) + t * math.cos(phi)
-    return float(np.dot(w, wigner(q, p)))
-
-
-def wigner_line_evaluator(rho: DensityMatrix):
-    """(callable, radius) pair suitable for radon_numeric, backed by a state."""
-    from .fockspace import wigner_eval_many
-
-    radius = x_support_radius(rho.dim)
-    return (lambda q, p: wigner_eval_many(rho, q, p)), radius
-
-
-def noisy_density(rho: DensityMatrix, noise: NoiseModel, y: float, phi: float) -> float:
-    """Efficiency-corrected density of Y = sqrt(eta) X + sqrt((1-eta)/2) xi:
-
-        p^eta(y | phi) = (pi (1-eta))^{-1/2}
-                         int p(x | phi) exp[-(eta/(1-eta)) (x - y/sqrt(eta))^2] dx.
-    """
-    eta = noise.eta
-    sigma_g = math.sqrt((1.0 - eta) / (2.0 * eta))   # std of the x-space Gaussian
-    center = y / math.sqrt(eta)
-    xm = x_support_radius(rho.dim)
-    lo = max(-xm, center - 10.0 * sigma_g)
-    hi = min(xm, center + 10.0 * sigma_g)
-    if hi <= lo:
-        return 0.0
-    width = min(0.25, sigma_g / 2.0)
-    t, w = gl_panels(lo, hi, width)
-    dens = quad_density(rho, t, phi)
-    kern = np.exp(-eta / (1.0 - eta) * (t - center) ** 2)
-    val = float(np.dot(w, dens * kern)) / math.sqrt(math.pi * (1.0 - eta))
-    return max(val, 0.0)
-
-
-def fourier_slice(rho: DensityMatrix, t: float, phi: float) -> complex:
-    """F_1[p_rho(.|phi)](t) = Tr(rho exp(i t X_phi)), by quadrature in x."""
-    xm = x_support_radius(rho.dim)
-    width = min(0.25, math.pi / (4.0 * abs(t))) if t != 0.0 else 0.25
-    xs, w = gl_panels(-xm, xm, width)
-    dens = quad_density(rho, xs, phi)
-    val = complex(np.dot(w, dens * np.exp(1j * t * xs)))
-    return val
 
 
 @dataclass(frozen=True)

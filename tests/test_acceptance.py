@@ -3,11 +3,13 @@ PASS/FAIL line (written to the real stdout so it survives capture)."""
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.stats import kstest
 
+from _oracles import hs_distance_sq, radon_numeric
 from wignerscope import estimator as es
 from wignerscope import fockspace as fs
 from wignerscope import kernels as kn
@@ -154,18 +156,18 @@ def test_criterion_5_structural_suites():
     w_t = fs.wigner_eval_many(tau, qq.ravel(), pp.ravel())
     l2 = float(np.sum((w_r - w_t) ** 2)) * step * step
     checks["isometry"] = abs(
-        fs.hs_distance_sq(rho, tau) - 2.0 * math.pi * l2
+        hs_distance_sq(rho, tau) - 2.0 * math.pi * l2
     ) <= 1e-4
     # Radon vs quad_density <= 1e-6
     rho_cat = fs.materialize(fs.StateSpec.cat(3.0))
-    w_eval, radius = tg.wigner_line_evaluator(rho_cat)
+    w_eval, radius = partial(fs.wigner_eval_many, rho_cat), tg.x_support_radius(rho_cat.dim)
     rng2 = np.random.default_rng(7)
     radon_ok = True
     for _ in range(20):
         x = rng2.uniform(-3, 3)
         phi = rng2.uniform(0, math.pi)
         radon_ok &= abs(
-            tg.radon_numeric(w_eval, x, phi, radius) - tg.quad_density(rho_cat, x, phi)
+            radon_numeric(w_eval, x, phi, radius) - tg.quad_density(rho_cat, x, phi)
         ) <= 1e-6
     checks["radon agreement"] = radon_ok
     # vacuum noise invariance KS at 1% for eta in {0.7, 0.9, 0.99}

@@ -601,7 +601,7 @@ class TestStartup:
             "        'tail': np.array(p_tail_mass(AlphaXi(0.2, 0.94), 40.0, 0.2)),\n"
             "        'upper_gamma': _log_upper_gamma(0.8, np.array([0.5, 30.0, 700.0])),\n"
             "        'table': table.values,\n"
-            "        'spline': table._spline.c,\n"
+            "        'coef': table.coef,\n"
             "        'wigner': wigner_eval_many(rho, [0.0, 1.0, -2.5], [0.0, 0.8, 1.5]),\n"
             "    }\n"
         )

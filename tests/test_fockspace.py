@@ -7,20 +7,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
+from _oracles import hs_distance_sq
 from wignerscope import fockspace as fs
 from wignerscope.errors import TruncationError, UnsupportedOrderError, ValidationError
 
 
+def _hermite_psi_exact(j, x):
+    # H_j(x) in exact rational arithmetic (H_{k+1} = 2x H_k - 2k H_{k-1}),
+    # scaled by e^{-x^2/2} / sqrt(sqrt(pi) 2^j j!) in floating point
+    xr = Fraction(x)
+    prev, cur = Fraction(0), Fraction(1)      # H_{-1} = 0, H_0 = 1
+    for k in range(j):
+        prev, cur = cur, 2 * xr * cur - 2 * k * prev
+    return float(cur) * math.exp(-x * x / 2.0) / math.sqrt(
+        math.sqrt(math.pi) * 2.0**j * math.factorial(j)
+    )
+
+
+def _laguerre_exact(k, x):
+    # brute-force series L_k(x) = sum_i C(k,i) (-x)^i / i! in exact
+    # rational arithmetic
+    x = Fraction(x)
+    total = Fraction(0)
+    for i in range(k + 1):
+        total += Fraction(math.comb(k, i)) * (-x) ** i / Fraction(math.factorial(i))
+    return float(total)
+
+
 class TestHermitePsi:
     def test_psi0_at_origin(self):
-        assert fs.hermite_psi(0, 0.0) == pytest.approx(math.pi ** -0.25, abs=1e-15)
+        assert fs.hermite_psi_table(0, 0.0)[0, 0] == pytest.approx(
+            math.pi ** -0.25, abs=1e-15
+        )
 
     def test_psi1_odd(self):
-        assert fs.hermite_psi(1, 0.0) == 0.0
+        assert fs.hermite_psi_table(1, 0.0)[1, 0] == 0.0
 
     def test_psi2_at_origin(self):
         # H_2(0) = -2, normalization sqrt(sqrt(pi) 2^2 2!)
-        assert fs.hermite_psi(2, 0.0) == pytest.approx(
+        assert fs.hermite_psi_table(2, 0.0)[2, 0] == pytest.approx(
             -(math.pi ** -0.25) / math.sqrt(2.0), abs=1e-15
         )
 
@@ -34,55 +59,45 @@ class TestHermitePsi:
     def test_deep_tail_matches_mpmath_reference(self):
         # frozen from mpmath (40 digits): psi_2000(60); the naive recurrence
         # underflows at exp(-1800) and returns garbage without rescaling
-        assert fs.hermite_psi(2000, 60.0) == pytest.approx(
+        assert fs.hermite_psi_table(2000, 60.0)[2000, 0] == pytest.approx(
             0.07972824223834804, rel=1e-10
         )
 
     def test_order_budget(self):
         with pytest.raises(UnsupportedOrderError):
-            fs.hermite_psi(2001, 0.0)
+            fs.hermite_psi_table(2001, 0.0)
 
     @given(st.integers(0, 60), st.floats(-30.0, 30.0))
     @settings(max_examples=60, deadline=None)
     def test_uniform_bound(self, j, x):
-        assert abs(fs.hermite_psi(j, x)) <= 1.0
+        assert np.all(np.abs(fs.hermite_psi_table(j, x)) <= 1.0)
 
-    def test_table_matches_scalar(self):
+    def test_table_matches_exact_oracle(self):
         xs = np.array([-3.2, 0.0, 0.7, 11.4])
         table = fs.hermite_psi_table(25, xs)
         for j in (0, 7, 25):
             for i, x in enumerate(xs):
-                assert table[j, i] == pytest.approx(fs.hermite_psi(j, x), abs=1e-14)
+                assert table[j, i] == pytest.approx(_hermite_psi_exact(j, x), abs=1e-14)
 
 
 class TestLaguerre:
     def test_l0(self):
-        assert fs.laguerre(0, 5.0) == 1.0
+        assert fs.laguerre_table(0, 5.0)[0, 0] == 1.0
 
     def test_l1(self):
-        assert fs.laguerre(1, 2.0) == -1.0
+        assert fs.laguerre_table(1, 2.0)[1, 0] == -1.0
 
     def test_series_oracle_rational(self):
-        # brute-force series L_k(x) = sum_i C(k,i) (-x)^i / i! in exact
-        # rational arithmetic
-        def series(k, x):
-            x = Fraction(x)
-            total = Fraction(0)
-            for i in range(k + 1):
-                total += (
-                    Fraction(math.comb(k, i)) * (-x) ** i / Fraction(math.factorial(i))
-                )
-            return float(total)
+        table = fs.laguerre_table(25, [3.0, 7.5])
+        assert table[10, 0] == pytest.approx(_laguerre_exact(10, 3), rel=1e-13)
+        assert table[25, 1] == pytest.approx(_laguerre_exact(25, 7.5), rel=1e-11)
 
-        assert fs.laguerre(10, 3.0) == pytest.approx(series(10, 3), rel=1e-13)
-        assert fs.laguerre(25, 7.5) == pytest.approx(series(25, 7.5), rel=1e-11)
-
-    def test_table_matches_scalar(self):
+    def test_table_matches_exact_oracle(self):
         xs = np.array([0.0, 1.5, 22.6])
         table = fs.laguerre_table(40, xs)
         for k in (0, 3, 40):
             for i, x in enumerate(xs):
-                assert table[k, i] == pytest.approx(fs.laguerre(k, x), rel=1e-12)
+                assert table[k, i] == pytest.approx(_laguerre_exact(k, x), rel=1e-12)
 
 
 class TestMaterialize:
@@ -233,12 +248,12 @@ class TestWignerEval:
 class TestHsDistance:
     def test_identity(self):
         rho = fs.materialize(fs.StateSpec.fock(2))
-        assert fs.hs_distance_sq(rho, rho) == 0.0
+        assert hs_distance_sq(rho, rho) == 0.0
 
     def test_two_fock_states(self):
         r0 = fs.materialize(fs.StateSpec.fock(0))
         r1 = fs.materialize(fs.StateSpec.fock(1))
-        assert fs.hs_distance_sq(r0, r1) == pytest.approx(2.0, abs=1e-15)
+        assert hs_distance_sq(r0, r1) == pytest.approx(2.0, abs=1e-15)
 
     def _random_low_rank(self, rng, dim, rank):
         vecs = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
@@ -262,7 +277,7 @@ class TestHsDistance:
             w_r = fs.wigner_eval_many(rho, qq.ravel(), pp.ravel())
             w_t = fs.wigner_eval_many(tau, qq.ravel(), pp.ravel())
             l2 = np.sum((w_r - w_t) ** 2) * step * step
-            assert fs.hs_distance_sq(rho, tau) == pytest.approx(
+            assert hs_distance_sq(rho, tau) == pytest.approx(
                 2.0 * math.pi * l2, abs=1e-4
             )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from wignerscope import kernels as kn
 from wignerscope.errors import BandwidthTooSmallError, TableStepError, ValidationError
@@ -200,11 +201,13 @@ class TestKernelTable:
         spec = kn.KernelSpec(h, nm_09, variant)
         table = kn.build_table(spec, u_max, step)
         nodes = np.arange(table.values.size) * table.step
+        spline = CubicSpline(nodes, table.values, bc_type=((1, 0.0), "not-a-knot"))
+        assert np.array_equal(table.coef, spline.c)
         rng = np.random.default_rng(3)
         interior = rng.uniform(0.0, table.u_max, 500)
         us = np.concatenate([nodes, [table.u_max], interior, -interior, -nodes])
         scale = float(np.max(np.abs(table.values)))
-        err = np.abs(table(us) - table._spline(np.abs(us)))
+        err = np.abs(table(us) - spline(np.abs(us)))
         assert np.max(err) <= 1e-14 * scale
         assert table(table.u_max) == pytest.approx(table.values[-1], abs=1e-14 * scale)
 

@@ -413,6 +413,20 @@ class TestVerifyPair:
             resid.append(math.log(l2) - env)
         assert max(resid) - min(resid) <= 3.0
 
+    def test_l2_and_tail_terms_match_y_quadrature(self, fixture_objects):
+        # both closed t-integrals against direct quadrature in y of
+        # p_2 - p_1 = 2q over the full line, q even: 8 int_0^Y (1, y^2) q^2 dy;
+        # at n = 1e20 the y^2-weighted mass past Y = 400 is below 1e-6 of it
+        axi, bump, cls, nm, n, k_max = fixture_objects
+        ht = lb.htilde_solve(cls, nm, 10**20)
+        ys, w = gl_panels(0.0, 400.0, 0.2)
+        q = lb.perturbation_profile_noisy(bump, cls, nm, ht, ys)
+        l2 = 8.0 * float(np.dot(w, q * q))
+        tail = 8.0 * float(np.dot(w, ys * ys * q * q))
+        # both terms are ~1e-20: abs=0 keeps approx's 1e-12 default floor off
+        assert lb.perturbation_l2(bump, cls, nm, ht) == pytest.approx(l2, rel=1e-5, abs=0.0)
+        assert lb.tail_control_term(bump, cls, nm, ht) == pytest.approx(tail, rel=1e-5, abs=0.0)
+
     def test_perturbation_profile_blocked_equals_one_shot(self, fixture_objects, monkeypatch):
         # chi_squared's own y grid spanning more than two blocks: the profile
         # sums over at least 16 t panels, so a block holds at most budget // 16 rows

@@ -9,6 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
+from _oracles import noisy_density
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
@@ -261,7 +262,7 @@ class TestAddNoise:
         # distributional cross-check against the noisy density
         nm = tg.NoiseModel(0.999)
         grid = np.linspace(-6.0, 6.0, 1201)
-        dens = np.array([tg.noisy_density(fock1, nm, float(t), 0.0) for t in grid])
+        dens = np.array([noisy_density(fock1, nm, float(t), 0.0) for t in grid])
         cdf = cumulative_trapezoid(dens, grid, initial=0.0)
         cdf /= cdf[-1]
         res = kstest(ds.y, lambda t: np.interp(t, grid, cdf))
@@ -275,7 +276,7 @@ class TestAddNoise:
             rho = fs.materialize(spec)
             ds = sp.simulate(spec, 10**5, 0.85, seed=n_photon + 100)
             grid = np.linspace(-8.0, 8.0, 1201)
-            dens = np.array([tg.noisy_density(rho, nm, float(y), 0.0) for y in grid])
+            dens = np.array([noisy_density(rho, nm, float(y), 0.0) for y in grid])
             cdf = cumulative_trapezoid(dens, grid, initial=0.0)
             cdf /= cdf[-1]
             res = kstest(ds.y, lambda t: np.interp(t, grid, cdf))
