@@ -1,8 +1,8 @@
 """Shared fixed-order quadrature helpers.
 
 Panelled Gauss-Legendre rules (deterministic, vectorizable), their cosine
-transform summed panel by panel, and cached Gauss-Jacobi rules for
-integrands with an algebraic endpoint singularity.
+transform summed panel by panel, cached Gauss-Jacobi rules for integrands
+with an algebraic endpoint singularity, and local cubic Hermite tables.
 """
 
 from __future__ import annotations
@@ -79,6 +79,32 @@ def gl_cos_sum(y, a: float, b: float, max_width: float, g) -> np.ndarray:
             - np.einsum("ij,ij->i", np.sin(phase), at_sin)
         )
     return out
+
+
+def hermite_cells(values, step: float) -> np.ndarray:
+    """(4, len(values) - 4) Horner coefficients, highest power first, cell k
+    starting at k * step, of the local cubic Hermite interpolant of an even f
+    given as values[k] = f(k * step).  A cell matches f and the seven-point
+    central difference (45 (f[k+1] - f[k-1]) - 9 (f[k+2] - f[k-2]) + f[k+3]
+    - f[k-3]) / (60 step) at both its nodes; evenness supplies f[-k] = f[k]
+    and the last three values only close stencils, so cell k depends on the
+    eight values f[k-3..k+4] and on no boundary policy."""
+    f = np.asarray(values, dtype=float)
+    ext = np.concatenate([f[3:0:-1], f])               # f[-3], f[-2], ...
+    slope = (45.0 * (ext[4:-2] - ext[2:-4]) - 9.0 * (ext[5:-1] - ext[1:-5])
+             + (ext[6:] - ext[:-6])) / (60.0 * step)   # at nodes 0 .. len(f) - 4
+    d0, d1, secant = slope[:-1], slope[1:], (f[1:-3] - f[:-4]) / step
+    return np.stack([(d0 + d1 - 2.0 * secant) / step**2, (3.0 * secant - 2.0 * d0 - d1) / step,
+                     d0, f[:-4]])
+
+
+def cells_eval(coef: np.ndarray, step: float, x: np.ndarray) -> np.ndarray:
+    """The piecewise cubic of hermite_cells at x >= 0: the cell by index
+    arithmetic, then Horner.  x past the last cell (and NaN) uses the last."""
+    cell = np.fmin(x / step, coef.shape[1] - 1).astype(np.intp)
+    t = x - cell * step
+    c3, c2, c1, c0 = np.take(coef, cell, axis=1)
+    return ((c3 * t + c2) * t + c1) * t + c0
 
 
 @lru_cache(maxsize=32)

@@ -100,10 +100,8 @@ def _scaled_laguerre_accumulate(d: int, coef: np.ndarray, x: np.ndarray) -> np.n
     These are displacement-operator matrix elements, uniformly bounded by 1,
     so the recurrence is stable without rescaling.  coef has length n_j.
     """
-    from scipy.special import gammaln
-
     n_j = coef.shape[0]
-    log_b0 = -0.5 * x + 0.5 * d * np.log(np.where(x > 0.0, x, 1.0)) - 0.5 * gammaln(d + 1)
+    log_b0 = -0.5 * x + 0.5 * d * np.log(np.where(x > 0.0, x, 1.0)) - 0.5 * math.lgamma(d + 1)
     b_prev = np.exp(log_b0)
     if d > 0:
         b_prev = np.where(x > 0.0, b_prev, 0.0)

@@ -9,7 +9,7 @@ faster-decaying kernel in real space.
 Kernels are evaluated as cosine integrals with oscillation-aware composite
 Gauss-Legendre panels, summed panel by panel (``_quad.gl_cos_sum``: angle
 addition about each panel midpoint makes the sum over one band segment two
-matrix products), and cached in cubic-interpolation tables for the
+matrix products), and cached in local cubic Hermite tables for the
 estimator's inner loop.  The panels are sized from the largest |u| of a
 batch and the products group rows, so a value depends on its batch in the
 last bits.
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import gl_cos_sum
+from ._quad import cells_eval, gl_cos_sum, hermite_cells
 from .errors import BandwidthTooSmallError, TableStepError, ValidationError
 from .tomography import NoiseModel
 
@@ -109,15 +109,15 @@ def kernel_scale(spec: KernelSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Tabulated kernel on [0, u_max] with cubic interpolation.
+    """Tabulated kernel on [0, u_max] with local cubic interpolation.
 
-    Lookup uses even symmetry and evaluates the cubic spline of the
-    uniform grid directly, cell by index arithmetic: coef holds the
-    spline's (4, cells) polynomial coefficients, highest power first,
-    cell k starting at k * step.  |u| beyond u_max falls back to the exact
-    integral, one value at a time, so every value depends on its own u
-    alone.  build_table refuses steps whose measured mid-node error
-    exceeds 1e-4 of the kernel scale.
+    Lookup uses even symmetry and evaluates the cubic Hermite cell of |u|
+    (``_quad.hermite_cells``: node values, seven-point slopes), found by
+    index arithmetic: coef holds the (4, cells) Horner coefficients,
+    highest power first, cell k starting at k * step.  |u| beyond u_max
+    falls back to the exact integral, one value at a time, so every value
+    depends on its own u alone.  build_table refuses steps whose measured
+    mid-node error exceeds 1e-4 of the kernel scale.
     """
 
     spec: KernelSpec
@@ -128,12 +128,8 @@ class KernelTable:
 
     def __call__(self, u):
         u_abs = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-        # the grid is uniform, so the cell comes from index arithmetic; |u|
-        # past u_max (and NaN) lands in the last cell and is replaced below
-        cell = np.fmin(u_abs / self.step, self.coef.shape[1] - 1).astype(np.intp)
-        t = u_abs - cell * self.step
-        c3, c2, c1, c0 = np.take(self.coef, cell, axis=1)
-        out = ((c3 * t + c2) * t + c1) * t + c0
+        # |u| past u_max (and NaN) lands in the last cell and is replaced below
+        out = cells_eval(self.coef, self.step, u_abs)
         outside = ~(u_abs <= self.u_max)
         if np.any(outside):
             # one value per call: no value may depend on the rest of its batch
@@ -143,8 +139,6 @@ class KernelTable:
 
 def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) -> KernelTable:
     """Tabulate the kernel on a uniform grid and validate the interpolant."""
-    from scipy.interpolate import CubicSpline
-
     _guard(spec)
     if step is None:
         step = spec.h / 8.0
@@ -155,17 +149,16 @@ def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) ->
             f"u_max / step = {u_max / step:.3g} asks for more than {_MAX_TABLE_NODES} table nodes"
         )
     n = int(math.ceil(u_max / step)) + 1
-    grid = np.arange(n) * step
-    values = kernel_eval(spec, grid)
+    values = kernel_eval(spec, np.arange(n + 3) * step)   # 3 past u_max close the last stencils
     table = KernelTable(
-        spec=spec, u_max=float(grid[-1]), step=step, values=values,
-        coef=CubicSpline(grid, values, bc_type=((1, 0.0), "not-a-knot")).c,
+        spec=spec, u_max=(n - 1) * step, step=step, values=values[:n],
+        coef=hermite_cells(values, step),
     )
     # accuracy is relative to the variant's own magnitude scale (the
     # modified kernel's K(0) can dwarf the sharp closed form)
-    scale = float(np.max(np.abs(values)))
+    scale = float(np.max(np.abs(table.values)))
     rng = np.random.default_rng(0)
-    mids = rng.uniform(0.0, grid[-1], size=_TABLE_CHECKS)
+    mids = rng.uniform(0.0, table.u_max, size=_TABLE_CHECKS)
     err = float(np.max(np.abs(table(mids) - kernel_eval(spec, mids))))
     if err > _TABLE_REL_TOL * scale:
         raise TableStepError(

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from ._quad import gl_cos_sum, gl_panels, jacobi_unit
+from ._quad import cells_eval, gl_cos_sum, gl_panels, hermite_cells, jacobi_unit
 from .errors import BandwidthError, ValidationError
 from .fockspace import MAX_ORDER, laguerre_table
 from .tomography import (
@@ -36,6 +36,7 @@ _TAIL_TERMS = 6  # terms of p_tail_mass's asymptotic series
 # chi_squared's y quadrature: range [0, _CHI2_Y_MAX], panels at most _CHI2_PANEL wide
 _CHI2_Y_MAX = 120.0
 _CHI2_PANEL = 0.05
+_CHI2_COARSE = 960  # nodes of chi_squared's p_0^eta table on [0, _CHI2_Y_MAX]
 
 # Known-good regression configuration: all four verify_pair verdicts hold.
 # n is a formula parameter (nothing is sampled); the construction closes
@@ -517,13 +518,11 @@ def chi_squared(
     width = min(_CHI2_PANEL, math.pi / (4.0 * t_hi))
     y, w = gl_panels(0.0, _CHI2_Y_MAX, width)
     q = perturbation_profile_noisy(bump, cls, noise, htilde, y)
-    # p_0^eta is smooth and monotone-tailed: evaluate on a coarse grid and
-    # interpolate onto the oscillation-resolving grid of q
-    from scipy.interpolate import CubicSpline
-
-    y_coarse = np.linspace(0.0, _CHI2_Y_MAX, max(int(_CHI2_Y_MAX * 8), 400))
-    p0_spline = CubicSpline(y_coarse, base_density_noisy(axi, noise, y_coarse))
-    p0 = p0_spline(y)
+    # p_0^eta is even, smooth and monotone-tailed: tabulate it on a coarse grid
+    # (three nodes past _CHI2_Y_MAX) and interpolate onto q's oscillation-resolving grid
+    step = _CHI2_Y_MAX / (_CHI2_COARSE - 1)
+    p0_nodes = base_density_noisy(axi, noise, np.arange(_CHI2_COARSE + 3) * step)
+    p0 = cells_eval(hermite_cells(p0_nodes, step), step, y)
     p1 = p0 + q
     if float(np.min(p1)) <= 0.0:
         raise ValidationError("p_1^eta not positive on the quadrature range")

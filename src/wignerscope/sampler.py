@@ -32,7 +32,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from .errors import DatasetFormatError, ValidationError
-from .fockspace import DensityMatrix, StateSpec
+from .fockspace import DensityMatrix, StateSpec, materialize
 from .tomography import NoiseModel, quad_density_blocks, x_support_radius
 
 GENERATOR_VERSION = "wignerscope-sampler/2"
@@ -302,8 +302,6 @@ def add_noise(
 
 def simulate(spec: StateSpec, n: int, eta: float, seed: int) -> Dataset:
     """Materialize a state, draw ideal records, and add detection noise."""
-    from .fockspace import materialize
-
     ideal = QuadratureSampler(materialize(spec)).sample(n, seed)
     return add_noise(ideal, eta, seed, spec)
 

@@ -579,6 +579,28 @@ class TestStartup:
         assert _child(code, cwd=tmp_path).strip() == "0 []"
         assert (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--data", "d.csv", "--h", "r2", "--beta", "0.2", "--r", "2", "--L", "1",
+         "--grid=-4:4:9,-4:4:9", "--out", "grid.csv"],
+        ["cut", "--data", "d.csv", "--p", "0", "--qmin=-4", "--qmax", "4", "--steps", "17",
+         "--h", "0.35", "--out", "cut.csv"],
+        ["risk", "--state", "cat:3", "--eta", "0.95", "--n", "500", "--reps", "2",
+         "--points", "0,0;3,0", "--rule", "r2", "--beta", "0.08", "--r", "2", "--L", "1",
+         "--seed", "11", "--out", "report.json"],
+        ["kernel-table", "--h", "0.25", "--eta", "0.9", "--variant", "modified",
+         "--umax", "50", "--step", "0.03125", "--out", "kernel.csv"],
+        ["kernel-table", "--h", "0.25", "--eta", "0.9", "--variant", "sharp",
+         "--umax", "50", "--step", "0.03125", "--out", "kernel.csv"],
+    ], ids=["estimate", "cut", "risk", "kernel-table-modified", "kernel-table-sharp"])
+    def test_readme_command_loads_no_scipy(self, tmp_path, argv):
+        # the README's commands at small sizes, after a simulate that writes d.csv
+        sim = ["simulate", "--state", "fock:1", "--n", "200", "--eta", "0.9", "--seed", "7",
+               "--out", "d.csv"]
+        code = (f"import sys, wignerscope.cli as cli; codes = [cli.run({sim!r}), cli.run({argv!r})]; "
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert _child(code, cwd=tmp_path).strip() == "[0, 0] []"
+        assert (tmp_path / argv[-1]).exists()
+
     def test_first_use_imports_give_the_same_numbers(self, tmp_path):
         # each lazily importing function, called once in an interpreter that
         # has not loaded scipy, against the same call in this process

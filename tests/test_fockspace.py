@@ -100,6 +100,14 @@ class TestLaguerre:
                 assert table[k, i] == pytest.approx(_laguerre_exact(k, x), rel=1e-12)
 
 
+    def test_log_factorial_within_few_ulp(self):
+        # the Laguerre family's normalization takes log d! from math.lgamma
+        # (exact integers through math.factorial as the oracle)
+        for d in range(fs.MAX_ORDER + 1):
+            exact = math.log(math.factorial(d))
+            assert abs(math.lgamma(d + 1) - exact) <= 4 * math.ulp(exact)
+
+
 class TestMaterialize:
     def test_fock_indicator(self):
         rho = fs.materialize(fs.StateSpec.fock(1, dim=4))

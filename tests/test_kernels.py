@@ -195,21 +195,51 @@ class TestKernelTable:
         ("sharp", 0.35, 12.3, 0.0437),
         ("modified", 0.4, 15.0, None),
     ])
-    def test_lookup_matches_spline_evaluation(self, nm_09, variant, h, u_max, step):
-        # the index-arithmetic Horner lookup is the same piecewise cubic as
-        # scipy's own evaluation of the table's spline
+    def test_lookup_is_the_hermite_cell(self, nm_09, variant, h, u_max, step):
+        # the Horner lookup against each cell's Hermite form written out
+        # independently: node values K(k s) (K even, three nodes past u_max),
+        # seven-point central-difference slopes, the cubic Hermite basis
         spec = kn.KernelSpec(h, nm_09, variant)
         table = kn.build_table(spec, u_max, step)
-        nodes = np.arange(table.values.size) * table.step
-        spline = CubicSpline(nodes, table.values, bc_type=((1, 0.0), "not-a-knot"))
-        assert np.array_equal(table.coef, spline.c)
+        s, n = table.step, table.values.size
+        k_all = kn.kernel_eval(spec, np.arange(n + 3) * s)
+        assert np.array_equal(table.values, k_all[:n])
+
+        def slope(k):
+            f = lambda j: k_all[abs(k + j)]
+            return (45 * (f(1) - f(-1)) - 9 * (f(2) - f(-2)) + (f(3) - f(-3))) / (60 * s)
+
         rng = np.random.default_rng(3)
-        interior = rng.uniform(0.0, table.u_max, 500)
-        us = np.concatenate([nodes, [table.u_max], interior, -interior, -nodes])
+        nodes = np.arange(n) * s
+        us = np.concatenate([nodes, [table.u_max], rng.uniform(0.0, table.u_max, 500)])
+        cell = np.minimum((us / s).astype(int), n - 2)
+        tau = us / s - cell
+        d = np.array([slope(k) for k in range(n)])
+        want = ((2 * tau**3 - 3 * tau**2 + 1) * k_all[cell] + (tau**3 - 2 * tau**2 + tau) * s * d[cell]
+                + (3 * tau**2 - 2 * tau**3) * k_all[cell + 1] + (tau**3 - tau**2) * s * d[cell + 1])
         scale = float(np.max(np.abs(table.values)))
-        err = np.abs(table(us) - spline(np.abs(us)))
-        assert np.max(err) <= 1e-14 * scale
+        assert np.max(np.abs(table(us) - want)) <= 1e-14 * scale
+        assert np.array_equal(table(-us), table(us))
         assert table(table.u_max) == pytest.approx(table.values[-1], abs=1e-14 * scale)
+
+    @pytest.mark.parametrize("variant,h,eta,u_max", [
+        ("modified", 0.25, 0.9, 50.0),    # README kernel-table; kernel-tab
+        ("modified", 0.15, 0.9, 50.0),    # kernel-tab
+        ("sharp", 0.1, 0.95, 50.0),       # kernel-tab
+    ])
+    def test_midnode_error_within_the_splines(self, variant, h, eta, u_max):
+        # the parent construction, a global not-a-knot cubic spline with
+        # K'(0) = 0 through the same nodes, as an oracle: the local Hermite
+        # cells' largest error at the cell midpoints is no larger
+        spec = kn.KernelSpec(h, NoiseModel(eta), variant)
+        table = kn.build_table(spec, u_max, 0.03125)
+        nodes = np.arange(table.values.size) * table.step
+        mids = nodes[:-1] + 0.5 * table.step
+        exact = kn.kernel_eval(spec, mids)
+        spline = CubicSpline(nodes, table.values, bc_type=((1, 0.0), "not-a-knot"))
+        err_table = np.max(np.abs(table(mids) - exact))
+        err_spline = np.max(np.abs(spline(mids) - exact))
+        assert err_table <= err_spline
 
     def test_fallback_value_independent_of_batch(self, nm_09):
         spec = kn.KernelSpec(0.5, nm_09, "sharp")

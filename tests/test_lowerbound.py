@@ -199,7 +199,7 @@ class TestWtilde:
 
         for t in (0.1, 0.5, 1.0, 3.0, 10.0):
             assert lb.wtilde_alpha_xi(axi_ref, t) == pytest.approx(
-                oracle(t), rel=1e-8
+                oracle(t), rel=1e-8, abs=0.0
             )
 
     def test_class_membership_xi_near_one(self):
