@@ -14,7 +14,9 @@ one z-integral with kappa = 2 eta - 1:
 
     p_0^eta(y) = int_xi^1 f(z) / sqrt(pi (1-z)(1+kappa z)) exp(-y^2 (1-z)/(1+kappa z)) dz;
 
-eta = 1 (kappa = 1) is the noiseless density p_alpha_xi.
+eta = 1 (kappa = 1) is the noiseless density p_alpha_xi.  The diagonal
+rho_kk and its tail are z-moments of f, taken by one stable recurrence
+(_z_moments); p_0^eta is one Gauss-Jacobi rule for every y and eta (_p_mixture).
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .tomography import (
 )
 
 _N_MAX = 1e300  # keeps n log n, in htilde_solve, a finite double
-_SMALL_X_NODES = 256  # Gauss-Jacobi nodes of the small-|x| mixture branch
+_P_NODES = 64  # Gauss-Jacobi nodes of _p_mixture's one rule
+_P_EXP_CUT = 45.0  # _p_mixture ends its range where x^2 w reaches this
 _TAIL_TERMS = 6  # terms of p_tail_mass's asymptotic series
 # chi_squared's y quadrature: range [0, _CHI2_Y_MAX], panels at most _CHI2_PANEL wide
 _CHI2_Y_MAX = 120.0
@@ -168,89 +171,63 @@ class PairReport:
         }
 
 
-def rho_alpha_xi_diag(axi: AlphaXi, k_max: int) -> np.ndarray:
-    """Diagonal elements rho_kk = int_xi^1 z^k f(z) dz for k = 0..k_max.
+def _z_moments(e: float, xi: float, m_max: int) -> np.ndarray:
+    """M_m = int_xi^1 z^m (1-z)^e dz for m = 0..m_max, e > -1.
 
-    With 1-z = (1-xi)s the integrand is s^alpha times the polynomial
-    (1 - (1-xi)s)^k, so the Gauss-Jacobi rule with enough nodes is exact
-    up to roundoff.
+    Integration by parts gives M_m = (xi^m (1-xi)^{e+1} + m M_{m-1}) / (e+1+m):
+    every term is positive and each step scales an inherited error by
+    m / (e+1+m) < 1, so the forward recurrence is stable.
     """
+    top = (1.0 - xi) ** (e + 1.0)
+    out = np.empty(m_max + 1)
+    out[0] = prev = top / (e + 1.0)
+    for m in range(1, m_max + 1):
+        out[m] = prev = (xi**m * top + m * prev) / (e + 1.0 + m)
+    return out
+
+
+def rho_alpha_xi_diag(axi: AlphaXi, k_max: int) -> np.ndarray:
+    """Diagonal elements rho_kk = int_xi^1 z^k f(z) dz for k = 0..k_max,
+    alpha (1-xi)^{-alpha} times the moments of (1-z)^alpha."""
     if not 0 <= k_max <= MAX_ORDER:
         raise ValidationError(f"k_max must lie in [0, {MAX_ORDER}]")
     a, xi = axi.alpha, axi.xi
-    n_nodes = max(64, k_max // 2 + 2)
-    s, w = jacobi_unit(n_nodes, a)
-    base = 1.0 - (1.0 - xi) * s
-    out = np.empty(k_max + 1)
-    poly = np.ones_like(s)
-    pref = a * (1.0 - xi)  # alpha (1-xi)^{-alpha} * (1-xi)^{1+alpha}
-    for k in range(k_max + 1):
-        out[k] = pref * float(np.dot(w, poly))
-        poly = poly * base
-    return out
+    return a * (1.0 - xi) ** -a * _z_moments(a, xi, k_max)
 
 
 def rho_tail_mass(axi: AlphaXi, k_max: int) -> float:
     """Exact trace beyond the truncation: sum_{k > k_max} rho_kk
     = alpha (1-xi)^{-alpha} int_xi^1 (1-z)^{alpha-1} z^{k_max+1} dz."""
     a, xi = axi.alpha, axi.xi
-    n_nodes = max(64, (k_max + 1) // 2 + 2)
-    s, w = jacobi_unit(n_nodes, a - 1.0)
-    base = 1.0 - (1.0 - xi) * s
-    return a * float(np.dot(w, base ** (k_max + 1)))
-
-
-def _p_small_x(axi: AlphaXi, x: np.ndarray, eta: float = 1.0) -> np.ndarray:
-    # substitution 1-z = (1-xi)s: weight s^{alpha-1/2}, smooth remainder;
-    # 1 + kappa z = 1 + kappa - kappa (1-xi) s
-    a, xi = axi.alpha, axi.xi
-    kappa = 2.0 * eta - 1.0
-    s, w = jacobi_unit(_SMALL_X_NODES, a - 0.5)
-    om = 1.0 - xi
-    var_den = (1.0 + kappa) - kappa * om * s
-    g = var_den ** -0.5 * np.exp(-np.multiply.outer(x * x, om * s / var_den))
-    return (a * math.sqrt(om) / math.sqrt(math.pi)) * (g @ w)
-
-
-def _p_large_x(axi: AlphaXi, x: np.ndarray, eta: float = 1.0) -> np.ndarray:
-    # tail substitution u = x sqrt((1-z)/(1+kappa z)): the integrand is
-    # u^{2 alpha} (x^2 + kappa u^2)^{-(alpha+1)} e^{-u^2}.  Split the u-range
-    # into a Gauss-Jacobi piece on [0, min(1, U)] (weight u^{2 alpha}) and a
-    # rescaled Gauss-Legendre piece on [min(1, U), min(U, 9)], vectorized
-    # over x through per-point range scaling
-    a, xi = axi.alpha, axi.xi
-    kappa = 2.0 * eta - 1.0
-    xa = np.abs(np.asarray(x, dtype=float))
-    u_top = xa * math.sqrt((1.0 - xi) / (1.0 + kappa * xi))
-    # 2 alpha (2 eta)^alpha, written so that eta = 1 multiplies by 1.0 exactly
-    pref = a * 2.0 ** (a + 1.0) * eta**a * xa / ((1.0 - xi) ** a * math.sqrt(math.pi))
-    s, w = jacobi_unit(160, 2.0 * a)
-    u1 = np.minimum(1.0, u_top)
-    uu = np.multiply.outer(u1, s)            # (npts, nodes)
-    g1 = (kappa * uu * uu + (xa * xa)[:, None]) ** -(a + 1.0) * np.exp(-uu * uu)
-    val = u1 ** (2.0 * a + 1.0) * (g1 @ w)
-    hi = np.minimum(u_top, 9.0)
-    has_b = hi > 1.0
-    if np.any(has_b):
-        t0, tw = gl_panels(0.0, 1.0, 1.0 / 40.0)     # unit grid, rescaled per point
-        span = (hi[has_b] - 1.0)[:, None]
-        tt = 1.0 + span * t0[None, :]
-        g2 = tt ** (2.0 * a) * (kappa * tt * tt + (xa[has_b] ** 2)[:, None]) ** -(a + 1.0) * np.exp(-tt * tt)
-        val[has_b] += (g2 @ tw) * span[:, 0]
-    return pref * val
+    return a * (1.0 - xi) ** -a * float(_z_moments(a - 1.0, xi, k_max + 1)[-1])
 
 
 def _p_mixture(axi: AlphaXi, x, eta: float):
-    """int_xi^1 f(z) / sqrt(pi (1-z)(1+kappa z)) exp(-x^2 (1-z)/(1+kappa z)) dz
-    with kappa = 2 eta - 1, split at |x| = 3 sqrt(eta) between the two branches."""
+    """int_xi^1 f(z) / sqrt(pi (1-z)(1+kappa z)) exp(-x^2 (1-z)/(1+kappa z)) dz,
+    kappa = 2 eta - 1, by one Gauss-Jacobi rule for every x and eta.
+
+    w = (1-z)/(1+kappa z) makes it C int_0^{w_max} w^{alpha-1/2} (1+kappa w)^{-(alpha+1)}
+    e^{-x^2 w} dw, C = alpha (2 eta)^alpha (1-xi)^{-alpha} / sqrt(pi), and then
+    1 + kappa w = e^{kappa v} (w = v at kappa = 0) moves the pole, which nears
+    the range as eta -> 0, off to infinity:
+
+        C int_0^V v^{alpha-1/2} (w/v)^{alpha-1/2} e^{-alpha kappa v - x^2 w} dv,
+
+    V where w reaches min(w_max, _P_EXP_CUT / x^2), w_max = (1-xi)/(1+kappa xi).
+    """
     scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    small = np.abs(xs) <= 3.0 * math.sqrt(eta)
-    if np.any(small):
-        out[small] = _p_small_x(axi, xs[small], eta)
-    if np.any(~small):
-        out[~small] = _p_large_x(axi, xs[~small], eta)
+    x2 = np.square(np.atleast_1d(np.asarray(x, dtype=float)))
+    a, xi = axi.alpha, axi.xi
+    kappa = 2.0 * eta - 1.0
+    w_max = (1.0 - xi) / (1.0 + kappa * xi)
+    w_top = w_max / np.maximum(1.0, x2 * (w_max / _P_EXP_CUT))
+    s, sw = jacobi_unit(_P_NODES, a - 0.5)
+    v_top = np.log1p(kappa * w_top) / kappa if kappa else w_top
+    v = np.multiply.outer(v_top, s)
+    w = np.expm1(kappa * v) / kappa if kappa else v
+    g = (w / v) ** (a - 0.5) * np.exp(-a * kappa * v - x2[:, None] * w)
+    pref = a * (2.0 * eta) ** a * (1.0 - xi) ** -a / math.sqrt(math.pi)
+    out = pref * v_top ** (a + 0.5) * (g @ sw)
     return float(out[0]) if scalar else out
 
 
@@ -465,7 +442,7 @@ def base_density_noisy(axi: AlphaXi, noise: NoiseModel, y) -> np.ndarray:
                      exp(-y^2 (1-z)/(1+kappa z)) dz,
 
     the p_alpha_xi integral with 1+z replaced by 1+kappa z (eta = 1 is
-    p_alpha_xi), evaluated by the same two branches split at |y| = 3 sqrt(eta).
+    p_alpha_xi), evaluated by _p_mixture's one rule.
     """
     return _p_mixture(axi, np.atleast_1d(np.asarray(y, dtype=float)), noise.eta)
 

@@ -601,6 +601,29 @@ class TestStartup:
         assert _child(code, cwd=tmp_path).strip() == "[0, 0] []"
         assert (tmp_path / argv[-1]).exists()
 
+    def test_missing_scipy_is_one_error_line(self, tmp_path):
+        # a scipy package whose import fails stands in for scipy not installed;
+        # the README's lb-verify then ends in one error line, not a traceback
+        import os
+        import subprocess
+        import sys
+
+        stub = tmp_path / "stub" / "scipy"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("raise ImportError('scipy is not installed')\n")
+        env = _child_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(stub.parent), env["PYTHONPATH"]])
+        argv = ["lb-verify", "--alpha", "0.2", "--xi", "0.94", "--beta", "0.111111111111",
+                "--r", "2", "--L", "7.6", "--eta", "0.2", "--n", "1e120", "--delta", "0.5",
+                "--bigD", "5", "--out", "lb.json"]
+        proc = subprocess.run([sys.executable, "-m", "wignerscope.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "lb.json").exists()
+
     def test_first_use_imports_give_the_same_numbers(self, tmp_path):
         # each lazily importing function, called once in an interpreter that
         # has not loaded scipy, against the same call in this process

@@ -32,6 +32,11 @@ def fixture_objects():
     )
 
 
+# (alpha, xi, k_max) of the incomplete-beta cross-checks: a mid-range case,
+# the fixture's (alpha, xi) and a heavier tail closer to xi = 1
+RHO_CASES = [(0.5, 0.3, 200), (0.2, 0.94, fs.MAX_ORDER), (0.05, 0.99, fs.MAX_ORDER)]
+
+
 class TestRhoDiag:
     def test_alpha_one_xi_zero_special_case(self):
         # rho_kk -> 1/((k+1)(k+2)) as alpha -> 1, xi -> 0
@@ -41,16 +46,21 @@ class TestRhoDiag:
         assert np.max(np.abs(rho - 1.0 / ((k + 1) * (k + 2)))) < 1e-9
 
     def test_incomplete_beta_cross_check(self):
-        axi = lb.AlphaXi(0.5, 0.3)
-        rho = lb.rho_alpha_xi_diag(axi, 200)
-        k = np.arange(201)
-        exact = (
-            0.5
-            / 0.7**0.5
-            * beta_fn(k + 1, 1.5)
-            * (1.0 - betainc(k + 1, 1.5, 0.3))
-        )
-        assert np.max(np.abs(rho / exact - 1.0)) < 1e-10
+        # rho_kk = alpha (1-xi)^{-alpha} B(k+1, alpha+1) (1 - I_xi(k+1, alpha+1))
+        for a, xi, k_max in RHO_CASES:
+            rho = lb.rho_alpha_xi_diag(lb.AlphaXi(a, xi), k_max)
+            k = np.arange(k_max + 1)
+            exact = (a * (1.0 - xi) ** -a * beta_fn(k + 1, a + 1.0)
+                     * (1.0 - betainc(k + 1, a + 1.0, xi)))
+            assert np.max(np.abs(rho / exact - 1.0)) < 1e-10, (a, xi)
+
+    @pytest.mark.parametrize("k_max", [0, 50, fs.MAX_ORDER])
+    @pytest.mark.parametrize("a,xi", [case[:2] for case in RHO_CASES])
+    def test_tail_mass_incomplete_beta(self, a, xi, k_max):
+        # sum_{k > K} rho_kk = alpha (1-xi)^{-alpha} B(K+2, alpha) (1 - I_xi(K+2, alpha))
+        exact = (a * (1.0 - xi) ** -a * beta_fn(k_max + 2, a)
+                 * (1.0 - betainc(k_max + 2, a, xi)))
+        assert lb.rho_tail_mass(lb.AlphaXi(a, xi), k_max) == pytest.approx(exact, rel=1e-10, abs=0.0)
 
     def test_positive_and_subnormalized(self, axi_ref):
         rho = lb.rho_alpha_xi_diag(axi_ref, 2000)
@@ -110,12 +120,6 @@ class TestPAlphaXi:
             integral, _ = quad(integrand, 0.5, 1.0, limit=300, epsabs=1e-13)
             assert series == pytest.approx(integral, abs=1e-8)
 
-    def test_two_form_agreement_at_crossover(self, axi_ref):
-        # small-x and large-x quadrature branches agree near |x| = 3
-        left = lb._p_small_x(axi_ref, np.array([2.999, 3.0]))
-        right = lb._p_large_x(axi_ref, np.array([2.999, 3.0]))
-        assert np.max(np.abs(left - right)) < 1e-10
-
 
 def _p0_eta_quadpack(a, xi, eta, y):
     """p_0^eta(y) by adaptive QUADPACK in s = (1-z)/(1-xi): the algebraic
@@ -137,7 +141,8 @@ def _p0_eta_quadpack(a, xi, eta, y):
     return head + tail
 
 
-NOISY_CASES = [(0.2, 0.94, 0.2), (0.2, 0.5, 0.9), (0.3, 0.7, 0.5)]
+NOISY_CASES = [(0.2, 0.94, 0.2), (0.2, 0.5, 0.9), (0.3, 0.7, 0.5), (0.5, 0.3, 1e-3),
+               (0.2, 0.5, 0.01), (0.05, 0.99, 0.05), (0.9, 0.01, 0.99), (0.21, 0.94, 0.2)]
 
 
 class TestBaseDensityNoisy:
@@ -152,27 +157,10 @@ class TestBaseDensityNoisy:
         assert np.max(np.abs(got / want - 1.0)) < 1e-10
 
     def test_eta_one_is_p_alpha_xi(self, axi_ref):
-        # the generalized branches at eta = 1 are p_alpha_xi, and the noisy
-        # density tends to it as eta -> 1
+        # the noisy density tends to p_alpha_xi as eta -> 1
         xs = np.array([0.0, 1.0, 2.999, 3.0, 3.001, 10.0, 50.0])
-        small = xs <= 3.0
-        branches = np.concatenate([
-            lb._p_small_x(axi_ref, xs[small], 1.0),
-            lb._p_large_x(axi_ref, xs[~small], 1.0),
-        ])
-        assert np.array_equal(branches, lb.p_alpha_xi(axi_ref, xs))
         near = lb.base_density_noisy(axi_ref, tg.NoiseModel(1.0 - 1e-9), xs)
         assert np.max(np.abs(near / lb.p_alpha_xi(axi_ref, xs) - 1.0)) < 1e-8
-
-    @pytest.mark.parametrize("eta", [0.2, 0.5, 0.9])
-    @pytest.mark.parametrize("xi", [0.5, 0.94])
-    def test_two_form_agreement_at_crossover(self, xi, eta):
-        axi = lb.AlphaXi(0.2, xi)
-        cross = 3.0 * math.sqrt(eta)
-        ys = np.array([0.999 * cross, cross])
-        left = lb._p_small_x(axi, ys, eta)
-        right = lb._p_large_x(axi, ys, eta)
-        assert np.max(np.abs(left - right)) < 1e-10
 
     @pytest.mark.parametrize("a,xi,eta", NOISY_CASES)
     def test_normalization_with_analytic_tail(self, a, xi, eta):
