@@ -6,13 +6,14 @@ Radon filter |t|).  The modified variant extends the multiplier over
 [1/h, 2/h] with a smooth taper exp(h^2 - 1/(u(2/h - u))), u = |t|, giving a
 faster-decaying kernel in real space.
 
-Kernels are evaluated as cosine integrals with oscillation-aware composite
+Kernels are evaluated as cosine integrals with composite 16-point
 Gauss-Legendre panels, summed panel by panel (``_quad.gl_cos_sum``: angle
 addition about each panel midpoint makes the sum over one band segment two
 matrix products), and cached in local cubic Hermite tables for the
-estimator's inner loop.  The panels are sized from the largest |u| of a
-batch and the products group rows, so a value depends on its batch in the
-last bits.
+estimator's inner loop.  Each band segment sizes its own panels from the
+largest |u| of a batch: the plateau [0, 1/h] to min(1/(16h), 2h/gamma,
+4/max|u|), the taper [1/h, 2/h] to min(h/8, pi/(4 max|u|)).  The products
+group rows, so a value depends on its batch in the last bits.
 """
 
 from __future__ import annotations
@@ -64,12 +65,20 @@ def _guard(spec: KernelSpec) -> None:
         )
 
 
-def _panel_width(spec: KernelSpec, u_abs_max: float) -> float:
-    # oscillation-aware: resolve both cos(ut) and the band edge structure
-    width = spec.h / 8.0
+def _panel_widths(spec: KernelSpec, u_abs_max: float) -> tuple[float, float]:
+    # (plateau, taper) panel widths.  A 16-node Gauss-Legendre panel over
+    # theta rad of cos(ut) errs by about 2.7e-45 (theta/2)^32, so the smooth
+    # plateau t e^{gamma t^2} on [0, 1/h] takes at least 16 panels, each
+    # spanning at most 4 rad of cos(ut) and a rise of at most 4 in gamma t^2
+    # (without that bound K(0) errs by 7e-5 at gamma/h^2 ~ 700).  The
+    # taper's essential singularity at 2/h keeps h/8 and pi/4 rad.
+    h = spec.h
+    plateau = min(1.0 / (16.0 * h), 2.0 * h / spec.noise.gamma)
+    taper = h / 8.0
     if u_abs_max > 0.0:
-        width = min(width, math.pi / (4.0 * u_abs_max))
-    return width
+        plateau = min(plateau, 4.0 / u_abs_max)
+        taper = min(taper, math.pi / (4.0 * u_abs_max))
+    return plateau, taper
 
 
 def kernel_eval(spec: KernelSpec, u):
@@ -80,21 +89,25 @@ def kernel_eval(spec: KernelSpec, u):
     the modified one applying the same convention to the tapered
     multiplier (plateau on [0, 1/h], C^1 taper on [1/h, 2/h]).  Even in u,
     relative accuracy 1e-6 of the scale value K(0).  Each band segment is
-    one panel-separable cosine sum (``_quad.gl_cos_sum``).  The panels are
-    sized from the largest |u| given, and the sum's matrix products group
+    one panel-separable cosine sum (``_quad.gl_cos_sum``) over equal
+    panels sized from the largest |u| given: on the plateau no wider than
+    min(1/(16h), 2h/gamma, 4/max|u|) (at least 16 panels, at most 4 rad of
+    cos(ut) and a rise of at most 4 in gamma t^2 each), on the taper no
+    wider than min(h/8, pi/(4 max|u|)).  The sum's matrix products group
     the u values in row blocks, so a value depends on its batch in the
     last bits."""
     _guard(spec)
     gamma, h = spec.noise.gamma, spec.h
     u_arr = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-    width = _panel_width(spec, float(np.max(u_arr)) if u_arr.size else 0.0)
-    vals = gl_cos_sum(u_arr, 0.0, 1.0 / h, width, lambda t: np.exp(np.log(t) + gamma * t * t))
+    plateau_width, taper_width = _panel_widths(spec, float(np.max(u_arr)) if u_arr.size else 0.0)
+    vals = gl_cos_sum(u_arr, 0.0, 1.0 / h, plateau_width,
+                      lambda t: np.exp(np.log(t) + gamma * t * t))
     if spec.variant == "modified":
         def tapered(t):
             taper = h * h - 1.0 / (t * (2.0 / h - t))
             return np.exp(np.log(t) + gamma * t * t + taper)
 
-        vals += gl_cos_sum(u_arr, 1.0 / h, 2.0 / h, width, tapered)
+        vals += gl_cos_sum(u_arr, 1.0 / h, 2.0 / h, taper_width, tapered)
     vals /= 2.0 * math.pi
     return float(vals[0]) if np.ndim(u) == 0 else vals
 

@@ -93,6 +93,13 @@ class TestSharpKernel:
         table = kn.build_table(spec, 50.0, 1.0 / 32.0)
         assert np.max(np.abs(table.values - want)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("h, eta", [(0.1, 0.1), (0.019, 0.5)])
+    def test_closed_form_at_zero_large_exponent(self, h, eta):
+        # gamma / h^2 = 225 and 693: u = 0 alone sets no oscillation bound
+        # on the panels, so the rise of gamma t^2 per panel must
+        spec = kn.KernelSpec(h, NoiseModel(eta), "sharp")
+        assert kn.kernel_eval(spec, 0.0) == pytest.approx(kn.kernel_scale(spec), rel=1e-12)
+
     @given(st.floats(-20.0, 20.0))
     @settings(max_examples=40, deadline=None)
     def test_even(self, u):
@@ -143,6 +150,34 @@ class TestModifiedKernel:
         ) / (2 * math.pi)
         got = kn.kernel_eval(spec, 0.0)
         assert got == pytest.approx(brute, rel=1e-6)
+
+    @pytest.mark.parametrize("h, eta", [(0.25, 0.9), (0.15, 0.9), (0.5, 0.5)])
+    def test_quadpack_cosine_oracle(self, h, eta):
+        # QUADPACK's cosine-weighted rule (QAWO) on each band segment; it
+        # flags roundoff at this tolerance (full_output returns the flag in
+        # place of a warning), yet its values agree with mpmath to 2.6e-15
+        # of K(0) at these u
+        from scipy.integrate import quad
+
+        gamma = NoiseModel(eta).gamma
+
+        def plateau(t):
+            return t * math.exp(gamma * t * t)
+
+        def taper(t):
+            if t >= 2.0 / h:
+                return 0.0
+            return t * math.exp(gamma * t * t + h * h - 1.0 / (t * (2.0 / h - t)))
+
+        def segment(g, a, b, u):
+            return quad(g, a, b, weight="cos", wvar=u, epsabs=0.0, epsrel=1e-13, limit=200,
+                        full_output=1)[0]
+
+        u = np.array([0.0, 0.7, 3.1, 9.9, 17.3, 29.5, 41.2, 50.0])
+        want = np.array([segment(plateau, 0.0, 1.0 / h, v) + segment(taper, 1.0 / h, 2.0 / h, v)
+                         for v in u]) / (2.0 * math.pi)
+        got = kn.kernel_eval(kn.KernelSpec(h, NoiseModel(eta), "modified"), u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_tail_envelope_faster_decay(self, nm_09):
         # normalized by each kernel's scale, the modified kernel's tail

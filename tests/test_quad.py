@@ -67,13 +67,14 @@ class TestOuterProductReference:
     @pytest.mark.parametrize("variant", ["sharp", "modified"])
     def test_kernel_multi_block(self, variant, monkeypatch):
         # kernel_eval against the full cosine matrix of each band segment,
-        # with a budget small enough to split the u values into many blocks
+        # each over its own panel width, with a budget small enough to split
+        # the u values into many blocks
         spec = kn.KernelSpec(0.25, NoiseModel(0.9), variant)
         h, gamma = spec.h, spec.noise.gamma
         u = np.linspace(0.0, 30.0, 1201)
-        width = kn._panel_width(spec, 30.0)
+        plateau_width, taper_width = kn._panel_widths(spec, 30.0)
         monkeypatch.setattr(_quad, "_COS_SUM_BUDGET", 2**12)
-        panels = math.ceil((1.0 / h) / width)
+        panels = math.ceil((1.0 / h) / plateau_width)
         assert u.size > 2 * (_quad._COS_SUM_BUDGET // panels)
         got = kn.kernel_eval(spec, u)
 
@@ -83,8 +84,8 @@ class TestOuterProductReference:
         def taper(t):
             return t * np.exp(gamma * t * t + h * h - 1.0 / (t * (2.0 / h - t)))
 
-        want, _ = _outer_reference(u, 0.0, 1.0 / h, width, plateau)
+        want, _ = _outer_reference(u, 0.0, 1.0 / h, plateau_width, plateau)
         if variant == "modified":
-            want = want + _outer_reference(u, 1.0 / h, 2.0 / h, width, taper)[0]
+            want = want + _outer_reference(u, 1.0 / h, 2.0 / h, taper_width, taper)[0]
         want /= 2.0 * math.pi
         assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
