@@ -1,9 +1,10 @@
 """Fock-basis linear algebra and special functions.
 
-Tables of the Hermite oscillator eigenfunctions and of the Laguerre
-polynomials, standard quantum states (number, coherent, squeezed vacuum,
-cat), and pointwise Wigner-function evaluation through the closed Laguerre
-form of the basis kernels.
+The Hermite oscillator eigenfunctions and the normalized associated-
+Laguerre family b_j^d, both from one three-term recurrence carried with a
+per-point exponent; standard quantum states (number, coherent, squeezed
+vacuum, cat); and pointwise Wigner-function evaluation through the closed
+Laguerre form of the basis kernels.
 
 All number conventions: the oscillator eigenfunctions are
 
@@ -23,10 +24,13 @@ import numpy as np
 
 from .errors import TruncationError, UnsupportedOrderError, ValidationError
 
-MAX_ORDER = 2000          # stability budget for hermite_psi_table / laguerre_table
+MAX_ORDER = 2000          # stability budget for hermite_psi_table / laguerre_rows
 DEFAULT_TAIL_MASS = 1e-8  # truncation rule: diagonal tail mass target
 _MAX_DIM = MAX_ORDER + 1  # truncation cap: psi_0..psi_MAX_ORDER
 
+# laguerre_rows evaluates larger x here: |b_j^d(x)| <= e^{-x/2} (2x)^{j+d}
+# is below the smallest double past it for every j + d <= MAX_ORDER
+_LAGUERRE_X_ZERO = 5.0e4
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
 
@@ -38,86 +42,73 @@ def _check_order(j: int) -> None:
         raise UnsupportedOrderError(f"order {j} exceeds stability budget {MAX_ORDER}")
 
 
-def hermite_psi_table(j_max: int, x) -> np.ndarray:
-    """All psi_0..psi_{j_max} on an array of points; shape (j_max+1, len(x)).
+def _recurrence_rows(n: int, log2_y0: np.ndarray, coef):
+    """Rows y_0..y_{n-1}, one at a time, of the three-term recurrence
 
-    Uses the normalized three-term recurrence
+        y_{k+1} = a_k y_k - b_k y_{k-1},   (a_k, b_k) = coef(k),   y_{-1} = 0,
 
-        psi_{j+1} = x sqrt(2/(j+1)) psi_j - sqrt(j/(j+1)) psi_{j-1},
-
-    with the pair carried as mantissa * 2^exponent per point, so that the
-    deep Gaussian tail (where exp(-x^2/2) underflows) still recovers
-    correct values inside the classically allowed region of high orders.
-    Every 48 orders, a point whose pair has left [2^-500, 2^500] is
-    rescaled back by a factor 2^500 and its exponent adjusted, so
-    intermediate under/overflow cannot corrupt the table.
+    from y_0 = 2^log2_y0 (0 where log2_y0 = -inf).  Each point is carried as
+    mantissa * 2^exponent, so rows that start below the smallest double can
+    grow back into range.  Every 48 orders, a point whose pair has left
+    [2^-500, 2^500] is rescaled by 2^500 or 2^-500; the scaling is exact.
     """
-    _check_order(j_max)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((j_max + 1, x.size))
-    log2_psi0 = -0.25 * math.log2(math.pi) - x * x / (2.0 * _LOG2)
-    expo = np.floor(log2_psi0).astype(np.int32)
-    prev = np.exp2(log2_psi0 - expo)
-    out[0] = np.ldexp(prev, expo)
-    if j_max == 0:
-        return out
-    cur = x * _SQRT2 * prev
-    out[1] = np.ldexp(cur, expo)
-    for k in range(1, j_max):
-        cur, prev = x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev, cur
+    expo = np.floor(np.nan_to_num(log2_y0, neginf=0.0)).astype(np.int32)
+    prev, cur = 0.0, np.exp2(log2_y0 - expo)
+    for k in range(n - 1):
+        yield np.ldexp(cur, expo)
+        a, b = coef(k)
+        cur, prev = a * cur - b * prev, cur
         if k % 48 == 0:
             m = np.maximum(np.abs(prev), np.abs(cur))
-            shift = np.zeros(x.size, dtype=np.int32)
+            shift = np.zeros(m.shape, dtype=np.int32)
             shift[m > 2.0 ** 500] = -500
             shift[(m > 0.0) & (m < 2.0 ** -500)] = 500
             if np.any(shift):
                 prev = np.ldexp(prev, shift)
                 cur = np.ldexp(cur, shift)
                 expo = expo - shift
-        out[k + 1] = np.ldexp(cur, expo)
-    return out
+    yield np.ldexp(cur, expo)
 
 
-def laguerre_table(k_max: int, x) -> np.ndarray:
-    """All L_0..L_{k_max} on an array of points; shape (k_max+1, len(x))."""
-    _check_order(k_max)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((k_max + 1, x.size))
-    out[0] = 1.0
-    if k_max == 0:
-        return out
-    out[1] = 1.0 - x
-    for m in range(1, k_max):
-        out[m + 1] = ((2 * m + 1 - x) * out[m] - m * out[m - 1]) / (m + 1)
-    return out
+def hermite_psi_table(j_max: int, x) -> np.ndarray:
+    """All psi_0..psi_{j_max} on an array of points; shape (j_max+1, len(x)).
 
+    Rows of the normalized recurrence (``_recurrence_rows``)
 
-def _scaled_laguerre_accumulate(d: int, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum_j coef[j] * b_j^d(x) for the normalized associated-Laguerre family
+        psi_{j+1} = x sqrt(2/(j+1)) psi_j - sqrt(j/(j+1)) psi_{j-1},
 
-        b_j^d(x) = sqrt(j!/(j+d)!) x^{d/2} e^{-x/2} L_j^{(d)}(x).
-
-    These are displacement-operator matrix elements, uniformly bounded by 1,
-    so the recurrence is stable without rescaling.  coef has length n_j.
+    so high orders are correct where exp(-x^2/2) underflows.
     """
-    n_j = coef.shape[0]
-    log_b0 = -0.5 * x + 0.5 * d * np.log(np.where(x > 0.0, x, 1.0)) - 0.5 * math.lgamma(d + 1)
-    b_prev = np.exp(log_b0)
+    _check_order(j_max)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    log2_psi0 = -0.25 * math.log2(math.pi) - x * x / (2.0 * _LOG2)
+    rows = _recurrence_rows(j_max + 1, log2_psi0,
+                            lambda k: (x * math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))))
+    out = np.empty((j_max + 1, x.size))
+    for j, row in enumerate(rows):
+        out[j] = row
+    return out
+
+
+def laguerre_rows(j_max: int, d: int, x):
+    """Rows b_0^d..b_{j_max}^d on an array of points, one at a time, of the
+    normalized associated-Laguerre family (displacement-operator matrix
+    elements, bounded by 1 in absolute value)
+
+        b_j^d(x) = sqrt(j!/(j+d)!) x^{d/2} e^{-x/2} L_j^{(d)}(x),
+
+    from their normalized recurrence (``_recurrence_rows``), so e^{-x/2}
+    may underflow.  At x = 0 with d > 0 every row is 0.
+    """
+    _check_order(j_max + d)
+    x = np.minimum(np.atleast_1d(np.asarray(x, dtype=float)), _LAGUERRE_X_ZERO)
+    log2_b0 = -x / (2.0 * _LOG2) - 0.5 * math.lgamma(d + 1) / _LOG2
     if d > 0:
-        b_prev = np.where(x > 0.0, b_prev, 0.0)
-    acc = coef[0] * b_prev
-    if n_j == 1:
-        return acc
-    b_cur = ((d + 1.0 - x) / math.sqrt(d + 1.0)) * b_prev
-    acc = acc + coef[1] * b_cur
-    for j in range(1, n_j - 1):
-        b_cur, b_prev = (
-            (2 * j + d + 1 - x) / math.sqrt((j + 1.0) * (j + d + 1.0)) * b_cur
-            - math.sqrt(j * (j + d) / ((j + 1.0) * (j + d + 1.0))) * b_prev,
-            b_cur,
-        )
-        acc = acc + coef[j + 1] * b_cur
-    return acc
+        log2_b0 += 0.5 * d * np.log2(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
+    return _recurrence_rows(j_max + 1, log2_b0, lambda j: (
+        (2 * j + d + 1 - x) / math.sqrt((j + 1.0) * (j + d + 1.0)),
+        math.sqrt(j * (j + d) / ((j + 1.0) * (j + d + 1.0))),
+    ))
 
 
 @dataclass(frozen=True)
@@ -366,14 +357,9 @@ def wigner_eval_many(rho: DensityMatrix, q, p) -> np.ndarray:
     phase_d = np.ones(q.shape, dtype=complex)
     for d in range(dim):
         coef = signs[: dim - d] * np.diagonal(rho.entries, offset=d)
-        if not np.any(coef):
-            phase_d = phase_d * theta_phase
-            continue
-        acc = _scaled_laguerre_accumulate(d, coef, x)
-        if d == 0:
-            total += acc
-        else:
-            total += 2.0 * (acc * phase_d).real
+        if np.any(coef):
+            acc = sum(c * row for c, row in zip(coef, laguerre_rows(dim - 1 - d, d, x)))
+            total += acc if d == 0 else 2.0 * (acc * phase_d).real
         phase_d = phase_d * theta_phase
     max_imag = float(np.max(np.abs(total.imag), initial=0.0))   # 0.0 for no points
     if max_imag > 1e-10:

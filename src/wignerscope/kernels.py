@@ -36,6 +36,9 @@ _TABLE_CHECKS = 64
 # largest table build_table makes; the README's and the benchmark's hold
 # 1601 nodes, and the cosine sum behind a table grows with its node count
 _MAX_TABLE_NODES = 2**16
+# most panels kernel_eval lays on one band segment (2^24 nodes, 128 MiB per
+# node array); the README's and the benchmark's kernels need a few thousand
+_MAX_PANELS = 2**20
 VARIANTS = ("sharp", "modified")
 
 
@@ -95,11 +98,19 @@ def kernel_eval(spec: KernelSpec, u):
     cos(ut) and a rise of at most 4 in gamma t^2 each), on the taper no
     wider than min(h/8, pi/(4 max|u|)).  The sum's matrix products group
     the u values in row blocks, so a value depends on its batch in the
-    last bits."""
+    last bits.  A non-finite |u|, or one whose segment would need more
+    than _MAX_PANELS panels, is refused before anything is allocated."""
     _guard(spec)
     gamma, h = spec.noise.gamma, spec.h
     u_arr = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-    plateau_width, taper_width = _panel_widths(spec, float(np.max(u_arr)) if u_arr.size else 0.0)
+    u_abs_max = float(np.max(u_arr, initial=0.0))
+    plateau_width, taper_width = _panel_widths(spec, u_abs_max)
+    width = min(plateau_width, taper_width) if spec.variant == "modified" else plateau_width
+    if not (math.isfinite(u_abs_max) and width * h * _MAX_PANELS >= 1.0):  # segments are 1/h long
+        raise ValidationError(
+            f"kernel argument |u| = {u_abs_max:.3g} is not finite or needs more than "
+            f"{_MAX_PANELS} panels per band segment at h = {h}"
+        )
     vals = gl_cos_sum(u_arr, 0.0, 1.0 / h, plateau_width,
                       lambda t: np.exp(np.log(t) + gamma * t * t))
     if spec.variant == "modified":

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._quad import cells_eval, gl_cos_sum, gl_panels, hermite_cells, jacobi_unit
 from .errors import BandwidthError, ValidationError
-from .fockspace import MAX_ORDER, laguerre_table
+from .fockspace import MAX_ORDER, _check_order, laguerre_rows
 from .tomography import (
     ClassIntegralResult, NoiseModel, SmoothnessClass, bandwidth_root, class_integral,
 )
@@ -391,17 +391,17 @@ def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) ->
 
         tau_kk = 4 pi^2 int_0^inf L_k(t^2/2) e^{-t^2/4} t J(t) dt,
 
-    integrated over the compact support of J with oscillation-aware panels.
+    integrated over the compact support of J with oscillation-aware panels;
+    L_k(t^2/2) e^{-t^2/4} is the bounded Laguerre row b_k^0(t^2/2)
+    (``fockspace.laguerre_rows``), so neither factor over- or underflows.
     """
-    if not 0 <= k_max <= MAX_ORDER:
-        raise ValidationError(f"k_max must lie in [0, {MAX_ORDER}]")
+    _check_order(k_max)
     t_lo, t_hi = j_support(bump, cls, htilde)
     osc = math.sqrt(2.0 * k_max + 1.0)
     width = min(math.pi / (4.0 * osc), (t_hi - t_lo) / 8.0)
     t, w = gl_panels(t_lo, t_hi, width)
-    jv = j_htilde(bump, cls, htilde, t)
-    lag = laguerre_table(k_max, t * t / 2.0)
-    weights = w * np.exp(-t * t / 4.0) * t * jv
+    weights = w * t * j_htilde(bump, cls, htilde, t)
+    lag = np.array(list(laguerre_rows(k_max, 0, t * t / 2.0)))
     return 4.0 * math.pi**2 * (lag @ weights)
 
 

@@ -81,24 +81,64 @@ class TestHermitePsi:
 
 
 class TestLaguerre:
+    # the rows are b_k^0(x) = e^{-x/2} L_k(x); the oracle scales the exact
+    # series by math.exp(-x/2)
+    @staticmethod
+    def _table(k_max, d, x):
+        return np.array(list(fs.laguerre_rows(k_max, d, x)))
+
     def test_l0(self):
-        assert fs.laguerre_table(0, 5.0)[0, 0] == 1.0
+        # b_0^0 = 2^{-x/(2 ln 2)}, split into a mantissa and an exponent, may
+        # differ from math.exp(-x/2) in the last bit
+        assert self._table(0, 0, 5.0)[0, 0] == pytest.approx(math.exp(-2.5), rel=1e-15)
 
     def test_l1(self):
-        assert fs.laguerre_table(1, 2.0)[1, 0] == -1.0
+        assert self._table(1, 0, 2.0)[1, 0] == -math.exp(-1.0)
 
     def test_series_oracle_rational(self):
-        table = fs.laguerre_table(25, [3.0, 7.5])
-        assert table[10, 0] == pytest.approx(_laguerre_exact(10, 3), rel=1e-13)
-        assert table[25, 1] == pytest.approx(_laguerre_exact(25, 7.5), rel=1e-11)
+        table = self._table(25, 0, [3.0, 7.5])
+        assert table[10, 0] == pytest.approx(math.exp(-1.5) * _laguerre_exact(10, 3), rel=1e-13)
+        assert table[25, 1] == pytest.approx(math.exp(-3.75) * _laguerre_exact(25, 7.5), rel=1e-11)
 
     def test_table_matches_exact_oracle(self):
         xs = np.array([0.0, 1.5, 22.6])
-        table = fs.laguerre_table(40, xs)
+        table = self._table(40, 0, xs)
         for k in (0, 3, 40):
             for i, x in enumerate(xs):
-                assert table[k, i] == pytest.approx(_laguerre_exact(k, x), rel=1e-12)
+                assert table[k, i] == pytest.approx(
+                    math.exp(-x / 2.0) * _laguerre_exact(k, x), rel=1e-12
+                )
 
+    @pytest.mark.parametrize("k,d,x,ref", [
+        # frozen from mpmath (150 digits) of sqrt(k!/(k+d)!) x^{d/2} e^{-x/2}
+        # L_k^{(d)}(x); e^{-x/2} underflows past x = 1490, and L_k(x) overflows
+        # at high k
+        (100, 0, 1800.0, 1.3557971490384291311e-226),
+        (900, 0, 1800.0, 0.0012463820242530153092),
+        (2000, 0, 1800.0, -0.012199949211476602053),
+        (1000, 7, 3000.0, -0.013728622280384977662),
+    ])
+    def test_large_argument_matches_mpmath(self, k, d, x, ref):
+        assert self._table(k, d, [x])[k, 0] == pytest.approx(ref, rel=1e-12)
+
+    def test_zero_argument_with_offset_is_zero(self):
+        table = self._table(30, 3, [0.0, 1.0])
+        assert np.all(table[:, 0] == 0.0)
+        assert np.all(table[:, 1] != 0.0)
+
+    def test_rows_past_the_underflow_bound_are_zero(self):
+        # e^{-x/2} (2x)^2000 bounds every order and underflows at x = 5e4
+        table = self._table(fs.MAX_ORDER, 0, [5e4, 1e300, math.inf])
+        assert np.all(table == 0.0)
+
+    @given(st.integers(0, 60), st.integers(0, 60), st.floats(0.0, 1e9))
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_bound(self, j, d, x):
+        assert np.all(np.abs(self._table(j, d, x)) <= 1.0)
+
+    def test_order_budget(self):
+        with pytest.raises(UnsupportedOrderError):
+            fs.laguerre_rows(fs.MAX_ORDER - 4, 5, 1.0)
 
     def test_log_factorial_within_few_ulp(self):
         # the Laguerre family's normalization takes log d! from math.lgamma
@@ -226,6 +266,14 @@ class TestWignerEval:
 
         for z in [(0, 0), (3, 0), (0, 0.5), (1.3, -0.9)]:
             assert fs.wigner_eval(rho, z) == pytest.approx(truth(*z), abs=1e-9)
+
+    def test_fock500_far_from_the_origin(self):
+        # x = 2|z|^2 = 1600, where e^{-x/2} underflows: frozen from mpmath
+        # (-1)^500 e^{-800} L_500(1600) / pi
+        rho = fs.materialize(fs.StateSpec.fock(500))
+        assert fs.wigner_eval(rho, (20.0, 20.0)) == pytest.approx(
+            0.0078981864686658671675, rel=1e-10
+        )
 
     def test_wigner_bound_all_states(self):
         qs, ps = np.meshgrid(np.linspace(-6, 6, 41), np.linspace(-6, 6, 41))

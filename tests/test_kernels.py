@@ -333,6 +333,19 @@ class TestKernelTable:
         with pytest.raises(ValidationError):
             kn.build_table(spec, u_max, step)
 
+    @pytest.mark.parametrize("variant", kn.VARIANTS)
+    @pytest.mark.parametrize("call", [
+        lambda spec: kn.kernel_eval(spec, 1e300),
+        lambda spec: kn.kernel_eval(spec, math.inf),
+        lambda spec: kn.kernel_eval(spec, [0.0, math.nan]),
+        lambda spec: kn.build_table(spec, 10.0)(math.inf),
+    ], ids=["1e300", "inf", "nan", "table-fallback-inf"])
+    def test_unbounded_argument_refused_before_allocation(self, nm_09, variant, call):
+        # |u| sizes the panels: an infinite one asks for a panel of width 0,
+        # a huge one for more nodes than memory holds
+        with pytest.raises(ValidationError, match="kernel argument"):
+            call(kn.KernelSpec(0.5, nm_09, variant))
+
     def test_spec_validation(self, nm_09):
         with pytest.raises(ValidationError):
             kn.KernelSpec(math.inf, nm_09, "sharp")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -75,7 +76,7 @@ class TestRhoDiag:
 
     def test_order_past_max_order_refused(self, axi_ref):
         # one Fock-order budget: the base diagonal and the perturbation stop
-        # where laguerre_table does
+        # where laguerre_rows does
         with pytest.raises(ValidationError):
             lb.rho_alpha_xi_diag(axi_ref, fs.MAX_ORDER + 1)
         with pytest.raises(ValidationError):
@@ -330,6 +331,22 @@ class TestTauDiag:
             bounds.append(float(np.max(np.abs(tau[50:]) * ks**1.25)))
         assert all(np.isfinite(bounds))
         assert bounds[0] > bounds[1] > bounds[2]
+
+    def test_finite_where_the_laguerre_polynomials_overflow(self):
+        # r = 1, eta = 0.9, n = 1e100: J's support sits near t = 60, where
+        # L_k(t^2/2) overflows and e^{-t^2/4} underflows; each tau_kk is
+        # finite, and so is every number of the report
+        bump, cls = lb.BumpSpec(0.1, 1.0), tg.SmoothnessClass(0.5, 1.0, 1.0)
+        noise, n = tg.NoiseModel(0.9), 1e100
+        tau = lb.tau_diag(bump, cls, lb.htilde_solve(cls, noise, n), 2000)
+        assert np.all(np.isfinite(tau))
+        rep = lb.verify_pair(lb.AlphaXi(0.2, 0.95), bump, cls, noise, n)
+        assert math.isfinite(rep.positivity_margin)
+        json.dumps(rep.to_json_dict(), allow_nan=False)   # raises on NaN or inf
+
+    def test_negative_order_refused(self):
+        with pytest.raises(ValidationError):
+            lb.tau_diag(lb.BumpSpec(0.1, 1.0), tg.SmoothnessClass(0.5, 1.0, 1.0), 0.2, -1)
 
     def test_trace_small_at_small_amplitude(self, fixture_objects):
         # trace(tau) = J(0) = 0; the k<=2000 partial sum reaches 1e-6 once
