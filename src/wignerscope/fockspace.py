@@ -348,6 +348,8 @@ def wigner_eval_many(rho: DensityMatrix, q, p) -> np.ndarray:
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if q.shape != p.shape:
         raise ValidationError("q and p must have matching shapes")
+    if not (np.isfinite(q).all() and np.isfinite(p).all()):
+        raise ValidationError("phase-space coordinates must be finite")
     r2 = q * q + p * p
     x = 2.0 * r2
     dim = rho.dim

@@ -12,10 +12,12 @@ error estimate), so the build holds one block's temporaries beside the
 two tables.  The tables equal those of one product over all phases bit
 for bit.
 
-Inversion: each record's phase bucket and target CDF value select a
-table cell by one branchless binary search over the flattened table,
-and the cell's monotone Hermite cubic is solved by bisection-safeguarded
-Newton, stopped once no record moves by more than 1e-15 of a cell.
+Inversion: one branchless binary search over the row's n - 1 cells of the
+flattened table, needing no clamp, selects each record's cell, and its
+monotone Hermite cubic is solved by bisection-safeguarded Newton (one
+residual mask and one guarded step per sweep), stopped once no record
+moves by more than 1e-15 of a cell.  Draws are unchanged, bit for bit,
+since generator wignerscope-sampler/2.
 
 Reproducibility: generation is a pure function of (state, n, seed, eta).
 The RNG is counter-based (Philox) with two independent streams keyed by
@@ -133,19 +135,23 @@ class Dataset:
 
 
 def _search_rows(flat: np.ndarray, base: np.ndarray, n: int, t: np.ndarray) -> np.ndarray:
-    """Per record, the last index i of its row (flat[base:base + n], non-
-    decreasing, first entry <= t) with row[i] <= t, i.e. the row's
-    searchsorted(t, side="right") - 1: one branchless binary search over
-    all records at once, about log2(n) gathers."""
-    pos = np.zeros(t.shape, dtype=np.int64)
-    step = (1 << (n - 1).bit_length()) >> 1
+    """Per record, the flat index of its row's cell holding t: the last i <
+    n - 1 with row[i] <= t (row = flat[base:base + n], non-decreasing, first
+    entry <= t), i.e. min(searchsorted(row, t, "right") - 1, n - 2).  One
+    branchless binary search over the row's m = n - 1 cells for all records
+    at once: a leading probe at m - 2^k (2^k <= m < 2^(k+1)) where m is not a
+    power of two, then k halving steps of one gather and one compare each."""
+    m = n - 1
+    step = 1 << (m.bit_length() - 1)
+    idx = base.copy()
+    if m > step:
+        # the cell lies in [m - 2^k, m) or, past a failed probe, in [0, m - 2^k)
+        idx += (m - step) * (flat[idx + (m - step)] <= t)
+    step >>= 1
     while step:
-        # clamping the probe to the row end keeps every probe in the row;
-        # once the row end is taken it stays the answer
-        probe = np.minimum(pos + step, n - 1)
-        pos = np.where(flat[base + probe] <= t, probe, pos)
+        idx += step * (flat[idx + step] <= t)
         step >>= 1
-    return pos
+    return idx
 
 
 class QuadratureSampler:
@@ -180,6 +186,7 @@ class QuadratureSampler:
         self.x_grid = grid
         self.pdf = pdf          # (n_phases, n)
         self.cdf = cdf          # (n_phases, n), cdf[:, 0] = 0
+        self.row_total = cdf[:, -1].copy()  # contiguous, for the draw's targets
         self.table_error = err
 
     def _tabulate(self, grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
@@ -220,15 +227,15 @@ class QuadratureSampler:
         cdf = self.cdf.ravel()  # views: both tables are C-contiguous
         pdf = self.pdf.ravel()
         base = bucket * n
-        target = u * cdf[base + (n - 1)]
-        cell = base + np.minimum(_search_rows(cdf, base, n, target), n - 2)
+        target = u * self.row_total[bucket]
+        cell = _search_rows(cdf, base, n, target)
         c0 = cdf[cell]
-        c1 = cdf[cell + 1]
+        dc = cdf[cell + 1] - c0
         # Fritsch-Carlson clamp keeps the Hermite cubic monotone
-        sec = np.maximum(c1 - c0, 1e-300) / h
-        d0 = np.minimum(pdf[cell], 3.0 * sec)
-        d1 = np.minimum(pdf[cell + 1], 3.0 * sec)
-        s, _ = self._solve_cubic(c1 - c0, d0 * h, d1 * h, target - c0)
+        sec3 = 3.0 * (np.maximum(dc, 1e-300) / h)
+        d0 = np.minimum(pdf[cell], sec3)
+        d1 = np.minimum(pdf[cell + 1], sec3)
+        s, _ = self._solve_cubic(dc, d0 * h, d1 * h, target - c0)
         return grid[cell - base] + s * h
 
     @staticmethod
@@ -246,21 +253,25 @@ class QuadratureSampler:
         """
         a = m0 + m1 - 2.0 * dc
         b = 3.0 * dc - 2.0 * m0 - m1
+        a3, b2 = 3.0 * a, 2.0 * b
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(dc > 0.0, t / np.where(dc > 0.0, dc, 1.0), 0.5)
-        s = np.clip(s, 0.0, 1.0)
+            s = np.where(dc > 0.0, t / dc, 0.5)
+        np.clip(s, 0.0, 1.0, out=s)
         lo = np.zeros_like(s)
         hi = np.ones_like(s)
         for sweep in range(1, _MAX_SWEEPS + 1):
             val = ((a * s + b) * s + m0) * s - t
-            der = (3.0 * a * s + 2.0 * b) * s + m0
-            hi = np.where(val > 0.0, s, hi)
-            lo = np.where(val <= 0.0, s, lo)
+            der = (a3 * s + b2) * s + m0
+            above = val > 0.0
+            hi = np.where(above, s, hi)
+            lo = np.where(above, lo, s)
+            rising = der > 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(der > 0.0, val / np.where(der > 0.0, der, 1.0), 0.0)
-            s_new = s - step
-            bad = (s_new < lo) | (s_new > hi) | ((der <= 0.0) & (val != 0.0))
-            s_new = np.where(bad, 0.5 * (lo + hi), s_new)
+                s_new = np.where(rising, s - val / der, s)
+            # (val != 0) > rising: H' <= 0 with the root not yet hit
+            bad = (s_new < lo) | (s_new > hi) | ((val != 0.0) > rising)
+            if bad.any():
+                np.copyto(s_new, 0.5 * (lo + hi), where=bad)
             moved = float(np.max(np.abs(s_new - s)))
             s = s_new
             if moved <= _SOLVE_TOL:

@@ -6,7 +6,10 @@ another way: the Radon transform of a Wigner evaluator (against
 ``quad_density``), the noisy quadrature density by direct convolution
 (against the sampler's records), the Fourier slice of a quadrature density
 (against the 2-d transform of W), and the Hilbert-Schmidt distance (against
-the L2 distance of Wigner functions).
+the L2 distance of Wigner functions).  ``invert_reference`` is the
+sampler's table inversion as generator ``wignerscope-sampler/2`` first
+shipped it, frozen so that a faster inversion can be held to the same draws
+bit for bit.
 """
 
 from __future__ import annotations
@@ -88,3 +91,74 @@ def hs_distance_sq(rho: DensityMatrix, tau: DensityMatrix) -> float:
     a[: rho.dim, : rho.dim] = rho.entries
     b[: tau.dim, : tau.dim] = tau.entries
     return float(np.sum(np.abs(a - b) ** 2))
+
+
+# Newton stopping rule of the frozen inversion: in units of a cell, and the
+# sweep cap
+_REF_SOLVE_TOL = 1e-15
+_REF_MAX_SWEEPS = 64
+
+
+def _search_rows_reference(flat, base, n, t):
+    """Per record, the last index i of its row (flat[base:base + n], non-
+    decreasing, first entry <= t) with row[i] <= t, i.e. the row's
+    searchsorted(t, side="right") - 1: one branchless binary search over
+    all records at once, about log2(n) gathers."""
+    pos = np.zeros(t.shape, dtype=np.int64)
+    step = (1 << (n - 1).bit_length()) >> 1
+    while step:
+        # clamping the probe to the row end keeps every probe in the row;
+        # once the row end is taken it stays the answer
+        probe = np.minimum(pos + step, n - 1)
+        pos = np.where(flat[base + probe] <= t, probe, pos)
+        step >>= 1
+    return pos
+
+
+def _solve_cubic_reference(dc, m0, m1, t):
+    """Solve H(s) = t on [0, 1] for the monotone Hermite cubic with
+    H(0)=0, H(1)=dc, H'(0)=m0, H'(1)=m1 (all arrays), by bisection-
+    safeguarded Newton.  Returns (s, sweeps run)."""
+    a = m0 + m1 - 2.0 * dc
+    b = 3.0 * dc - 2.0 * m0 - m1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(dc > 0.0, t / np.where(dc > 0.0, dc, 1.0), 0.5)
+    s = np.clip(s, 0.0, 1.0)
+    lo = np.zeros_like(s)
+    hi = np.ones_like(s)
+    for sweep in range(1, _REF_MAX_SWEEPS + 1):
+        val = ((a * s + b) * s + m0) * s - t
+        der = (3.0 * a * s + 2.0 * b) * s + m0
+        hi = np.where(val > 0.0, s, hi)
+        lo = np.where(val <= 0.0, s, lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(der > 0.0, val / np.where(der > 0.0, der, 1.0), 0.0)
+        s_new = s - step
+        bad = (s_new < lo) | (s_new > hi) | ((der <= 0.0) & (val != 0.0))
+        s_new = np.where(bad, 0.5 * (lo + hi), s_new)
+        moved = float(np.max(np.abs(s_new - s)))
+        s = s_new
+        if moved <= _REF_SOLVE_TOL:
+            break
+    return np.clip(s, 0.0, 1.0), sweep
+
+
+def invert_reference(x_grid, pdf, cdf, bucket, u):
+    """Inverse of the tabulated CDF per record (phase bucket, uniform u):
+    the row search clamped to the row's last cell, then the cell's monotone
+    Hermite cubic solved for the target."""
+    h = x_grid[1] - x_grid[0]
+    n = x_grid.size
+    cdf = cdf.ravel()
+    pdf = pdf.ravel()
+    base = bucket * n
+    target = u * cdf[base + (n - 1)]
+    cell = base + np.minimum(_search_rows_reference(cdf, base, n, target), n - 2)
+    c0 = cdf[cell]
+    c1 = cdf[cell + 1]
+    # Fritsch-Carlson clamp keeps the Hermite cubic monotone
+    sec = np.maximum(c1 - c0, 1e-300) / h
+    d0 = np.minimum(pdf[cell], 3.0 * sec)
+    d1 = np.minimum(pdf[cell + 1], 3.0 * sec)
+    s, _ = _solve_cubic_reference(c1 - c0, d0 * h, d1 * h, target - c0)
+    return x_grid[cell - base] + s * h

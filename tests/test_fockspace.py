@@ -243,6 +243,15 @@ class TestWignerEval:
             oracle /= 4.0 * math.pi**2
             assert fs.wigner_eval(rho, z) == pytest.approx(oracle, abs=5e-6)
 
+    @pytest.mark.parametrize("q, p", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_many_refuses_non_finite_points(self, q, p):
+        # the same refusal as PhasePoint's, one bad point among good ones
+        rho = fs.materialize(fs.StateSpec.fock(1))
+        with pytest.raises(ValidationError, match="phase-space coordinates must be finite"):
+            fs.wigner_eval_many(rho, [0.5, q], [0.5, p])
+        with pytest.raises(ValidationError, match="phase-space coordinates must be finite"):
+            fs.PhasePoint(q, p)
+
     def test_squeezed_closed_form(self):
         s = 0.5
         rho = fs.materialize(fs.StateSpec.squeezed(s, dim=64))

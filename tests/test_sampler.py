@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from _oracles import noisy_density
+from _oracles import invert_reference, noisy_density
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
@@ -185,9 +185,61 @@ class TestInversion:
         t = np.maximum(t, 0.0)
         got = sp._search_rows(rows.ravel(), bucket * n, n, t)
         want = np.array(
-            [np.searchsorted(rows[b], v, side="right") - 1 for b, v in zip(bucket, t)]
+            [b * n + min(np.searchsorted(rows[b], v, side="right") - 1, n - 2)
+             for b, v in zip(bucket, t)]
         )
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", [
+        fs.StateSpec.fock(3), fs.StateSpec.coherent(1.0, 0.8),
+        fs.StateSpec.squeezed(0.5), fs.StateSpec.cat(3.01),
+    ], ids=["fock3", "coherent", "squeezed", "cat3.01"])
+    def test_invert_equals_reference_bit_for_bit(self, spec):
+        # the frozen wignerscope-sampler/2 inversion is the oracle
+        sampler = sp.QuadratureSampler(fs.materialize(spec))
+        for seed in (1, 2, 3):
+            rng = sp._stream(seed, sp._PHI_STREAM)
+            phi = rng.uniform(0.0, math.pi, size=10_000)
+            u = rng.random(10_000)
+            bucket = np.minimum(
+                (phi / math.pi * sampler.n_phases).astype(np.int64), sampler.n_phases - 1
+            )
+            want = invert_reference(sampler.x_grid, sampler.pdf, sampler.cdf, bucket, u)
+            assert np.array_equal(sampler._invert(bucket, u), want)
+
+    def test_invert_equals_reference_on_plateaus(self):
+        # a synthetic table: trapezoid CDF rows with zero-mass cells (dc = 0);
+        # after the CDF is built, row 5's pdf is set to 0 on every other node
+        # and to spikes on the rest, so the Fritsch-Carlson clamp leaves
+        # cubics with H' <= 0 short of the root
+        rng = np.random.default_rng(5)
+        n = 33
+        grid = np.linspace(-3.0, 3.0, n)
+        pdf = rng.exponential(size=(6, n))
+        pdf[1, : n // 3 + 1] = 0.0              # leading plateau
+        pdf[2, n // 2:] = 0.0                   # trailing plateau
+        pdf[3, n // 4: n // 2 + 1] = 0.0        # interior plateau
+        pdf[4] = 0.0                            # all-zero row
+        cdf = np.zeros_like(pdf)
+        np.cumsum(0.5 * (grid[1] - grid[0]) * (pdf[:, 1:] + pdf[:, :-1]), axis=1,
+                  out=cdf[:, 1:])
+        pdf[5, 0::2] = 0.0
+        pdf[5, 1::2] = 1e3
+        synthetic = object.__new__(sp.QuadratureSampler)
+        synthetic.x_grid, synthetic.pdf, synthetic.cdf = grid, pdf, cdf
+        synthetic.row_total = cdf[:, -1].copy()
+
+        bucket = np.repeat(np.arange(6), 400)
+        total = cdf[bucket, -1]
+        node = cdf[bucket, rng.integers(0, n, bucket.size)]
+        u = np.divide(node, total, out=np.zeros_like(node), where=total > 0.0)
+        u[1::3] = np.nextafter(u[1::3], 1.0)    # just past a node
+        u[2::6] = rng.random(u[2::6].size)
+        u[5::12] = 0.0
+        u[11::24] = np.nextafter(1.0, 0.0)
+        u[23::24] = 1.0
+        want = invert_reference(grid, pdf, cdf, bucket, u)
+        assert np.array_equal(synthetic._invert(bucket, u), want)
 
     def test_draws_are_roots_of_their_cell_cubic(self, cat_sampler, monkeypatch):
         # brentq oracle on each record's own monotone Hermite cubic; the
