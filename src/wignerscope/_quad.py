@@ -12,8 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-# elements of one (y rows x panels) block in gl_cos_sum: bounds its four
-# block arrays at 2 MiB each, whatever the number of y values
+# elements of one (y rows x max(panels, 16)) block in gl_cos_sum: bounds its
+# block arrays, (rows x 16) and (rows x panels), at 2 MiB each, whatever the
+# number of y values
 _COS_SUM_BUDGET = 2**18
 # the one Gauss-Legendre rule of every panel: 16 nodes on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -56,9 +57,10 @@ def gl_cos_sum(y, a: float, b: float, max_width: float, g) -> np.ndarray:
     turns the sum into two (rows x 16) @ (16 x panels) products and two
     row-wise dot products: 2 (16 + panels) transcendentals per y in place
     of 16 panels.  The y values are taken in row blocks of
-    max(1, _COS_SUM_BUDGET // panels) rows.  A value depends on its row's
-    place in the block only through the BLAS product's grouping of rows,
-    in the last bits, so results are deterministic for the fixed budget.
+    max(1, _COS_SUM_BUDGET // max(panels, 16)) rows.  A value depends on
+    its row's place in the block only through the BLAS product's grouping
+    of rows, in the last bits, so results are deterministic for the fixed
+    budget.
     """
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.zeros(ys.size)
@@ -67,7 +69,7 @@ def gl_cos_sum(y, a: float, b: float, max_width: float, g) -> np.ndarray:
     mid, half, t, w = _panel_rule(a, b, max_width)
     wg = (w * np.reshape(g(t.ravel()), t.shape)).T      # (16, panels)
     offsets = half[0] * _GL_X
-    rows = max(1, _COS_SUM_BUDGET // mid.size)
+    rows = max(1, _COS_SUM_BUDGET // max(mid.size, _GL_X.size))
     for i in range(0, ys.size, rows):
         yb = ys[i : i + rows]
         phase = np.multiply.outer(yb, offsets)

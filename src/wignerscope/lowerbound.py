@@ -17,6 +17,11 @@ one z-integral with kappa = 2 eta - 1:
 eta = 1 (kappa = 1) is the noiseless density p_alpha_xi.  The diagonal
 rho_kk and its tail are z-moments of f, taken by one stable recurrence
 (_z_moments); p_0^eta is one Gauss-Jacobi rule for every y and eta (_p_mixture).
+
+J is C^3 only at its window's four knots, so every integral over J's support
+(tau_diag, sep_at_origin, perturbation_profile_noisy, perturbation_l2,
+tail_control_term, _j_sq_weighted) takes one rule: 16-point Gauss-Legendre
+on equal panels within each of the three knot segments (j_segments).
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ from .tomography import (
 _N_MAX = 1e300  # keeps n log n, in htilde_solve, a finite double
 _P_NODES = 64  # Gauss-Jacobi nodes of _p_mixture's one rule
 _P_EXP_CUT = 45.0  # _p_mixture ends its range where x^2 w reaches this
-_TAIL_TERMS = 6  # terms of p_tail_mass's asymptotic series
+# radians of oscillation, or e-foldings of the envelope, one panel of
+# j_segments' rule spans at most
+_J_PANEL_RAD = 2.0
 # chi_squared's y quadrature: range [0, _CHI2_Y_MAX], panels at most _CHI2_PANEL wide
 _CHI2_Y_MAX = 120.0
 _CHI2_PANEL = 0.05
@@ -239,37 +246,6 @@ def p_alpha_xi(axi: AlphaXi, x):
     return _p_mixture(axi, x, 1.0)
 
 
-def p_tail_mass(axi: AlphaXi, x_cut: float, eta: float = 1.0) -> float:
-    """Analytic tail integral int_{x_cut}^inf p(x) dx via the asymptotic
-    series p(x) = pref * x^{-1-2 alpha} sum_k c_k kappa^k x^{-2k}; the
-    leading term is the |x|^{-(1+2 alpha)} power law with its exact constant.
-
-    eta < 1 gives the tail of the noisy density p_0^eta (kappa = 2 eta - 1;
-    eta = 1 is p_alpha_xi itself).  Valid once the endpoint correction
-    exp(-u_top^2) is negligible, i.e. x_cut >= ~8 sqrt((1+kappa xi)/(1-xi)).
-    """
-    from scipy.special import gammaln
-
-    a, xi = axi.alpha, axi.xi
-    kappa = 2.0 * eta - 1.0
-    pref = a * 2.0 ** (a + 1.0) * eta**a / ((1.0 - xi) ** a * math.sqrt(math.pi))
-    total = 0.0
-    for k in range(_TAIL_TERMS):
-        binom = _binom_neg(a, k) * kappa**k
-        moment = 0.5 * math.exp(gammaln(a + k + 0.5))   # int_0^inf u^{2a+2k} e^{-u^2} du
-        power = 2.0 * a + 2.0 * k
-        total += binom * moment * x_cut ** (-power) / power
-    return pref * total
-
-
-def _binom_neg(a: float, k: int) -> float:
-    """binomial(-(a+1), k) by the stable product form."""
-    out = 1.0
-    for i in range(k):
-        out *= (-(a + 1.0) - i) / (i + 1.0)
-    return out
-
-
 def wtilde_alpha_xi(axi: AlphaXi, t):
     """Radial Fourier profile of the base state:
 
@@ -362,12 +338,38 @@ def j_htilde_derivative(bump: BumpSpec, cls: SmoothnessClass, htilde: float, t):
 
 
 def j_support(bump: BumpSpec, cls: SmoothnessClass, htilde: float) -> tuple:
-    """(t_lo, t_hi) hull of the support of j_htilde."""
-    r = cls.r
-    return (
-        (htilde**-r + bump.delta) ** (1.0 / r),
-        (htilde**-r + bump.big_d - bump.delta) ** (1.0 / r),
-    )
+    """(t_lo, t_hi) hull of the support of j_htilde: its first and last knot."""
+    segments = j_segments(bump, cls, htilde)
+    return segments[0][0], segments[-1][1]
+
+
+def j_segments(
+    bump: BumpSpec, cls: SmoothnessClass, htilde: float, omega: float = 0.0, scale: float = 1.0
+) -> list:
+    """J's support split at the knots of its window, u = t^r - htilde^{-r} in
+    {delta, 2 delta, D - 2 delta, D - delta}: three (a, b, max_width) segments
+    in s = scale t.
+
+    J is smooth between knots, so 16-point Gauss-Legendre on equal panels
+    converges fast within a segment.  A panel spans at most _J_PANEL_RAD
+    radians of the caller's frequency omega (in s) or e-foldings of the
+    largest log-slope on the support, whichever is larger: J^2's envelope
+    gives 4 beta r t^{r-1}, and scale = 1/sqrt(eta) adds the noisy
+    integrals' factor e^{-(1-eta) s^2/2}, (scale^2 - 1) t_hi, both per unit s.
+    """
+    d, D, r = bump.delta, bump.big_d, cls.r
+    knots = [(htilde**-r + u) ** (1.0 / r) for u in (d, 2.0 * d, D - 2.0 * d, D - d)]
+    t_lo, t_hi = knots[0], knots[-1]
+    envelope = 4.0 * cls.beta * r * max(t_lo ** (r - 1.0), t_hi ** (r - 1.0))
+    width = _J_PANEL_RAD / max(omega, (envelope + (scale * scale - 1.0) * t_hi) / scale)
+    return [(scale * knots[i], scale * knots[i + 1], width) for i in range(3)]
+
+
+def _j_rule(bump: BumpSpec, cls: SmoothnessClass, htilde: float, omega: float = 0.0,
+            scale: float = 1.0):
+    """Flat nodes and weights of j_segments' rule, all three segments."""
+    parts = [gl_panels(*seg) for seg in j_segments(bump, cls, htilde, omega, scale)]
+    return np.concatenate([t for t, _ in parts]), np.concatenate([w for _, w in parts])
 
 
 def htilde_solve(cls: SmoothnessClass, noise: NoiseModel, n: int) -> float:
@@ -391,15 +393,13 @@ def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) ->
 
         tau_kk = 4 pi^2 int_0^inf L_k(t^2/2) e^{-t^2/4} t J(t) dt,
 
-    integrated over the compact support of J with oscillation-aware panels;
-    L_k(t^2/2) e^{-t^2/4} is the bounded Laguerre row b_k^0(t^2/2)
-    (``fockspace.laguerre_rows``), so neither factor over- or underflows.
+    by j_segments' rule over J's support.  L_k(t^2/2) e^{-t^2/4} is the
+    bounded Laguerre row b_k^0(t^2/2) (``fockspace.laguerre_rows``), so
+    neither factor over- or underflows; it oscillates like J_0(t sqrt(2k+1))
+    (Hilb's formula), so the rule's panels resolve omega = sqrt(2 k_max + 1).
     """
     _check_order(k_max)
-    t_lo, t_hi = j_support(bump, cls, htilde)
-    osc = math.sqrt(2.0 * k_max + 1.0)
-    width = min(math.pi / (4.0 * osc), (t_hi - t_lo) / 8.0)
-    t, w = gl_panels(t_lo, t_hi, width)
+    t, w = _j_rule(bump, cls, htilde, math.sqrt(2.0 * k_max + 1.0))
     weights = w * t * j_htilde(bump, cls, htilde, t)
     lag = np.array(list(laguerre_rows(k_max, 0, t * t / 2.0)))
     return 4.0 * math.pi**2 * (lag @ weights)
@@ -407,8 +407,7 @@ def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) ->
 
 def sep_at_origin(bump: BumpSpec, cls: SmoothnessClass, htilde: float) -> float:
     """|W_2(0) - W_1(0)| = (1/pi) int_0^inf t J(t) dt."""
-    t_lo, t_hi = j_support(bump, cls, htilde)
-    t, w = gl_panels(t_lo, t_hi, (t_hi - t_lo) / 64.0)
+    t, w = _j_rule(bump, cls, htilde)
     return float(np.dot(w, t * j_htilde(bump, cls, htilde, t))) / math.pi
 
 
@@ -419,16 +418,14 @@ def perturbation_profile_noisy(
 
     the noisy-model density perturbation: p_i^eta = p_0^eta +/- q."""
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    t_lo, t_hi = j_support(bump, cls, htilde)
     se = math.sqrt(noise.eta)
-    a, b = t_lo / se, t_hi / se
-    y_max = float(np.max(np.abs(ys))) if ys.size else 0.0
-    width = min((b - a) / 16.0, math.pi / (4.0 * max(y_max, 1.0)))
+    y_max = float(np.max(np.abs(ys), initial=0.0))
 
     def profile(t):
         return j_htilde(bump, cls, htilde, se * t) * np.exp(-(1.0 - noise.eta) * t * t / 4.0)
 
-    return gl_cos_sum(ys, a, b, width, profile) / math.pi
+    segments = j_segments(bump, cls, htilde, y_max, 1.0 / se)
+    return sum(gl_cos_sum(ys, a, b, width, profile) for a, b, width in segments) / math.pi
 
 
 def base_density_noisy(axi: AlphaXi, noise: NoiseModel, y) -> np.ndarray:
@@ -449,9 +446,8 @@ def base_density_noisy(axi: AlphaXi, noise: NoiseModel, y) -> np.ndarray:
 
 def perturbation_l2(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, htilde: float) -> float:
     """||p_2^eta - p_1^eta||_2^2 = (4/pi) int_0^inf J(sqrt(eta) t)^2 e^{-(1-eta) t^2/2} dt."""
-    t_lo, t_hi = j_support(bump, cls, htilde)
     se = math.sqrt(noise.eta)
-    t, w = gl_panels(t_lo / se, t_hi / se, (t_hi - t_lo) / (se * 64.0))
+    t, w = _j_rule(bump, cls, htilde, scale=1.0 / se)
     f = j_htilde(bump, cls, htilde, se * t) ** 2 * np.exp(-(1.0 - noise.eta) * t * t / 2.0)
     return 4.0 / math.pi * float(np.dot(w, f))
 
@@ -464,9 +460,8 @@ def tail_control_term(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, h
 
     by Parseval, since y times a function transforms to the t-derivative
     of its transform."""
-    t_lo, t_hi = j_support(bump, cls, htilde)
     se = math.sqrt(noise.eta)
-    t, w = gl_panels(t_lo / se, t_hi / se, (t_hi - t_lo) / (se * 256.0))
+    t, w = _j_rule(bump, cls, htilde, scale=1.0 / se)
     env = np.exp(-(1.0 - noise.eta) * t * t / 4.0)
     d = (
         se * j_htilde_derivative(bump, cls, htilde, se * t).ravel() * env
@@ -594,7 +589,6 @@ def verify_pair(
 
 def _j_sq_weighted(bump: BumpSpec, cls: SmoothnessClass, htilde: float) -> float:
     """int_0^inf t J(t)^2 e^{2 beta t^r} dt (class weight on the perturbation)."""
-    t_lo, t_hi = j_support(bump, cls, htilde)
-    t, w = gl_panels(t_lo, t_hi, (t_hi - t_lo) / 64.0)
+    t, w = _j_rule(bump, cls, htilde)
     f = t * j_htilde(bump, cls, htilde, t) ** 2 * np.exp(2.0 * cls.beta * t**cls.r)
     return float(np.dot(w, f))

@@ -5,8 +5,9 @@ these; they are independent routes to quantities the package computes
 another way: the Radon transform of a Wigner evaluator (against
 ``quad_density``), the noisy quadrature density by direct convolution
 (against the sampler's records), the Fourier slice of a quadrature density
-(against the 2-d transform of W), and the Hilbert-Schmidt distance (against
-the L2 distance of Wigner functions).  ``invert_reference`` is the
+(against the 2-d transform of W), the Hilbert-Schmidt distance (against
+the L2 distance of Wigner functions), and the lower bound's base-density
+tail mass by its asymptotic series (against the densities' normalization).  ``invert_reference`` is the
 sampler's table inversion as generator ``wignerscope-sampler/2`` first
 shipped it, frozen so that a faster inversion can be held to the same draws
 bit for bit.
@@ -21,6 +22,7 @@ import numpy as np
 
 from wignerscope._quad import gl_panels
 from wignerscope.fockspace import DensityMatrix
+from wignerscope.lowerbound import AlphaXi
 from wignerscope.tomography import NoiseModel, quad_density, x_support_radius
 
 # Gauss-Legendre panel width of radon_numeric's line integral
@@ -91,6 +93,39 @@ def hs_distance_sq(rho: DensityMatrix, tau: DensityMatrix) -> float:
     a[: rho.dim, : rho.dim] = rho.entries
     b[: tau.dim, : tau.dim] = tau.entries
     return float(np.sum(np.abs(a - b) ** 2))
+
+
+# terms of p_tail_mass's asymptotic series
+_TAIL_TERMS = 6
+
+
+def p_tail_mass(axi: AlphaXi, x_cut: float, eta: float = 1.0) -> float:
+    """Analytic tail integral int_{x_cut}^inf p(x) dx via the asymptotic
+    series p(x) = pref * x^{-1-2 alpha} sum_k c_k kappa^k x^{-2k}; the
+    leading term is the |x|^{-(1+2 alpha)} power law with its exact constant.
+
+    eta < 1 gives the tail of the noisy density p_0^eta (kappa = 2 eta - 1;
+    eta = 1 is p_alpha_xi itself).  Valid once the endpoint correction
+    exp(-u_top^2) is negligible, i.e. x_cut >= ~8 sqrt((1+kappa xi)/(1-xi)).
+    """
+    a, xi = axi.alpha, axi.xi
+    kappa = 2.0 * eta - 1.0
+    pref = a * 2.0 ** (a + 1.0) * eta**a / ((1.0 - xi) ** a * math.sqrt(math.pi))
+    total = 0.0
+    for k in range(_TAIL_TERMS):
+        binom = _binom_neg(a, k) * kappa**k
+        moment = 0.5 * math.exp(math.lgamma(a + k + 0.5))   # int_0^inf u^{2a+2k} e^{-u^2} du
+        power = 2.0 * a + 2.0 * k
+        total += binom * moment * x_cut ** (-power) / power
+    return pref * total
+
+
+def _binom_neg(a: float, k: int) -> float:
+    """binomial(-(a+1), k) by the stable product form."""
+    out = 1.0
+    for i in range(k):
+        out *= (-(a + 1.0) - i) / (i + 1.0)
+    return out
 
 
 # Newton stopping rule of the frozen inversion: in units of a cell, and the

@@ -633,7 +633,7 @@ class TestStartup:
             "from wignerscope.estimator import BandwidthRule, bandwidth\n"
             "from wignerscope.fockspace import StateSpec, materialize, wigner_eval_many\n"
             "from wignerscope.kernels import KernelSpec, build_table\n"
-            "from wignerscope.lowerbound import AlphaXi, _log_upper_gamma, p_tail_mass\n"
+            "from wignerscope.lowerbound import _log_upper_gamma\n"
             "from wignerscope.tomography import NoiseModel, SmoothnessClass\n"
             "def lazy_calls():\n"
             "    noise = NoiseModel(0.9)\n"
@@ -643,7 +643,6 @@ class TestStartup:
             "        'jacobi': np.stack(jacobi_unit(12, 0.3)),\n"
             "        'opt': np.array(bandwidth(BandwidthRule('opt', cls=SmoothnessClass(0.3, 1.5, 1.0)),\n"
             "                                  10**4, noise)),\n"
-            "        'tail': np.array(p_tail_mass(AlphaXi(0.2, 0.94), 40.0, 0.2)),\n"
             "        'upper_gamma': _log_upper_gamma(0.8, np.array([0.5, 30.0, 700.0])),\n"
             "        'table': table.values,\n"
             "        'coef': table.coef,\n"

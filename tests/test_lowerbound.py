@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
-from scipy.special import betainc, gamma as gamma_fn
+from scipy.special import betainc, eval_laguerre, gamma as gamma_fn
 
+from _oracles import p_tail_mass
 from wignerscope import _quad
 from wignerscope import fockspace as fs
 from wignerscope import lowerbound as lb
@@ -94,7 +95,7 @@ class TestPAlphaXi:
         X = 40.0
         xs, w = gl_panels(0.0, X, 0.05)
         body = 2.0 * float(np.dot(w, lb.p_alpha_xi(axi_ref, xs)))
-        total = body + 2.0 * lb.p_tail_mass(axi_ref, X)
+        total = body + 2.0 * p_tail_mass(axi_ref, X)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_density_tail_power_law(self, axi_ref):
@@ -170,7 +171,7 @@ class TestBaseDensityNoisy:
         Y = 8.0 * math.sqrt((1.0 + kappa * xi) / (1.0 - xi))
         ys, w = gl_panels(0.0, Y, 0.05)
         body = 2.0 * float(np.dot(w, lb.base_density_noisy(axi, tg.NoiseModel(eta), ys)))
-        total = body + 2.0 * lb.p_tail_mass(axi, Y, eta=eta)
+        total = body + 2.0 * p_tail_mass(axi, Y, eta=eta)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -365,6 +366,84 @@ class TestTauDiag:
         assert abs(tau.sum()) <= 1e-5
 
 
+# (n, delta, D) of the knot-split rule's oracle checks: the fixture's three n,
+# and a plateau ten times wider
+J_RULE_CASES = [(1e120, 0.5, 5.0), (1e160, 0.5, 5.0), (1e200, 0.5, 5.0), (1e120, 0.5, 50.0)]
+
+
+def _knots(bump, cls, ht):
+    d, D, r = bump.delta, bump.big_d, cls.r
+    return [(ht**-r + u) ** (1.0 / r) for u in (d, 2.0 * d, D - 2.0 * d, D - d)]
+
+
+def _quad_knots(f, knots, scale=1.0, epsabs=0.0, **kw):
+    # QUADPACK on each knot segment of s = scale t, where f is smooth
+    return sum(quad(f, scale * a, scale * b, epsabs=epsabs, epsrel=1e-13, limit=200, **kw)[0]
+               for a, b in zip(knots[:-1], knots[1:]))
+
+
+class TestJRule:
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_segment_edges_are_the_knots(self, r):
+        bump, cls, ht = lb.BumpSpec(0.3, 4.0), tg.SmoothnessClass(0.2, r, 1.0), 0.15
+        knots = _knots(bump, cls, ht)
+        segments = lb.j_segments(bump, cls, ht, omega=40.0)
+        assert [(a, b) for a, b, _ in segments] == list(zip(knots[:-1], knots[1:]))
+        assert lb.j_support(bump, cls, ht) == (knots[0], knots[-1])
+        u = np.array(knots) ** r - ht**-r
+        assert np.allclose(bump.j_value(u), [0.0, 1.0, 1.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("n,delta,big_d", J_RULE_CASES)
+    def test_integrals_match_quadpack(self, fixture_objects, n, delta, big_d):
+        # each integral over J's support against QUADPACK split at the same
+        # knots: the scalar ones relative to their value, tau_kk relative to
+        # max|tau|, q(y) relative to q(0)
+        _, _, cls, nm, _, k_max = fixture_objects
+        bump = lb.BumpSpec(delta, big_d)
+        ht = lb.htilde_solve(cls, nm, n)
+        knots, se, g = _knots(bump, cls, ht), math.sqrt(nm.eta), 1.0 - nm.eta
+
+        def J(t):
+            return lb.j_htilde(bump, cls, ht, t)
+
+        def d(s):   # d/ds of J(sqrt(eta) s) e^{-(1-eta) s^2/4}
+            dj = se * float(lb.j_htilde_derivative(bump, cls, ht, se * s)[0])
+            return (dj - g * s / 2.0 * J(se * s)) * math.exp(-g * s * s / 4.0)
+
+        def profile(s):
+            return J(se * s) * math.exp(-g * s * s / 4.0)
+
+        scalar = {
+            "sep": (lb.sep_at_origin(bump, cls, ht),
+                    _quad_knots(lambda t: t * J(t), knots) / math.pi),
+            "j_sq": (lb._j_sq_weighted(bump, cls, ht),
+                     _quad_knots(lambda t: t * J(t) ** 2 * math.exp(2.0 * cls.beta * t**cls.r), knots)),
+            "l2": (lb.perturbation_l2(bump, cls, nm, ht),
+                   4.0 / math.pi * _quad_knots(lambda s: profile(s) ** 2, knots, 1.0 / se)),
+            "tail": (lb.tail_control_term(bump, cls, nm, ht),
+                     4.0 / math.pi * _quad_knots(lambda s: d(s) ** 2, knots, 1.0 / se)),
+        }
+        for name, (value, oracle) in scalar.items():
+            assert abs(value / oracle - 1.0) <= 1e-12, name
+
+        tau = lb.tau_diag(bump, cls, ht, k_max)
+        scale = float(np.max(np.abs(tau)))
+        for k in (0, 1, 700, 1400, 1900, k_max):
+            oracle = 4.0 * math.pi**2 * _quad_knots(
+                lambda t: eval_laguerre(k, t * t / 2.0) * math.exp(-t * t / 4.0) * t * J(t),
+                knots, epsabs=1e-16 * scale)
+            assert abs(tau[k] - oracle) <= 1e-12 * scale, k
+
+        ys = np.array([0.0, 3.7, 41.3, lb._CHI2_Y_MAX])
+        q = lb.perturbation_profile_noisy(bump, cls, nm, ht, ys)
+        q0 = _quad_knots(profile, knots, 1.0 / se) / math.pi
+        for y, value in zip(ys[1:], q[1:]):
+            oracle = _quad_knots(lambda s: profile(s) * math.cos(y * s), knots, 1.0 / se,
+                                 epsabs=1e-13 * abs(q0)) / math.pi
+            assert abs(value - oracle) <= 1e-12 * abs(q0), y
+        assert abs(q[0] - q0) <= 1e-12 * abs(q0)
+
+
 class TestMehler:
     @pytest.mark.parametrize("z", [0.3, 0.6, 0.9])
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.5])
@@ -433,8 +512,8 @@ class TestVerifyPair:
         assert lb.tail_control_term(bump, cls, nm, ht) == pytest.approx(tail, rel=1e-5, abs=0.0)
 
     def test_perturbation_profile_blocked_equals_one_shot(self, fixture_objects, monkeypatch):
-        # chi_squared's own y grid spanning more than two blocks: the profile
-        # sums over at least 16 t panels, so a block holds at most budget // 16 rows
+        # chi_squared's own y grid spanning more than two blocks in every knot
+        # segment: a block holds at most budget // max(panels, 16) <= budget // 16 rows
         axi, bump, cls, nm, n, k_max = fixture_objects
         ht = lb.htilde_solve(cls, nm, n)
         ys, _ = gl_panels(0.0, lb._CHI2_Y_MAX, lb._CHI2_PANEL)
@@ -481,7 +560,7 @@ class TestVerifyPair:
         X = 8.0 * math.sqrt((1 + axi.xi) / (1 - axi.xi))
         xs, w = gl_panels(0.0, X, 0.05)
         body = 2.0 * float(np.dot(w, lb.p_alpha_xi(axi, xs)))
-        assert body + 2.0 * lb.p_tail_mass(axi, X) == pytest.approx(1.0, abs=1e-6)
+        assert body + 2.0 * p_tail_mass(axi, X) == pytest.approx(1.0, abs=1e-6)
 
     def test_r_below_two_branch_runs(self):
         # finite-n corrections make the verdicts fail for r < 2 at

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ class TestOuterProductReference:
     def test_empty_interval_and_empty_y(self):
         assert np.array_equal(gl_cos_sum(np.array([1.0, 2.0]), 3.0, 3.0, 0.1, np.ones_like), [0.0, 0.0])
         assert gl_cos_sum(np.empty(0), 0.0, 1.0, 0.1, np.ones_like).shape == (0,)
+
+    def test_one_panel_blocks_stay_within_budget(self):
+        # a rule of one panel still builds (rows x 16) offset arrays, so its
+        # blocks hold budget // 16 rows; 2^17 y values in one block would
+        # allocate 16 MiB per array
+        y = np.linspace(0.0, 1.0, 2**17)
+        tracemalloc.start()
+        try:
+            gl_cos_sum(y, 0.0, 1.0, 2.0, np.ones_like)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * _quad._COS_SUM_BUDGET
 
     @pytest.mark.parametrize("variant", ["sharp", "modified"])
     def test_kernel_multi_block(self, variant, monkeypatch):
