@@ -1,14 +1,14 @@
 """Shared fixed-order quadrature helpers.
 
 Panelled Gauss-Legendre rules (deterministic, vectorizable), their cosine
-transform summed panel by panel, cached Gauss-Jacobi rules for integrands
-with an algebraic endpoint singularity, and local cubic Hermite tables.
+transform summed panel by panel, Gauss-Jacobi rules (Golub-Welsch) for
+integrands with an algebraic endpoint singularity, and local cubic Hermite
+tables.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,19 +109,19 @@ def cells_eval(coef: np.ndarray, step: float, x: np.ndarray) -> np.ndarray:
     return ((c3 * t + c2) * t + c1) * t + c0
 
 
-@lru_cache(maxsize=32)
 def jacobi_unit(n: int, beta: float):
-    """Nodes/weights for ∫₀¹ s^beta g(s) ds ≈ Σ w_i g(s_i), beta > -1.
+    """Nodes/weights for ∫₀¹ s^beta g(s) ds ≈ Σ w_i g(s_i), beta > -1; exact
+    for g polynomial of degree ≤ 2n-1.
 
-    Built from the Gauss-Jacobi rule with weight (1+x)^beta on [-1, 1];
-    exact for g polynomial of degree ≤ 2n-1.
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the polynomials orthogonal under s^beta on [0, 1] (the
+    Jacobi recurrence with weight (1+x)^beta on [-1, 1], mapped by
+    s = (x + 1)/2), and the weights are mu_0 v_0^2, with mu_0 = 1/(beta + 1)
+    and v_0 the first component of each unit eigenvector.
     """
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n, 0.0, beta)
-    s = 0.5 * (x + 1.0)
-    w = w / 2.0 ** (beta + 1.0)
-    s.setflags(write=False)
-    w.setflags(write=False)
-    return s, w
-
+    k = np.arange(1.0, n)
+    d = 2.0 * k + beta
+    diag = 0.5 * (1.0 + np.concatenate(([beta / (beta + 2.0)], beta * beta / (d * (d + 2.0)))))
+    off = k * (k + beta) / (d * np.sqrt(d * d - 1.0))
+    s, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return s, v[0] ** 2 / (beta + 1.0)

@@ -363,7 +363,7 @@ def run(argv) -> int:
     except NumericGuardError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ImportError) as exc:  # bad paths; scipy missing for lb-verify or opt
+    except OSError as exc:  # bad paths
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

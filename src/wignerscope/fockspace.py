@@ -202,6 +202,10 @@ class StateSpec:
     params: dict
     dim: Optional[int] = None
 
+    def __post_init__(self):
+        if self.dim is not None and not (isinstance(self.dim, int) and self.dim >= 1):
+            raise ValidationError(f"dim must be a positive integer or null, got {self.dim!r}")
+
     @classmethod
     def fock(cls, n: int, dim: Optional[int] = None) -> "StateSpec":
         if n < 0 or int(n) != n:
@@ -234,10 +238,14 @@ class StateSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StateSpec":
-        params = dict(data["params"])
-        if data["kind"] == "custom":
-            params["matrix"] = DensityMatrix.from_json_dict(params["matrix"])
-        return cls(data["kind"], params, data.get("dim"))
+        """Rebuild a spec from to_dict's form through the named constructor
+        of its kind, which checks the kind's parameters."""
+        kind, params = data["kind"], dict(data["params"])
+        if kind == "custom":
+            return cls.custom(DensityMatrix.from_json_dict(params["matrix"]))
+        if kind not in ("fock", "coherent", "squeezed", "cat"):
+            raise ValidationError(f"unknown state kind {kind!r}")
+        return getattr(cls, kind)(**params, dim=data.get("dim"))
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:

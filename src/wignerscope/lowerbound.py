@@ -40,6 +40,10 @@ from .tomography import (
 _N_MAX = 1e300  # keeps n log n, in htilde_solve, a finite double
 _P_NODES = 64  # Gauss-Jacobi nodes of _p_mixture's one rule
 _P_EXP_CUT = 45.0  # _p_mixture ends its range where x^2 w reaches this
+# wtilde_alpha_xi's incomplete-gamma series and fraction: a cap on their
+# terms, and the relative change at which a value has converged
+_GAMMA_TERMS = 200
+_EPS = float(np.finfo(float).eps)
 # radians of oscillation, or e-foldings of the envelope, one panel of
 # j_segments' rule spans at most
 _J_PANEL_RAD = 2.0
@@ -250,10 +254,21 @@ def wtilde_alpha_xi(axi: AlphaXi, t):
     """Radial Fourier profile of the base state:
 
         W~(t) = int_xi^1 f(z)/(1-z) exp(-t^2 (1+z) / (4 (1-z))) dz
-              = e^{t^2/4 - c} - c^alpha Gamma(1-alpha, c) e^{t^2/4},
+              = e^{t^2/4} (e^{-c} - c^alpha Gamma(1-alpha, c)),
 
-    with c = t^2 / (2 (1-xi)); both exponents are negative, so the closed
-    form stays finite for all t.
+    with c = t^2 / (2 (1-xi)).  Below c = 2 - alpha, Gamma(1-alpha, c) =
+    Gamma(1-alpha) - gamma(1-alpha, c) with gamma(1-alpha, c) = c^{1-alpha}
+    e^{-c} S(c) (_lower_gamma_series), so
+
+        W~ = e^{t^2/4} ((1 + c S(c)) e^{-c} - Gamma(1-alpha) c^alpha).
+
+    Above, Gamma(1-alpha, c) = c^{-alpha} e^{-c} - alpha Gamma(-alpha, c)
+    cancels the e^{-c} term exactly, and
+
+        W~ = alpha e^{t^2/4 - c} F(-alpha, c),   F(a, x) = Gamma(a, x) / (x^a e^{-x}),
+
+    with F from the Legendre continued fraction (_upper_gamma_fraction).
+    t^2/4 - c < 0, so W~ stays finite for all t.
     """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -262,37 +277,56 @@ def wtilde_alpha_xi(axi: AlphaXi, t):
     a = axi.alpha
     c = ts * ts / (2.0 * (1.0 - axi.xi))
     out = np.empty_like(ts)
-    zero = c == 0.0
-    out[zero] = 1.0
-    cz = c[~zero]
-    tz = ts[~zero]
-    log_g = _log_upper_gamma(1.0 - a, cz)
-    first = np.exp(tz * tz / 4.0 - cz)
-    second = np.exp(tz * tz / 4.0 + a * np.log(cz) + log_g)
-    out[~zero] = first - second
+    low = c < 2.0 - a
+    cl, tl = c[low], ts[low]
+    out[low] = np.exp(tl * tl / 4.0) * (
+        (1.0 + cl * _lower_gamma_series(1.0 - a, cl)) * np.exp(-cl)
+        - math.gamma(1.0 - a) * cl**a
+    )
+    ch, th = c[~low], ts[~low]
+    out[~low] = a * np.exp(th * th / 4.0 - ch) * _upper_gamma_fraction(-a, ch)
     return float(out[0]) if scalar else out
 
 
-def _log_upper_gamma(s: float, x: np.ndarray) -> np.ndarray:
-    """log Gamma(s, x) for 0 < s < 1, elementwise; asymptotic series for
-    large x where gammaincc underflows."""
-    from scipy.special import gamma as gamma_fn, gammaincc
+def _lower_gamma_series(a: float, x: np.ndarray) -> np.ndarray:
+    """S(a, x) = sum_{n>=0} x^n / (a (a+1) ... (a+n)), a > 0, so that
+    gamma(a, x) = x^a e^{-x} S(a, x) (DLMF 8.7.1).  Every term is positive;
+    for x < 1 + a the terms fall at once, and fewer than 25 reach eps."""
+    term = np.full_like(x, 1.0 / a)
+    total = term.copy()
+    for n in range(1, _GAMMA_TERMS):
+        term *= x / (a + n)
+        total += term
+        if np.all(term <= _EPS * total):
+            break
+    return total
 
-    out = np.empty_like(x)
-    small = x < 600.0
-    if np.any(small):
-        g = gammaincc(s, x[small]) * gamma_fn(s)
-        out[small] = np.log(g)
-    if np.any(~small):
-        xb = x[~small]
-        # Gamma(s,x) = x^{s-1} e^{-x} [1 + (s-1)/x + (s-1)(s-2)/x^2 + ...]
-        series = 1.0
-        term = np.ones_like(xb)
-        for i in range(1, 8):
-            term = term * (s - i) / xb
-            series = series + term
-        out[~small] = (s - 1.0) * np.log(xb) - xb + np.log(series)
-    return out
+
+def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """F(a, x) = Gamma(a, x) / (x^a e^{-x}) for a < 1 and x >= 1, by the
+    Legendre continued fraction
+
+        F = 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(x+5-a - ...)))
+
+    (DLMF 8.9.2) in modified Lentz form (Numerical Recipes, 3rd ed., 6.2).
+    Each value stops changing once its own factor is 1 within eps; at
+    x >= 1 that takes fewer than 100 terms, and fewer as x grows."""
+    b = x + 1.0 - a
+    c = np.full_like(x, np.inf)
+    d = 1.0 / b
+    h = d.copy()
+    done = np.zeros(x.shape, dtype=bool)
+    for i in range(1, _GAMMA_TERMS):
+        an = -i * (i - a)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        factor = d * c
+        h = np.where(done, h, h * factor)
+        done |= np.abs(factor - 1.0) <= _EPS
+        if done.all():
+            break
+    return h
 
 
 def _envelope(cls: SmoothnessClass, htilde: float, ts: np.ndarray) -> np.ndarray:

@@ -335,8 +335,9 @@ def read_dataset(path) -> Dataset:
                 raise DatasetFormatError("missing '# meta:' header", line=1)
             try:
                 meta = DatasetMeta.from_dict(json.loads(header[len("# meta: "):]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DatasetFormatError(f"bad metadata JSON ({exc})", line=1)
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                # ValueError covers malformed JSON and fields that do not parse
+                raise DatasetFormatError(f"bad metadata ({exc})", line=1)
             ys, phis = [], []
             for lineno, raw in enumerate(fh, start=2):
                 raw = raw.strip()

@@ -76,10 +76,10 @@ def bandwidth_root(cls: SmoothnessClass, noise: NoiseModel, target: float) -> fl
     """The h > 0 with 2 beta / h^r + 2 gamma / h^2 = target (> 0).
 
     The left side falls in h, so doubling from h = 1 and then halving
-    brackets the root before brentq refines it.
+    brackets the root; bisection then shrinks the bracket until it holds
+    two adjacent doubles.  The lower end is returned: the left side is at
+    least target there and below it at the next double up.
     """
-    from scipy.optimize import brentq
-
     beta, r, gamma = cls.beta, cls.r, noise.gamma
 
     def g(h):
@@ -93,7 +93,12 @@ def bandwidth_root(cls: SmoothnessClass, noise: NoiseModel, target: float) -> fl
         h_lo *= 0.5
         if h_lo < 1e-12:
             raise BandwidthError("failed to bracket the bandwidth equation")
-    return float(brentq(g, h_lo, h_hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+    while (mid := 0.5 * (h_lo + h_hi)) not in (h_lo, h_hi):
+        if g(mid) >= 0.0:
+            h_lo = mid
+        else:
+            h_hi = mid
+    return h_lo
 
 
 def x_support_radius(dim: int) -> float:

@@ -215,6 +215,22 @@ def test_criterion_6_bandwidth_correctness():
     assert ok
 
 
+def test_bandwidth_root_is_bracketed_by_adjacent_doubles():
+    # for each class of criterion 6, the returned h and the next double up
+    # straddle the root of the bandwidth equation, unless h solves it exactly
+    for n in (10**4, 10**6):
+        for beta in (0.1, 0.2, 0.5, 1.0, 2.0):
+            for r in (0.5, 1.0, 1.3, 1.7, 2.0):
+                for eta in (0.7, 0.9, 0.95):
+                    noise = tg.NoiseModel(eta)
+
+                    def g(h):
+                        return 2 * beta / h**r + 2 * noise.gamma / h**2 - math.log(n)
+
+                    h = tg.bandwidth_root(tg.SmoothnessClass(beta, r, 1.0), noise, math.log(n))
+                    assert g(h) == 0.0 or g(h) > 0.0 > g(math.nextafter(h, math.inf)), (n, beta, r, eta)
+
+
 def test_criterion_7_lower_bound_fixture():
     t0 = time.time()
     fx = lb.FROZEN_FIXTURE

@@ -463,6 +463,33 @@ class TestCliContract:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["estimate", "cut"])
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.update(eta="x"),
+        lambda meta: meta.update(n="x"),
+        lambda meta: meta["state"].update(params=["abc"]),
+        lambda meta: meta.update(state={"kind": "custom", "dim": 2, "params": {"matrix": {
+            "dim": 2, "tail_mass": 0.0, "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}}}),
+        lambda meta: meta["state"].update(kind="nosuch"),
+        lambda meta: meta["state"].update(dim="x"),
+        lambda meta: meta["state"].update(params={}),
+        lambda meta: meta.update(state={"kind": "cat", "dim": None,
+                                        "params": {"q0": 1.0, "axis": "z"}}),
+    ], ids=["eta", "n", "params", "ragged-matrix", "kind", "dim", "no-params", "cat-axis"])
+    def test_header_that_cannot_be_rebuilt_one_line(self, small_data, tmp_path, capsys,
+                                                    command, edit):
+        header, records = small_data.read_text().split("\n", 1)
+        meta = json.loads(header[len("# meta: "):])
+        edit(meta)
+        data = tmp_path / "d.csv"
+        data.write_text(f"# meta: {json.dumps(meta)}\n{records}")
+        out = tmp_path / "out"
+        rc = run(small_argv(command, data, out))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: line 1: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,needle", [
         (["simulate", "--state", "fock:0", "--n", "nan", "--eta", "0.9", "--seed", "1"],
          "--n"),
@@ -552,7 +579,7 @@ def _child(code, *args, cwd=None):
 
 
 class TestStartup:
-    """scipy loads on first use of the numerics that need it, never at start-up."""
+    """No command needs scipy, and none imports it."""
 
     def test_import_loads_lowerbound_but_no_scipy(self):
         # lowerbound stays a module-level import of cli: the bench tracer
@@ -601,65 +628,58 @@ class TestStartup:
         assert _child(code, cwd=tmp_path).strip() == "[0, 0] []"
         assert (tmp_path / argv[-1]).exists()
 
-    def test_missing_scipy_is_one_error_line(self, tmp_path):
+    def test_every_command_runs_without_scipy(self, tmp_path, monkeypatch):
         # a scipy package whose import fails stands in for scipy not installed;
-        # the README's lb-verify then ends in one error line, not a traceback
+        # the README's six commands, an opt estimate at r < 2 and the r = 1
+        # lower bound all run there, and write what they write in this process
         import os
         import subprocess
         import sys
 
+        argvs = [
+            ["simulate", "--state", "fock:1", "--n", "5000", "--eta", "0.9", "--seed", "7",
+             "--out", "d.csv"],
+            ["estimate", "--data", "d.csv", "--h", "r2", "--beta", "0.2", "--r", "2", "--L", "1",
+             "--grid=-4:4:81,-4:4:81", "--out", "grid.csv"],
+            ["cut", "--data", "d.csv", "--p", "0", "--qmin=-4", "--qmax", "4", "--steps", "161",
+             "--h", "0.35", "--out", "cut.csv"],
+            ["risk", "--state", "cat:3", "--eta", "0.95", "--n", "10000", "--reps", "100",
+             "--points", "0,0;3,0", "--rule", "r2", "--beta", "0.08", "--r", "2", "--L", "1",
+             "--seed", "11", "--out", "report.json"],
+            ["kernel-table", "--h", "0.25", "--eta", "0.9", "--variant", "modified",
+             "--umax", "50", "--step", "0.03125", "--out", "kernel.csv"],
+            ["lb-verify", "--alpha", "0.2", "--xi", "0.94", "--beta", "0.111111111111",
+             "--r", "2", "--L", "7.6", "--eta", "0.2", "--n", "1e120", "--delta", "0.5",
+             "--bigD", "5", "--out", "lb.json"],
+            ["estimate", "--data", "d.csv", "--h", "opt", "--beta", "0.5", "--r", "1.5",
+             "--L", "1", "--grid=-4:4:9,-4:4:9", "--out", "opt.csv"],
+            ["lb-verify", "--alpha", "0.2", "--xi", "0.95", "--beta", "0.5", "--r", "1",
+             "--L", "1", "--eta", "0.9", "--n", "1e100", "--delta", "0.1", "--bigD", "1",
+             "--out", "lb_r1.json"],
+        ]
+        child_dir, here_dir = tmp_path / "child", tmp_path / "here"
         stub = tmp_path / "stub" / "scipy"
-        stub.mkdir(parents=True)
+        for d in (child_dir, here_dir, stub):
+            d.mkdir(parents=True)
         (stub / "__init__.py").write_text("raise ImportError('scipy is not installed')\n")
         env = _child_env()
         env["PYTHONPATH"] = os.pathsep.join([str(stub.parent), env["PYTHONPATH"]])
-        argv = ["lb-verify", "--alpha", "0.2", "--xi", "0.94", "--beta", "0.111111111111",
-                "--r", "2", "--L", "7.6", "--eta", "0.2", "--n", "1e120", "--delta", "0.5",
-                "--bigD", "5", "--out", "lb.json"]
-        proc = subprocess.run([sys.executable, "-m", "wignerscope.cli", *argv], env=env,
-                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert not (tmp_path / "lb.json").exists()
-
-    def test_first_use_imports_give_the_same_numbers(self, tmp_path):
-        # each lazily importing function, called once in an interpreter that
-        # has not loaded scipy, against the same call in this process
-        calls = (
-            "import numpy as np\n"
-            "from wignerscope._quad import jacobi_unit\n"
-            "from wignerscope.estimator import BandwidthRule, bandwidth\n"
-            "from wignerscope.fockspace import StateSpec, materialize, wigner_eval_many\n"
-            "from wignerscope.kernels import KernelSpec, build_table\n"
-            "from wignerscope.lowerbound import _log_upper_gamma\n"
-            "from wignerscope.tomography import NoiseModel, SmoothnessClass\n"
-            "def lazy_calls():\n"
-            "    noise = NoiseModel(0.9)\n"
-            "    table = build_table(KernelSpec(0.5, noise, 'modified'), 6.0)\n"
-            "    rho = materialize(StateSpec.coherent(1.0, 0.8))\n"
-            "    return {\n"
-            "        'jacobi': np.stack(jacobi_unit(12, 0.3)),\n"
-            "        'opt': np.array(bandwidth(BandwidthRule('opt', cls=SmoothnessClass(0.3, 1.5, 1.0)),\n"
-            "                                  10**4, noise)),\n"
-            "        'upper_gamma': _log_upper_gamma(0.8, np.array([0.5, 30.0, 700.0])),\n"
-            "        'table': table.values,\n"
-            "        'coef': table.coef,\n"
-            "        'wigner': wigner_eval_many(rho, [0.0, 1.0, -2.5], [0.0, 0.8, 1.5]),\n"
-            "    }\n"
-        )
-        child = calls + (
-            "import sys\n"
-            "assert 'scipy' not in sys.modules\n"
-            "np.savez(sys.argv[1], **lazy_calls())\n"
-        )
-        path = tmp_path / "cold.npz"
-        _child(child, path)
-        scope = {}
-        exec(calls, scope)
-        here = scope["lazy_calls"]()
-        with np.load(path) as cold:
-            assert sorted(cold.files) == sorted(here)
-            for name, value in here.items():
-                assert np.array_equal(cold[name], value), name
+        code = ("import sys, wignerscope.cli as cli\n"
+                f"print([cli.run(argv) for argv in {argvs!r}])\n"
+                "try:\n"
+                "    import scipy\n"
+                "except ImportError:\n"
+                "    print('no scipy')\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=child_dir,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [str([0] * len(argvs)), "no scipy"], proc.stderr
+        monkeypatch.chdir(here_dir)
+        assert [run(argv) for argv in argvs] == [0] * len(argvs)
+        for argv in argvs:
+            for name in (argv[-1], argv[-1] + ".manifest.json"):
+                assert (child_dir / name).read_bytes() == (here_dir / name).read_bytes(), name
+        readme, r1 = (json.loads((here_dir / name).read_text())["verdicts"]
+                      for name in ("lb.json", "lb_r1.json"))
+        assert all(readme.values())
+        assert r1 == {"positivity": True, "class": True, "separation": False, "chi2": True}

@@ -192,6 +192,42 @@ class TestWtilde:
                 oracle(t), rel=1e-8, abs=0.0
             )
 
+    @pytest.mark.parametrize("alpha,xi,t,ref", [
+        # frozen from mpmath (60 digits) of e^{t^2/4} (e^{-c} - c^alpha
+        # Gamma(1-alpha, c)), c = t^2 / (2 (1-xi)); each (alpha, xi) has points
+        # on both sides of c = 2 - alpha, where the series hands over to the
+        # fraction, and points at c >= 400, where the closed form's own
+        # cancellation costs 1e-11 to 1e-9 relative
+        (0.2, 0.94, 0.001, 0.88774814897537864),
+        (0.2, 0.94, 0.1, 0.31295989476500074),
+        (0.2, 0.94, 0.46, 0.013512475961924716),
+        (0.2, 0.94, 0.47, 0.01215400421727196),
+        (0.2, 0.94, 1.0, 6.5486304692351311e-6),
+        (0.2, 0.94, 3.0, 6.6717381824021123e-35),
+        (0.2, 0.94, 7.0, 4.6982680530252445e-176),      # c = 408
+        (0.2, 0.94, 8.0, 7.9076064816739092e-229),      # c = 533
+        (0.05, 0.5, 0.01, 0.34921094726322574),
+        (0.05, 0.5, 1.39, 0.0042912337628382825),
+        (0.05, 0.5, 1.4, 0.0041571601408693759),
+        (0.05, 0.5, 5.0, 1.3828285712583055e-11),
+        (0.05, 0.5, 20.0, 6.4184436667338204e-135),     # c = 400
+        (0.05, 0.5, 25.0, 2.1223829693837603e-208),     # c = 625
+        (0.9, 0.3, 0.1, 0.95526537405441793),
+        (0.9, 0.3, 1.29, 0.15904358547943425),
+        (0.9, 0.3, 1.31, 0.15275062564603426),
+        (0.9, 0.3, 10.0, 8.4226057086504662e-23),
+        (0.9, 0.3, 24.0, 1.567469195433182e-119),       # c = 411
+        (0.9, 0.3, 30.0, 4.6967447591603755e-185),      # c = 643
+        (0.5, 0.99, 0.01, 0.87968641565022422),
+        (0.5, 0.99, 0.17, 0.046173091569072095),
+        (0.5, 0.99, 0.18, 0.036074606307082398),
+        (0.5, 0.99, 1.0, 2.4057428397410497e-24),
+        (0.5, 0.99, 3.0, 3.8811565356902206e-198),      # c = 450
+    ])
+    def test_matches_mpmath(self, alpha, xi, t, ref):
+        got = lb.wtilde_alpha_xi(lb.AlphaXi(alpha, xi), np.array([t]))[0]
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_class_membership_xi_near_one(self):
         # for xi close to 1 the base profile belongs to the class
         axi = lb.AlphaXi(0.2, 0.95)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from wignerscope import _quad
 from wignerscope import kernels as kn
@@ -103,3 +104,22 @@ class TestOuterProductReference:
             want = want + _outer_reference(u, 1.0 / h, 2.0 / h, taper_width, taper)[0]
         want /= 2.0 * math.pi
         assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+
+
+class TestJacobiUnit:
+    BETAS = np.linspace(-0.49, 0.49, 25)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_matches_scipy_roots_jacobi(self, beta):
+        s, w = _quad.jacobi_unit(64, beta)
+        x, wx = roots_jacobi(64, 0.0, beta)
+        assert np.max(np.abs(s - 0.5 * (x + 1.0))) <= 1e-15
+        assert np.max(np.abs(w / (wx / 2.0 ** (beta + 1.0)) - 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_monomial_moments_are_exact(self, beta):
+        # the 64-node rule integrates s^beta s^m exactly for m <= 127
+        s, w = _quad.jacobi_unit(64, beta)
+        m = np.arange(128)
+        moments = np.array([np.dot(w, s**k) for k in m])
+        assert np.max(np.abs(moments * (beta + m + 1.0) - 1.0)) <= 1e-13
