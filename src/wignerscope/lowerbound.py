@@ -30,7 +30,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from ._quad import cells_eval, gl_cos_sum, gl_panels, hermite_cells, jacobi_unit
+from ._quad import (
+    _GL_X, _panel_rule, cells_eval, gl_cos_sum, gl_panels, hermite_cells, jacobi_unit,
+)
 from .errors import BandwidthError, ValidationError
 from .fockspace import MAX_ORDER, _check_order, laguerre_rows
 from .tomography import (
@@ -268,23 +270,25 @@ def wtilde_alpha_xi(axi: AlphaXi, t):
         W~ = alpha e^{t^2/4 - c} F(-alpha, c),   F(a, x) = Gamma(a, x) / (x^a e^{-x}),
 
     with F from the Legendre continued fraction (_upper_gamma_fraction).
-    t^2/4 - c < 0, so W~ stays finite for all t.
+    t^2/4 - c < 0, so W~ stays finite for all t, and W~(inf) = 0.
     """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0.0):
-        raise ValidationError("t must be >= 0")
+    if not np.all(ts >= 0.0):
+        raise ValidationError("t must be >= 0 and not NaN")
     a = axi.alpha
-    c = ts * ts / (2.0 * (1.0 - axi.xi))
-    out = np.empty_like(ts)
+    with np.errstate(over="ignore"):   # c = inf past t ~ 1e154, where W~ is 0
+        c = ts * ts / (2.0 * (1.0 - axi.xi))
+    out = np.zeros_like(ts)
     low = c < 2.0 - a
+    high = ~low & (c < math.inf)
     cl, tl = c[low], ts[low]
     out[low] = np.exp(tl * tl / 4.0) * (
         (1.0 + cl * _lower_gamma_series(1.0 - a, cl)) * np.exp(-cl)
         - math.gamma(1.0 - a) * cl**a
     )
-    ch, th = c[~low], ts[~low]
-    out[~low] = a * np.exp(th * th / 4.0 - ch) * _upper_gamma_fraction(-a, ch)
+    ch, th = c[high], ts[high]
+    out[high] = a * np.exp(th * th / 4.0 - ch) * _upper_gamma_fraction(-a, ch)
     return float(out[0]) if scalar else out
 
 
@@ -446,20 +450,23 @@ def sep_at_origin(bump: BumpSpec, cls: SmoothnessClass, htilde: float) -> float:
 
 
 def perturbation_profile_noisy(
-    bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, htilde: float, y
+    bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, htilde: float, y, y_off=None
 ) -> np.ndarray:
     """q(y) = (1/pi) int_0^inf cos(t y) J(sqrt(eta) t) e^{-(1-eta) t^2/4} dt,
 
-    the noisy-model density perturbation: p_i^eta = p_0^eta +/- q."""
+    the noisy-model density perturbation: p_i^eta = p_0^eta +/- q.  With
+    y_off, q at every y[q] + y_off[i], as a (len(y), len(y_off)) array
+    (``_quad.gl_cos_sum``'s separable grid)."""
     ys = np.atleast_1d(np.asarray(y, dtype=float))
+    nodes = ys if y_off is None else np.add.outer(ys, y_off)
     se = math.sqrt(noise.eta)
-    y_max = float(np.max(np.abs(ys), initial=0.0))
+    y_max = float(np.max(np.abs(nodes), initial=0.0))
 
     def profile(t):
         return j_htilde(bump, cls, htilde, se * t) * np.exp(-(1.0 - noise.eta) * t * t / 4.0)
 
     segments = j_segments(bump, cls, htilde, y_max, 1.0 / se)
-    return sum(gl_cos_sum(ys, a, b, width, profile) for a, b, width in segments) / math.pi
+    return sum(gl_cos_sum(ys, a, b, width, profile, y_off) for a, b, width in segments) / math.pi
 
 
 def base_density_noisy(axi: AlphaXi, noise: NoiseModel, y) -> np.ndarray:
@@ -504,6 +511,14 @@ def tail_control_term(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, h
     return 4.0 / math.pi * float(np.dot(w, d * d))
 
 
+def _chi2_grid(t_hi: float):
+    """chi_squared's y rule on [0, _CHI2_Y_MAX]: equal panels no wider than
+    _CHI2_PANEL or pi/(4 t_hi), as panel midpoints, the 16 offsets they
+    share and the (panels, 16) weights."""
+    y_mid, half, _, w = _panel_rule(0.0, _CHI2_Y_MAX, min(_CHI2_PANEL, math.pi / (4.0 * t_hi)))
+    return y_mid, half[0] * _GL_X, w
+
+
 def chi_squared(
     axi: AlphaXi,
     bump: BumpSpec,
@@ -518,12 +533,15 @@ def chi_squared(
     integral of base_density_noisy (1+z replaced by 1+kappa z in p_alpha_xi,
     kappa = 2 eta - 1), the perturbation q is perturbation_profile_noisy.
 
+    The y rule's nodes are panel midpoints plus 16 shared offsets
+    (_chi2_grid), and q takes them as that separable grid, with 2 (16 +
+    panels) cos and sin per midpoint, not per node (``_quad.gl_cos_sum``).
+
     Returns the value plus the L2 and y^2-weighted tail-control diagnostics.
     """
-    t_lo, t_hi = j_support(bump, cls, htilde)
-    width = min(_CHI2_PANEL, math.pi / (4.0 * t_hi))
-    y, w = gl_panels(0.0, _CHI2_Y_MAX, width)
-    q = perturbation_profile_noisy(bump, cls, noise, htilde, y)
+    y_mid, y_off, w = _chi2_grid(j_support(bump, cls, htilde)[1])
+    y, w = np.add.outer(y_mid, y_off).ravel(), w.ravel()
+    q = perturbation_profile_noisy(bump, cls, noise, htilde, y_mid, y_off).ravel()
     # p_0^eta is even, smooth and monotone-tailed: tabulate it on a coarse grid
     # (three nodes past _CHI2_Y_MAX) and interpolate onto q's oscillation-resolving grid
     step = _CHI2_Y_MAX / (_CHI2_COARSE - 1)

@@ -7,10 +7,12 @@ another way: the Radon transform of a Wigner evaluator (against
 (against the sampler's records), the Fourier slice of a quadrature density
 (against the 2-d transform of W), the Hilbert-Schmidt distance (against
 the L2 distance of Wigner functions), and the lower bound's base-density
-tail mass by its asymptotic series (against the densities' normalization).  ``invert_reference`` is the
+tail mass by its asymptotic series (against the densities' normalization).
+Two are frozen copies of earlier fast paths, so that a faster one can be
+held to the same values bit for bit: ``gl_cos_sum_flat_reference``, the
+flat cosine sum before the separable grid, and ``invert_reference``, the
 sampler's table inversion as generator ``wignerscope-sampler/2`` first
-shipped it, frozen so that a faster inversion can be held to the same draws
-bit for bit.
+shipped it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from wignerscope._quad import gl_panels
+from wignerscope._quad import _COS_SUM_BUDGET, _GL_X, _panel_rule, gl_panels
 from wignerscope.fockspace import DensityMatrix
 from wignerscope.lowerbound import AlphaXi
 from wignerscope.tomography import NoiseModel, quad_density, x_support_radius
@@ -197,3 +199,29 @@ def invert_reference(x_grid, pdf, cdf, bucket, u):
     d1 = np.minimum(pdf[cell + 1], 3.0 * sec)
     s, _ = _solve_cubic_reference(c1 - c0, d0 * h, d1 * h, target - c0)
     return x_grid[cell - base] + s * h
+
+
+def gl_cos_sum_flat_reference(y, a: float, b: float, max_width: float, g) -> np.ndarray:
+    """``_quad.gl_cos_sum`` on a flat y grid as it shipped before the
+    separable grid, frozen so that the flat path can be held to it bit for
+    bit: a block's cos(y d) and sin(y d) in fresh arrays, two products, two
+    row-wise dot products."""
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    out = np.zeros(ys.size)
+    if b <= a:
+        return out
+    mid, half, t, w = _panel_rule(a, b, max_width)
+    wg = (w * np.reshape(g(t.ravel()), t.shape)).T      # (16, panels)
+    offsets = half[0] * _GL_X
+    rows = max(1, _COS_SUM_BUDGET // max(mid.size, _GL_X.size))
+    for i in range(0, ys.size, rows):
+        yb = ys[i : i + rows]
+        phase = np.multiply.outer(yb, offsets)
+        at_cos = np.cos(phase) @ wg                      # (rows, panels)
+        at_sin = np.sin(phase) @ wg
+        phase = np.multiply.outer(yb, mid)
+        out[i : i + yb.size] = (
+            np.einsum("ij,ij->i", np.cos(phase), at_cos)
+            - np.einsum("ij,ij->i", np.sin(phase), at_sin)
+        )
+    return out

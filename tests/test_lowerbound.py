@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, eval_laguerre, gamma as gamma_fn
 
-from _oracles import p_tail_mass
+from _oracles import gl_cos_sum_flat_reference, p_tail_mass
 from wignerscope import _quad
 from wignerscope import fockspace as fs
 from wignerscope import lowerbound as lb
@@ -227,6 +227,19 @@ class TestWtilde:
     def test_matches_mpmath(self, alpha, xi, t, ref):
         got = lb.wtilde_alpha_xi(lb.AlphaXi(alpha, xi), np.array([t]))[0]
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_nan_is_refused(self, axi_ref):
+        with pytest.raises(ValidationError):
+            lb.wtilde_alpha_xi(axi_ref, np.array([math.nan]))
+
+    def test_infinity_is_zero(self):
+        # W~(inf) = 0 beside a finite t, with no RuntimeWarning (tier-1 makes
+        # one an error); t = 1e200 overflows t^2 and is 0 as well
+        axi = lb.AlphaXi(0.2, 0.94)
+        got = lb.wtilde_alpha_xi(axi, np.array([math.inf, 1.0, 1e200]))
+        assert got[0] == 0.0 and got[2] == 0.0
+        assert got[1] == lb.wtilde_alpha_xi(axi, 1.0)
+        assert lb.wtilde_alpha_xi(axi, math.inf) == 0.0
 
     def test_class_membership_xi_near_one(self):
         # for xi close to 1 the base profile belongs to the class
@@ -492,6 +505,18 @@ class TestMehler:
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+def _flat_reference(y, a, b, max_width, g, y_off=None):
+    # perturbation_profile_noisy's flat calls, through the sum before the separable grid
+    assert y_off is None
+    return gl_cos_sum_flat_reference(y, a, b, max_width, g)
+
+
+# verify_pair's chi2_times_n at the fixture for n = 10^decade, frozen from
+# chi_squared's profile on the flat y grid, before the separable one
+CHI2_TIMES_N = {120: 0.5639928382061586, 140: 0.4850293896074903,
+                160: 0.424713012852275, 200: 0.3377083703744035}
+
+
 class TestVerifyPair:
     def test_frozen_fixture_all_verdicts(self, fixture_objects):
         axi, bump, cls, nm, n, k_max = fixture_objects
@@ -559,6 +584,69 @@ class TestVerifyPair:
         monkeypatch.setattr(_quad, "_COS_SUM_BUDGET", 2**62)   # one block
         one_shot = lb.perturbation_profile_noisy(bump, cls, nm, ht, ys)
         assert np.array_equal(blocked, one_shot)
+
+    def test_perturbation_profile_flat_grid_bit_equal(self, fixture_objects, monkeypatch):
+        # chi_squared's grid as a flat array of nodes takes the flat path,
+        # bit for bit the sum before the separable grid
+        axi, bump, cls, nm, n, k_max = fixture_objects
+        ht = lb.htilde_solve(cls, nm, n)
+        width = min(lb._CHI2_PANEL, math.pi / (4.0 * lb.j_support(bump, cls, ht)[1]))
+        ys, _ = gl_panels(0.0, lb._CHI2_Y_MAX, width)
+        got = lb.perturbation_profile_noisy(bump, cls, nm, ht, ys)
+        monkeypatch.setattr(lb, "gl_cos_sum", _flat_reference)
+        assert np.array_equal(got, lb.perturbation_profile_noisy(bump, cls, nm, ht, ys))
+
+    def test_perturbation_profile_separable_blocked_equals_one_shot(self, fixture_objects,
+                                                                   monkeypatch):
+        # chi_squared's separable grid: at a budget of 2^14 every knot segment
+        # takes several row blocks, at the default the widest one does
+        axi, bump, cls, nm, n, k_max = fixture_objects
+        ht = lb.htilde_solve(cls, nm, n)
+        y_mid, y_off, _ = lb._chi2_grid(lb.j_support(bump, cls, ht)[1])
+        segments = lb.j_segments(bump, cls, ht, lb._CHI2_Y_MAX, 1.0 / math.sqrt(nm.eta))
+        panels = [math.ceil((b - a) / w) for a, b, w in segments]
+        assert y_mid.size > 2 * (2**14 // (y_off.size * min(panels)))
+        assert y_mid.size > 2 * (_quad._COS_SUM_BUDGET // (y_off.size * max(panels)))
+        results = []
+        for budget in (2**14, _quad._COS_SUM_BUDGET, 2**62):   # the last is one block
+            monkeypatch.setattr(_quad, "_COS_SUM_BUDGET", budget)
+            results.append(lb.perturbation_profile_noisy(bump, cls, nm, ht, y_mid, y_off))
+        assert all(np.array_equal(r, results[-1]) for r in results)
+
+    @pytest.mark.parametrize("decade", [120, 160, 200])
+    def test_separable_profile_matches_quadpack(self, fixture_objects, monkeypatch, decade):
+        # chi_squared's q on its own grid against QUADPACK split at the knots,
+        # relative to q(0): at the nodes nearest y = 3.7, 41.3 and 120, and at
+        # the node where it moved most from the flat sum on gl_panels' nodes
+        axi, bump, cls, nm, _, k_max = fixture_objects
+        ht = lb.htilde_solve(cls, nm, 10**decade)
+        knots, se, g = _knots(bump, cls, ht), math.sqrt(nm.eta), 1.0 - nm.eta
+        y_mid, y_off, _ = lb._chi2_grid(knots[-1])
+        y = np.add.outer(y_mid, y_off).ravel()
+        q = lb.perturbation_profile_noisy(bump, cls, nm, ht, y_mid, y_off).ravel()
+        y_flat, _ = gl_panels(0.0, lb._CHI2_Y_MAX, min(lb._CHI2_PANEL, math.pi / (4.0 * knots[-1])))
+        monkeypatch.setattr(lb, "gl_cos_sum", _flat_reference)
+        q_flat = lb.perturbation_profile_noisy(bump, cls, nm, ht, y_flat)
+        nodes = [int(np.argmin(np.abs(y - v))) for v in (3.7, 41.3, lb._CHI2_Y_MAX)]
+        nodes.append(int(np.argmax(np.abs(q - q_flat))))
+
+        def profile(s):
+            return float(lb.j_htilde(bump, cls, ht, se * s)) * math.exp(-g * s * s / 4.0)
+
+        q0 = _quad_knots(profile, knots, 1.0 / se) / math.pi
+        for k in nodes:
+            oracle = _quad_knots(lambda s: profile(s) * math.cos(y[k] * s), knots, 1.0 / se,
+                                 epsabs=1e-13 * abs(q0)) / math.pi
+            assert abs(q[k] - oracle) <= 1e-12 * abs(q0), y[k]
+
+    @pytest.mark.parametrize("decade", sorted(CHI2_TIMES_N))
+    def test_bench_decades(self, fixture_objects, decade):
+        # lb-fixture's decades: all four verdicts, and n chi^2 within 1e-13 of
+        # its value on the flat y grid
+        axi, bump, cls, nm, _, k_max = fixture_objects
+        rep = lb.verify_pair(axi, bump, cls, nm, 10**decade, k_max=k_max)
+        assert rep.all_true
+        assert abs(rep.chi2_times_n / CHI2_TIMES_N[decade] - 1.0) <= 1e-13
 
     def test_chi2_verdict_counts_tail_estimate(self, fixture_objects):
         # at this scale n chi^2 alone stays <= 1, chi^2 plus its tail does not

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from _oracles import gl_cos_sum_flat_reference
 from wignerscope import _quad
 from wignerscope import kernels as kn
 from wignerscope._quad import gl_cos_sum, gl_panels
@@ -104,6 +105,65 @@ class TestOuterProductReference:
             want = want + _outer_reference(u, 1.0 / h, 2.0 / h, taper_width, taper)[0]
         want /= 2.0 * math.pi
         assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+
+
+class TestFlatReference:
+    # kernel-tab's three kernels: (variant, h, eta), tabulated to 50 in steps of 1/32
+    SPECS = [("modified", 0.25, 0.9), ("modified", 0.15, 0.9), ("sharp", 0.1, 0.95)]
+
+    @pytest.mark.parametrize("variant,h,eta", SPECS)
+    def test_kernel_table_bit_equal(self, variant, h, eta, monkeypatch):
+        # build_table's node array and its 64 check points, through kernel_eval,
+        # against the flat sum before the separable grid
+        spec = kn.KernelSpec(h, NoiseModel(eta), variant)
+        step = 0.03125
+        n = int(math.ceil(50.0 / step)) + 1
+        nodes = np.arange(n + 3) * step
+        checks = np.random.default_rng(0).uniform(0.0, (n - 1) * step, size=kn._TABLE_CHECKS)
+        got = [kn.kernel_eval(spec, u) for u in (nodes, checks)]
+        monkeypatch.setattr(kn, "gl_cos_sum", gl_cos_sum_flat_reference)
+        want = [kn.kernel_eval(spec, u) for u in (nodes, checks)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestSeparableGrid:
+    A, B = 1.2, 9.7
+
+    @staticmethod
+    def _grid(kind, n_off):
+        # y = y_mid + y_off over [-12, 12]: Gauss-Legendre panels of width
+        # 0.3, or 80 cells of width 0.3 split into 16 equal steps
+        if kind == "gauss-legendre":
+            y_mid, half, _, _ = _quad._panel_rule(-12.0, 12.0, 0.3)
+            y_off = half[0] * _quad._GL_X
+        else:
+            y_mid = -12.0 + 0.3 * np.arange(80)
+            y_off = 0.3 / 16.0 * np.arange(16)
+        return y_mid, y_off[-n_off:]
+
+    @pytest.mark.parametrize("n_off", [1, 16])
+    @pytest.mark.parametrize("kind", ["gauss-legendre", "uniform"])
+    def test_matches_outer_reference(self, kind, n_off):
+        y_mid, y_off = self._grid(kind, n_off)
+        y = np.add.outer(y_mid, y_off)
+        width, g = _width(self.A, self.B, y), TestOuterProductReference._g
+        got = gl_cos_sum(y_mid, self.A, self.B, width, g, y_off)
+        want, scale = _outer_reference(y.ravel(), self.A, self.B, width, g)
+        assert got.shape == (y_mid.size, n_off)
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * scale
+
+    def test_zero_offset_is_the_flat_sum(self):
+        y_mid, _ = self._grid("uniform", 1)
+        width = _width(self.A, self.B, y_mid)
+        got = gl_cos_sum(y_mid, self.A, self.B, width, np.ones_like, [0.0])
+        flat = gl_cos_sum(y_mid, self.A, self.B, width, np.ones_like)
+        assert got.shape == (y_mid.size, 1)
+        assert np.max(np.abs(got[:, 0] - flat)) <= 1e-12 * (self.B - self.A)
+
+    def test_empty_interval_and_empty_y(self):
+        assert np.array_equal(gl_cos_sum([1.0, 2.0], 3.0, 3.0, 0.1, np.ones_like, [0.0, 0.1]),
+                              np.zeros((2, 2)))
+        assert gl_cos_sum(np.empty(0), 0.0, 1.0, 0.1, np.ones_like, [0.0, 0.1]).shape == (0, 2)
 
 
 class TestJacobiUnit:
