@@ -10,14 +10,22 @@ phases, and each block is written straight into the preallocated pdf and
 cdf tables (Simpson cells, running sums and the third differences of the
 error estimate), so the build holds one block's temporaries beside the
 two tables.  The tables equal those of one product over all phases bit
-for bit.
+for bit.  The grid starts at 1025 points.  Where the error estimate
+h^4 max|p'''| / 384 misses _CDF_TOL there, the next grid halves h k times
+at once, k = ceil(log16(err / _CDF_TOL)), since the error scales as h^4.
 
 Inversion: one branchless binary search over the row's n - 1 cells of the
-flattened table, needing no clamp, selects each record's cell, and its
-monotone Hermite cubic is solved by bisection-safeguarded Newton (one
-residual mask and one guarded step per sweep), stopped once no record
-moves by more than 1e-15 of a cell.  Draws are unchanged, bit for bit,
-since generator wignerscope-sampler/2.
+flattened table, needing no clamp, selects each record's cell.  Its
+Hermite cubic keeps the density's own end slopes wherever they lie in
+Fritsch & Carlson's monotone region and takes them scaled onto the
+region's edge elsewhere, so table_error estimates the error of the very
+interpolant the draws invert.  The cubic is solved by bisection-
+safeguarded Newton (one residual mask and one guarded step per sweep),
+stopped once every record has moved by at most 1e-15 of a cell or gone
+back to its previous iterate.  Generator wignerscope-sampler/3; /2
+clamped the slopes to the box [0, 3]^2 (in units of the cell's mean
+slope), which bent cubics beside a cat's fringe zeros and left
+table_error 10-20x short of the true error.
 
 Reproducibility: generation is a pure function of (state, n, seed, eta).
 The RNG is counter-based (Philox) with two independent streams keyed by
@@ -37,7 +45,7 @@ from .errors import DatasetFormatError, ValidationError
 from .fockspace import DensityMatrix, StateSpec, materialize
 from .tomography import NoiseModel, quad_density_blocks, x_support_radius
 
-GENERATOR_VERSION = "wignerscope-sampler/2"
+GENERATOR_VERSION = "wignerscope-sampler/3"
 
 _MASK64 = (1 << 64) - 1
 _PHI_STREAM = 0
@@ -50,7 +58,7 @@ _MAX_SWEEPS = 64
 # CDF tables: phases cached over [0, pi], the starting grid size, the
 # interpolation error target and the grid size at which refinement stops
 _N_PHASES = 1024
-_N_POINTS = 4097
+_N_POINTS = 1025
 _CDF_TOL = 1e-6
 _MAX_POINTS = 65537
 
@@ -154,14 +162,43 @@ def _search_rows(flat: np.ndarray, base: np.ndarray, n: int, t: np.ndarray) -> n
     return idx
 
 
+def _monotone_slopes(dc: np.ndarray, m0: np.ndarray, m1: np.ndarray):
+    """Per cell of mass dc, the end slopes m0, m1 of its Hermite cubic (in
+    units of the cell, m = p h >= 0), moved only where the cubic would not be
+    monotone.  Works in place and returns (m0, m1).
+
+    With alpha = m0/dc and beta = m1/dc the cubic is monotone iff (alpha,
+    beta) lies in Fritsch & Carlson's region M: alpha + beta - sqrt(alpha
+    beta) <= 3, that is the box [0, 3]^2 and, past it, the ellipse alpha^2 +
+    alpha beta + beta^2 - 6 (alpha + beta) + 9 <= 0.  Slopes in M are the
+    density's own, so the cell keeps the h^4 error of exact slopes; slopes
+    outside M are scaled along their ray onto M's boundary, the least
+    shrinking of the pair that makes the cubic monotone.  Only cells outside
+    the box are tested.  A cell of zero mass gets zero slopes.
+    """
+    out = np.flatnonzero(np.maximum(m0, m1) > 3.0 * dc)
+    if out.size:
+        a, b, d = m0[out], m1[out], dc[out]
+        edge = a + b - np.sqrt(a * b)  # >= max(a, b) / 2 > 0
+        scale = np.minimum(3.0 * d / edge, 1.0)
+        m0[out] = a * scale
+        m1[out] = b * scale
+    return m0, m1
+
+
 class QuadratureSampler:
     """Inverse-CDF sampler for the ideal quadrature data of one state.
 
     Per cached phase (nearest reuse over a uniform grid of _N_PHASES
-    phases), the CDF of p_rho(.|phi) is tabulated on an adaptive x grid,
-    refined until the monotone-cubic interpolation error estimate is at
-    most _CDF_TOL.  Diagonal states are phase-independent and use a single
-    cached phase.
+    phases), the CDF of p_rho(.|phi) is tabulated on a uniform x grid of
+    _N_POINTS = 1025 points or, where the interpolation error estimate
+    misses _CDF_TOL there, on the grid its h^4 scaling says meets it (up
+    to _MAX_POINTS; a grid that still misses jumps again).  table_error is
+    that estimate, h^4 max|p'''| / 384, the error of each cell's Hermite
+    cubic on the density's own slopes, which the draw keeps wherever the
+    cubic is monotone.  On cat:3, cat:6 and squeezed:0.8 the interpolant's
+    error against a 16x finer table is 0.87 of it (tested: at most 2x).
+    Diagonal states are phase-independent and use a single cached phase.
     """
 
     def __init__(self, rho: DensityMatrix):
@@ -178,7 +215,9 @@ class QuadratureSampler:
             pdf, cdf, err = self._tabulate(grid)
             if err <= _CDF_TOL or n >= _MAX_POINTS:
                 break
-            n = 2 * n - 1
+            # the error scales as h^4: k halvings of h divide it by 16^k
+            k = math.ceil(math.log(err / _CDF_TOL, 16))
+            n = min((n - 1) * 2**k + 1, _MAX_POINTS)
         if err > _CDF_TOL:
             raise ValidationError(
                 f"CDF table error {err:.2e} > {_CDF_TOL:.1e} at {n} points"
@@ -231,11 +270,8 @@ class QuadratureSampler:
         cell = _search_rows(cdf, base, n, target)
         c0 = cdf[cell]
         dc = cdf[cell + 1] - c0
-        # Fritsch-Carlson clamp keeps the Hermite cubic monotone
-        sec3 = 3.0 * (np.maximum(dc, 1e-300) / h)
-        d0 = np.minimum(pdf[cell], sec3)
-        d1 = np.minimum(pdf[cell + 1], sec3)
-        s, _ = self._solve_cubic(dc, d0 * h, d1 * h, target - c0)
+        m0, m1 = _monotone_slopes(dc, pdf[cell] * h, pdf[cell + 1] * h)
+        s, _ = self._solve_cubic(dc, m0, m1, target - c0)
         return grid[cell - base] + s * h
 
     @staticmethod
@@ -247,9 +283,14 @@ class QuadratureSampler:
         Each sweep shrinks every record's bracket [lo, hi] to the side of
         the root its H(s) - t shows, takes the Newton step, and bisects
         instead where that step leaves the bracket or H' <= 0 with the
-        root not yet hit.  The sweeps stop once no record moved by more
-        than _SOLVE_TOL, at most _MAX_SWEEPS (enough for bisection alone
-        to reach _SOLVE_TOL).  Returns (s, sweeps run).
+        root not yet hit.  A record has settled once its step is at most
+        _SOLVE_TOL, or once its step takes it back to its previous iterate:
+        where H' is small, the rounding of H(s) - t (about ulp(t)) flips
+        its sign between two neighbours about ulp(t)/H' apart, finer than
+        H itself resolves, and Newton would swing between them for good.
+        The sweeps stop once every record has settled, at most _MAX_SWEEPS
+        (enough for bisection alone to reach _SOLVE_TOL).  Returns (s,
+        sweeps run).
         """
         a = m0 + m1 - 2.0 * dc
         b = 3.0 * dc - 2.0 * m0 - m1
@@ -259,6 +300,7 @@ class QuadratureSampler:
         np.clip(s, 0.0, 1.0, out=s)
         lo = np.zeros_like(s)
         hi = np.ones_like(s)
+        prev = s
         for sweep in range(1, _MAX_SWEEPS + 1):
             val = ((a * s + b) * s + m0) * s - t
             der = (a3 * s + b2) * s + m0
@@ -272,9 +314,15 @@ class QuadratureSampler:
             bad = (s_new < lo) | (s_new > hi) | ((val != 0.0) > rising)
             if bad.any():
                 np.copyto(s_new, 0.5 * (lo + hi), where=bad)
-            moved = float(np.max(np.abs(s_new - s)))
-            s = s_new
-            if moved <= _SOLVE_TOL:
+            live = np.flatnonzero(np.abs(s_new - s) > _SOLVE_TOL)
+            # the first moving record alone is checked first: in a sweep
+            # still converging it has not cycled, and nothing is gathered
+            settled = live.size == 0 or (
+                s_new[live[0]] == prev[live[0]]
+                and np.array_equal(s_new[live], prev[live])
+            )
+            prev, s = s, s_new
+            if settled:
                 break
         return np.clip(s, 0.0, 1.0), sweep
 

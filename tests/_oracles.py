@@ -12,7 +12,10 @@ Two are frozen copies of earlier fast paths, so that a faster one can be
 held to the same values bit for bit: ``gl_cos_sum_flat_reference``, the
 flat cosine sum before the separable grid, and ``invert_reference``, the
 sampler's table inversion as generator ``wignerscope-sampler/2`` first
-shipped it.
+shipped it.  Generator ``/3`` still draws the same bits wherever a
+record's cell slopes lie in the box [0, 3 dc]^2 and its Newton sweeps
+converge under ``/2``'s stopping rule, which ``_solve_cubic_reference``
+keeps.
 """
 
 from __future__ import annotations

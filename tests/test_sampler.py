@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from _oracles import invert_reference, noisy_density
+from _oracles import _solve_cubic_reference, invert_reference, noisy_density
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
@@ -150,6 +150,50 @@ class TestTable:
         with pytest.raises(ForwardModelError, match="negative"):
             sp.QuadratureSampler(broken)
 
+    @pytest.mark.parametrize("spec", [
+        fs.StateSpec.cat(3.0), fs.StateSpec.cat(6.0), fs.StateSpec.squeezed(0.8),
+    ], ids=["cat3", "cat6", "squeezed"])
+    def test_table_error_is_honest(self, spec):
+        # the draw's interpolant (each cell's Hermite cubic on the guarded
+        # slopes) against the same Simpson CDF on a 16x finer grid, at rows
+        # beside phi = pi/2, where cat fringes are finest, and elsewhere
+        sampler = sp.QuadratureSampler(fs.materialize(spec))
+        k, grid = sampler.n_phases, sampler.x_grid
+        rows = np.array([0, k // 3, k // 2 - 1, k // 2, k - 5])
+        ref = object.__new__(sp.QuadratureSampler)
+        ref.rho, ref.n_phases, ref._phases = sampler.rho, rows.size, sampler._phases[rows]
+        fine = 16
+        _, ref_cdf, _ = ref._tabulate(np.linspace(grid[0], grid[-1], (grid.size - 1) * fine + 1))
+        h = grid[1] - grid[0]
+        s = np.arange(fine) / fine
+        worst = 0.0
+        for i, r in enumerate(rows):
+            c0, dc = sampler.cdf[r, :-1], np.diff(sampler.cdf[r])
+            m0, m1 = sp._monotone_slopes(dc, sampler.pdf[r, :-1] * h, sampler.pdf[r, 1:] * h)
+            a, b = m0 + m1 - 2.0 * dc, 3.0 * dc - 2.0 * m0 - m1
+            interp = c0[:, None] + ((a[:, None] * s + b[:, None]) * s + m0[:, None]) * s
+            true = ref_cdf[i, :-1].reshape(grid.size - 1, fine)
+            worst = max(worst, float(np.max(np.abs(interp - true))))
+        assert worst <= sp._CDF_TOL
+        assert worst <= 2.0 * sampler.table_error
+
+    def test_refinement_jumps_by_the_h4_rule(self, monkeypatch):
+        # cat:6 misses the target at the start grid by a factor below 16,
+        # so one halving of h follows, and no further level
+        sizes = []
+        tabulate = sp.QuadratureSampler._tabulate
+
+        def spy(self, grid):
+            out = tabulate(self, grid)
+            sizes.append((grid.size, out[2]))
+            return out
+
+        monkeypatch.setattr(sp.QuadratureSampler, "_tabulate", spy)
+        sampler = sp.QuadratureSampler(fs.materialize(fs.StateSpec.cat(6.0)))
+        (n0, err0), (n1, err1) = sizes
+        assert n0 == sp._N_POINTS and sp._CDF_TOL < err0 < 16.0 * sp._CDF_TOL
+        assert n1 == 2 * n0 - 1 == sampler.x_grid.size and err1 == sampler.table_error
+
     def test_pdf_rows_match_amplitude_sum(self, cat_sampler):
         # independent oracle for pure states rho = c c^*: the amplitude sum
         # p(x | phi) = |sum_j c_j e^{-i j phi} psi_j(x)|^2 walks no diagonals
@@ -163,6 +207,66 @@ class TestTable:
                 phase = np.exp(-1j * np.arange(c.size) * sampler._phases[k])
                 ref = np.abs((c * phase) @ psi) ** 2
                 assert np.max(np.abs(sampler.pdf[k] - ref)) <= 1e-12
+
+
+def _fc_slopes(dc, m0, m1):
+    """One cell's end slopes (m = p h) under Fritsch & Carlson's monotone
+    region M in its published form (SIAM J. Numer. Anal. 17 (1980), Lemma
+    2): kept where the cubic is monotone, else scaled along their ray to
+    M's edge, the larger root tau of tau^2 (a^2 + ab + b^2) - 6 tau (a + b)
+    + 9 = 0 with a = m0/dc, b = m1/dc."""
+    if dc == 0.0:
+        return 0.0, 0.0
+    a, b = m0 / dc, m1 / dc
+    if (a + b <= 2.0 or 2.0 * a + b <= 3.0 or a + 2.0 * b <= 3.0
+            or a - (2.0 * a + b - 3.0) ** 2 / (3.0 * (a + b - 2.0)) >= 0.0):
+        return m0, m1
+    tau = 3.0 * (a + b + math.sqrt(a * b)) / (a * a + a * b + b * b)
+    return tau * m0, tau * m1
+
+
+def _hermite(s, dc, m0, m1):
+    """The cell's Hermite cubic in its basis form: H(0) = 0, H(1) = dc,
+    H'(0) = m0, H'(1) = m1."""
+    return dc * s * s * (3.0 - 2.0 * s) + m0 * s * (1.0 - s) ** 2 - m1 * s * s * (1.0 - s)
+
+
+def _cell_cubics(grid, pdf, cdf, bucket, u):
+    """Per record, as generator wignerscope-sampler/3 defines its cell, one
+    record at a time: the row's searchsorted cell (the last one at most),
+    its left node, mass dc and target t above the node, and the slopes of
+    _fc_slopes."""
+    h = grid[1] - grid[0]
+    cells = []
+    for k, v in zip(bucket, u):
+        row = cdf[k]
+        target = v * row[-1]
+        j = min(int(np.searchsorted(row, target, side="right")) - 1, grid.size - 2)
+        dc = row[j + 1] - row[j]
+        m0, m1 = _fc_slopes(dc, pdf[k, j] * h, pdf[k, j + 1] * h)
+        cells.append((grid[j], dc, target - row[j], m0, m1))
+    return cells
+
+
+def _invert_scalar(grid, pdf, cdf, bucket, u):
+    """Generator wignerscope-sampler/3's inversion one record at a time:
+    the root of each record's cell cubic from brentq; a cell of no mass
+    gives its midpoint."""
+    h = grid[1] - grid[0]
+    x = np.empty(u.size)
+    for i, (x0, dc, t, m0, m1) in enumerate(_cell_cubics(grid, pdf, cdf, bucket, u)):
+        s = 0.5 if dc == 0.0 else brentq(
+            lambda s: _hermite(s, dc, m0, m1) - t, 0.0, 1.0,
+            xtol=1e-16, rtol=4.0 * np.finfo(float).eps)
+        x[i] = x0 + s * h
+    return x
+
+
+def _synthetic_sampler(grid, pdf, cdf):
+    synthetic = object.__new__(sp.QuadratureSampler)
+    synthetic.x_grid, synthetic.pdf, synthetic.cdf = grid, pdf, cdf
+    synthetic.row_total = cdf[:, -1].copy()
+    return synthetic
 
 
 class TestInversion:
@@ -207,11 +311,35 @@ class TestInversion:
             want = invert_reference(sampler.x_grid, sampler.pdf, sampler.cdf, bucket, u)
             assert np.array_equal(sampler._invert(bucket, u), want)
 
+    def test_monotone_slopes_follow_the_published_region(self):
+        # slope pairs (a, b) dc over [0, 6]^2, with M's corners (3, 0), (0, 3)
+        # and (3, 3), its widest point (4, 1), and (3, 3.5) just outside
+        rng = np.random.default_rng(11)
+        ab = np.concatenate([rng.uniform(0.0, 6.0, (4000, 2)),
+                             [[3.0, 0.0], [0.0, 3.0], [3.0, 3.0], [4.0, 1.0], [3.0, 3.5]]])
+        dc = rng.exponential(size=ab.shape[0])
+        m0, m1 = sp._monotone_slopes(dc, ab[:, 0] * dc, ab[:, 1] * dc)
+        want = np.array([_fc_slopes(d, a * d, b * d) for d, (a, b) in zip(dc, ab)])
+        assert np.allclose(m0, want[:, 0], rtol=1e-14, atol=0.0)
+        assert np.allclose(m1, want[:, 1], rtol=1e-14, atol=0.0)
+        # kept inside M, on M's edge a + b - sqrt(ab) = 3 once scaled
+        edge = ab[:, 0] + ab[:, 1] - np.sqrt(ab[:, 0] * ab[:, 1])
+        inside = edge < 3.0 - 1e-12
+        assert np.array_equal(m0[inside], ab[inside, 0] * dc[inside])
+        assert np.array_equal(m1[inside], ab[inside, 1] * dc[inside])
+        out = edge > 3.0
+        assert out.sum() > 1000
+        assert np.allclose((m0 + m1 - np.sqrt(m0 * m1))[out], 3.0 * dc[out], rtol=1e-14, atol=0.0)
+        # a cell of no mass gets zero slopes
+        z0, z1 = sp._monotone_slopes(np.zeros(3), np.array([0.0, 1.0, 2.0]),
+                                     np.array([0.0, 0.0, 5.0]))
+        assert not z0.any() and not z1.any()
+
     def test_invert_equals_reference_on_plateaus(self):
         # a synthetic table: trapezoid CDF rows with zero-mass cells (dc = 0);
         # after the CDF is built, row 5's pdf is set to 0 on every other node
-        # and to spikes on the rest, so the Fritsch-Carlson clamp leaves
-        # cubics with H' <= 0 short of the root
+        # and to spikes on the rest, so every cell of row 5 lies outside the
+        # monotone region and is scaled onto its edge, where H' touches 0
         rng = np.random.default_rng(5)
         n = 33
         grid = np.linspace(-3.0, 3.0, n)
@@ -225,9 +353,7 @@ class TestInversion:
                   out=cdf[:, 1:])
         pdf[5, 0::2] = 0.0
         pdf[5, 1::2] = 1e3
-        synthetic = object.__new__(sp.QuadratureSampler)
-        synthetic.x_grid, synthetic.pdf, synthetic.cdf = grid, pdf, cdf
-        synthetic.row_total = cdf[:, -1].copy()
+        synthetic = _synthetic_sampler(grid, pdf, cdf)
 
         bucket = np.repeat(np.arange(6), 400)
         total = cdf[bucket, -1]
@@ -238,8 +364,50 @@ class TestInversion:
         u[5::12] = 0.0
         u[11::24] = np.nextafter(1.0, 0.0)
         u[23::24] = 1.0
-        want = invert_reference(grid, pdf, cdf, bucket, u)
-        assert np.array_equal(synthetic._invert(bucket, u), want)
+        got = synthetic._invert(bucket, u)
+        h = grid[1] - grid[0]
+        far = np.abs(got - _invert_scalar(grid, pdf, cdf, bucket, u)) > 1e-12 * h
+        # targets just short of a cell end where H' = 0 (a plateau's edge,
+        # row 5's spikes): rounding H moves such a root by up to eps^(1/2)
+        # or eps^(1/3) of a cell in any solver, so there the draw must solve
+        # H(s) = t to 1e-13 dc instead
+        cells = _cell_cubics(grid, pdf, cdf, bucket, u)
+        for i in np.flatnonzero(far):
+            x0, dc, t, m0, m1 = cells[i]
+            assert min(m0, m1) == 0.0
+            assert abs(_hermite((got[i] - x0) / h, dc, m0, m1) - t) <= 1e-13 * dc
+
+    def test_two_cycles_settle(self, monkeypatch):
+        # exponential pdf rows, trapezoid CDF, 33 nodes: at the three records
+        # appended, where m1/dc is 0.15, 0.13 and 0.0013, the rounding of
+        # H(s) - t flips its sign between two iterates about ulp(t)/H' apart
+        # and Newton swings between them: the frozen stopping rule of
+        # wignerscope-sampler/2 runs all _MAX_SWEEPS sweeps on this batch
+        rng = np.random.default_rng(5)
+        grid = np.linspace(-3.0, 3.0, 33)
+        pdf = rng.exponential(size=(6, grid.size))
+        cdf = np.zeros_like(pdf)
+        np.cumsum(0.5 * (grid[1] - grid[0]) * (pdf[:, 1:] + pdf[:, :-1]), axis=1,
+                  out=cdf[:, 1:])
+        bucket = np.concatenate([rng.integers(0, 6, 2000), [2, 5, 2]])
+        u = np.concatenate([rng.random(2000),
+                            [0.987236448763953, 0.95254623336114, 0.6459950213120654]])
+        calls = []
+        solve = sp.QuadratureSampler._solve_cubic
+
+        def spy(*args):
+            s, k = solve(*args)
+            calls.append((args, k))
+            return s, k
+
+        monkeypatch.setattr(sp.QuadratureSampler, "_solve_cubic", staticmethod(spy))
+        x = _synthetic_sampler(grid, pdf, cdf)._invert(bucket, u)
+        (args, sweeps), = calls
+        assert _solve_cubic_reference(*args)[1] == sp._MAX_SWEEPS
+        assert sweeps < sp._MAX_SWEEPS
+        h = grid[1] - grid[0]
+        want = _invert_scalar(grid, pdf, cdf, bucket, u)
+        assert np.max(np.abs(x - want)) <= 1e-12 * h
 
     def test_draws_are_roots_of_their_cell_cubic(self, cat_sampler, monkeypatch):
         # brentq oracle on each record's own monotone Hermite cubic; the
@@ -262,34 +430,19 @@ class TestInversion:
         u = rng.random(n_rec)
         npha = cat_sampler.n_phases
         bucket = np.minimum((phi / math.pi * npha).astype(np.int64), npha - 1)
-        grid, cdf, pdf = cat_sampler.x_grid, cat_sampler.cdf, cat_sampler.pdf
-        h = grid[1] - grid[0]
-        for i in range(n_rec):
-            row = cdf[bucket[i]]
-            target = u[i] * row[-1]
-            j = min(int(np.searchsorted(row, target, side="right")) - 1, grid.size - 2)
-            dc = row[j + 1] - row[j]
-            sec = max(dc, 1e-300) / h
-            m0 = min(pdf[bucket[i], j], 3.0 * sec) * h
-            m1 = min(pdf[bucket[i], j + 1], 3.0 * sec) * h
-            t = target - row[j]
-
-            def resid(s):
-                return dc * s * s * (3.0 - 2.0 * s) + m0 * s * (1.0 - s) ** 2 \
-                    - m1 * s * s * (1.0 - s) - t
-
-            root = brentq(resid, 0.0, 1.0, xtol=1e-16, rtol=4.0 * np.finfo(float).eps)
-            assert abs(x[i] - (grid[j] + root * h)) <= 1e-12 * h
+        grid = cat_sampler.x_grid
+        want = _invert_scalar(grid, cat_sampler.pdf, cat_sampler.cdf, bucket, u)
+        assert np.max(np.abs(x - want)) <= 1e-12 * (grid[1] - grid[0])
 
     def test_generator_version(self, tmp_path):
         ds = sp.simulate(fs.StateSpec.fock(1), 20, 0.9, seed=3)
-        assert ds.meta.generator_version == "wignerscope-sampler/2"
+        assert ds.meta.generator_version == "wignerscope-sampler/3"
         path = tmp_path / "old.csv"
         sp.write_dataset(ds, path)
-        text = path.read_text().replace("wignerscope-sampler/2", "wignerscope-sampler/1")
+        text = path.read_text().replace("wignerscope-sampler/3", "wignerscope-sampler/2")
         path.write_text(text)
         old = sp.read_dataset(path)
-        assert old.meta.generator_version == "wignerscope-sampler/1"
+        assert old.meta.generator_version == "wignerscope-sampler/2"
         assert np.array_equal(old.y, ds.y)
 
 
