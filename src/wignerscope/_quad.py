@@ -1,9 +1,9 @@
 """Shared fixed-order quadrature helpers.
 
 Panelled Gauss-Legendre rules (deterministic, vectorizable), their cosine
-transform summed panel by panel on a flat or a separable y grid (angle
-addition on the t side, and on a separable grid on the y side as well),
-Gauss-Jacobi rules (Golub-Welsch) for integrands with an algebraic endpoint
+transform summed panel by panel on a separable y grid of midpoints plus
+shared offsets (angle addition on both the t and the y side), Gauss-Jacobi
+rules (Golub-Welsch) for integrands with an algebraic endpoint
 singularity, and local cubic Hermite tables.
 """
 
@@ -14,10 +14,9 @@ import math
 import numpy as np
 
 # elements of one (y rows x max(E panels, 16)) block in gl_cos_sum, E the
-# number of y offsets (1 on a flat grid): bounds the one workspace all its
-# blocks reuse, (rows x 16) cos or sin of y d, (rows x 32) on a separable grid,
-# (rows x 2 E panels) products and (rows x panels) cos or sin of y m, at 2 to
-# 4 MiB each, whatever the number of y values
+# number of y offsets: bounds the one workspace all its blocks reuse, (rows x
+# 32) cos and sin of y d, (rows x 2 E panels) products and (rows x panels) cos
+# or sin of y m, at 2 to 4 MiB each, whatever the number of y values
 _COS_SUM_BUDGET = 2**18
 # the one Gauss-Legendre rule of every panel: 16 nodes on [-1, 1]
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -53,10 +52,10 @@ def _trig(f, y, x, buf):
 
 
 def gl_cos_sum(y, a: float, b: float, max_width: float, g, y_off=None) -> np.ndarray:
-    """sum_j w_j g(t_j) cos(y t_j) for every y, over the rule gl_panels(a, b,
-    max_width) builds: the same panels, 16 nodes each, the same weights.
-    With ``y_off``, the sum at every y[q] + y_off[i] of a separable grid,
-    as a (len(y), len(y_off)) array; without, a flat one, as a len(y) array.
+    """sum_j w_j g(t_j) cos(y t_j) over the rule gl_panels(a, b, max_width)
+    builds (the same panels, 16 nodes each, the same weights), at every
+    y[q] + y_off[i] of a separable grid, as a (len(y), len(y_off)) array;
+    without ``y_off``, at every y[q], as a len(y) array (y_off = [0]).
 
     ``g`` maps the flat array of nodes to integrand values.  The panels are
     equal, so every node is t = m_p + d_j, a panel midpoint plus one of 16
@@ -64,17 +63,14 @@ def gl_cos_sum(y, a: float, b: float, max_width: float, g, y_off=None) -> np.nda
 
         cos(y t) = cos(y m_p) cos(y d_j) - sin(y m_p) sin(y d_j),
 
-    turns the flat sum into two (rows x 16) @ (16 x panels) products and
-    two row-wise dot products: 2 (16 + panels) cos and sin per y in place
-    of 16 panels.  On a separable grid, y = Y + e, angle addition in e as
-    well folds the factors w_j g(t_j) cos(e t_j) and w_j g(t_j) sin(e t_j)
-    of all E offsets into one (32 x 2 E panels) matrix, formed once, so a
-    row block of Y is one product of [cos(Y d) | sin(Y d)] with it and the
-    contraction with cos(Y m_p) and sin(Y m_p): 2 (16 + panels) cos and
-    sin per E values of y, plus 32 E panels once.  chi_squared's grid
-    (E = 16) takes 15 times fewer than the same nodes as a flat grid.  A
-    flat grid is E = 1 with y_off = [0], whose sin factors vanish, so it
-    keeps its two 16-column products.
+    turns the sum over nodes into products with cos(y d_j) and sin(y d_j),
+    then row-wise dot products with cos(y m_p) and sin(y m_p).  On the
+    separable grid, y = Y + e, angle addition in e as well folds the factors
+    w_j g(t_j) cos(e t_j) and w_j g(t_j) sin(e t_j) of all E offsets into one
+    (32 x 2 E panels) matrix, formed once, so a row block of Y is one product
+    of [cos(Y d) | sin(Y d)] with it and the contraction with cos(Y m_p) and
+    sin(Y m_p): 2 (16 + panels) cos and sin per E values of y, plus 32 E
+    panels once, in place of 16 panels per y.
 
     The rows are taken in blocks of max(1, _COS_SUM_BUDGET // max(E panels,
     16)), all in one workspace allocated per call.  A value depends on its
@@ -83,40 +79,32 @@ def gl_cos_sum(y, a: float, b: float, max_width: float, g, y_off=None) -> np.nda
     budget.
     """
     ys = np.atleast_1d(np.asarray(y, dtype=float))
-    flat = y_off is None
-    es = np.zeros(1) if flat else np.atleast_1d(np.asarray(y_off, dtype=float))
+    es = np.atleast_1d(np.asarray(0.0 if y_off is None else y_off, dtype=float))
     out = np.zeros((ys.size, es.size))
     if b > a and out.size:
         mid, half, t, w = _panel_rule(a, b, max_width)
         wg = w * np.reshape(g(t.ravel()), t.shape)                    # (panels, 16)
         d = half[0] * _GL_X
-        if flat:
-            rhs = wg.T
-        else:
-            phase = np.multiply.outer(es, t)                           # (E, panels, 16)
-            c = (wg * np.cos(phase)).transpose(2, 0, 1)                 # (16, E, panels)
-            s = (wg * np.sin(phase)).transpose(2, 0, 1)
-            # rows: cos(Y d_j), then sin(Y d_j); columns: the factors of cos(Y m_p),
-            # then those of -sin(Y m_p), each (E, panels)
-            rhs = np.stack([np.stack([c, s], 1), np.stack([-s, c], 1)]).reshape(32, -1)
+        phase = np.multiply.outer(es, t)                               # (E, panels, 16)
+        c = (wg * np.cos(phase)).transpose(2, 0, 1)                     # (16, E, panels)
+        s = (wg * np.sin(phase)).transpose(2, 0, 1)
+        # rows: cos(Y d_j), then sin(Y d_j); columns: the factors of cos(Y m_p),
+        # then those of -sin(Y m_p), each (E, panels)
+        rhs = np.stack([np.stack([c, s], 1), np.stack([-s, c], 1)]).reshape(32, -1)
         rows = min(ys.size, max(1, _COS_SUM_BUDGET // max(es.size * mid.size, d.size)))
-        trig = np.empty((rows, 1 if flat else 2, d.size))
+        trig = np.empty((rows, 2, d.size))
         prod = np.empty((rows, 2, es.size, mid.size))
         at_mid = np.empty((rows, mid.size))
         for i in range(0, ys.size, rows):
             yb = ys[i : i + rows]
             n = yb.size
-            if flat:
-                np.matmul(_trig(np.cos, yb, d, trig[:n, 0]), rhs, out=prod[:n, 0, 0])
-                np.matmul(_trig(np.sin, yb, d, trig[:n, 0]), rhs, out=prod[:n, 1, 0])
-            else:
-                _trig(np.cos, yb, d, trig[:n, 0])
-                _trig(np.sin, yb, d, trig[:n, 1])
-                np.matmul(trig[:n].reshape(n, -1), rhs, out=prod[:n].reshape(n, -1))
+            _trig(np.cos, yb, d, trig[:n, 0])
+            _trig(np.sin, yb, d, trig[:n, 1])
+            np.matmul(trig[:n].reshape(n, -1), rhs, out=prod[:n].reshape(n, -1))
             at_cos = np.einsum("ip,iep->ie", _trig(np.cos, yb, mid, at_mid[:n]), prod[:n, 0])
             out[i : i + n] = at_cos - np.einsum("ip,iep->ie", _trig(np.sin, yb, mid, at_mid[:n]),
                                                 prod[:n, 1])
-    return out[:, 0] if flat else out
+    return out[:, 0] if y_off is None else out
 
 
 def hermite_cells(values, step: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from . import __version__
 from .errors import NumericGuardError, ValidationError
 from .fockspace import DensityMatrix, PhasePoint, StateSpec, materialize, wigner_eval_many
 from .kernels import VARIANTS, KernelSpec, build_table
-from .sampler import read_dataset, simulate, write_dataset
+from .sampler import read_dataset, simulate, write_csv_rows, write_dataset
 from .tomography import NoiseModel, SmoothnessClass
 from .estimator import (
     BandwidthRule,
@@ -163,10 +163,6 @@ def _write_manifest(args, resolved: dict) -> None:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_number)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def cmd_simulate(args) -> dict:
     NoiseModel(args.eta)  # refuses a bad eta before any sampling
     _check_seed(args.seed)
@@ -193,9 +189,7 @@ def cmd_estimate(args) -> dict:
     wg = estimate_grid(ds, kspec, grid)
     with open(args.out, "w") as fh:
         fh.write("q,p,west\n")
-        for iq, q in enumerate(wg.q):
-            for ip, p in enumerate(wg.p):
-                fh.write(f"{_fmt(q)},{_fmt(p)},{_fmt(wg.values[iq, ip])}\n")
+        write_csv_rows(fh, np.repeat(wg.q, wg.p.size), np.tile(wg.p, wg.q.size), wg.values.ravel())
     return {"resolved_rule": rule_desc}
 
 
@@ -209,8 +203,7 @@ def cmd_cut(args) -> dict:
     wtrue = wigner_eval_many(rho, wg.q, np.full_like(wg.q, args.p))
     with open(args.out, "w") as fh:
         fh.write("q,west,wtrue\n")
-        for q, west, wt in zip(wg.q, wg.values[:, 0], wtrue):
-            fh.write(f"{_fmt(q)},{_fmt(west)},{_fmt(wt)}\n")
+        write_csv_rows(fh, wg.q, wg.values[:, 0], wtrue)
     return {"resolved_rule": rule_desc}
 
 
@@ -240,11 +233,9 @@ def cmd_risk(args) -> dict:
 def cmd_kernel_table(args) -> dict:
     spec = KernelSpec(h=args.h, noise=NoiseModel(args.eta), variant=args.variant)
     table = build_table(spec, args.umax, args.step)
-    grid = np.arange(table.values.size) * table.step
     with open(args.out, "w") as fh:
         fh.write("u,value\n")
-        for u, v in zip(grid, table.values):
-            fh.write(f"{_fmt(u)},{_fmt(v)}\n")
+        write_csv_rows(fh, np.arange(table.values.size) * table.step, table.values)
     return {}
 
 

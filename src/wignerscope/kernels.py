@@ -7,13 +7,14 @@ Radon filter |t|).  The modified variant extends the multiplier over
 faster-decaying kernel in real space.
 
 Kernels are evaluated as cosine integrals with composite 16-point
-Gauss-Legendre panels, summed panel by panel (``_quad.gl_cos_sum``: angle
-addition about each panel midpoint makes the sum over one band segment two
-matrix products), and cached in local cubic Hermite tables for the
-estimator's inner loop.  Each band segment sizes its own panels from the
-largest |u| of a batch: the plateau [0, 1/h] to min(1/(16h), 2h/gamma,
-4/max|u|), the taper [1/h, 2/h] to min(h/8, pi/(4 max|u|)).  The products
-group rows, so a value depends on its batch in the last bits.
+Gauss-Legendre panels on a separable u grid (``_quad.gl_cos_sum``: angle
+addition about each panel midpoint and each row of u makes a row block of
+one band segment one matrix product), and cached in local cubic Hermite
+tables, whose nodes are such a grid, for the estimator's inner loop.  Each
+band segment sizes its own panels from the largest |u| of a batch: the
+plateau [0, 1/h] to min(1/(16h), 2h/gamma, 4/max|u|), the taper [1/h, 2/h]
+to min(h/8, pi/(4 max|u|)).  The products group rows, so a value depends
+on its batch in the last bits.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ _EXP_CAP = 700.0  # hard guard on the deconvolution exponent
 # points, relative to the table's largest |value|
 _TABLE_REL_TOL = 1e-4
 _TABLE_CHECKS = 64
+# nodes per row of build_table's separable grid (16 costs more workspace)
+_TABLE_ROW = 4
 # largest table build_table makes; the README's and the benchmark's hold
 # 1601 nodes, and the cosine sum behind a table grows with its node count
 _MAX_TABLE_NODES = 2**16
@@ -84,16 +87,18 @@ def _panel_widths(spec: KernelSpec, u_abs_max: float) -> tuple[float, float]:
     return plateau, taper
 
 
-def kernel_eval(spec: KernelSpec, u):
+def kernel_eval(spec: KernelSpec, u, u_off=None):
     """Deconvolution kernel of either variant,
 
         K(u) = (1/2pi) int_0^{1/h} cos(u t) t e^{gamma t^2} dt   (sharp),
 
     the modified one applying the same convention to the tapered
     multiplier (plateau on [0, 1/h], C^1 taper on [1/h, 2/h]).  Even in u,
-    relative accuracy 1e-6 of the scale value K(0).  Each band segment is
-    one panel-separable cosine sum (``_quad.gl_cos_sum``) over equal
-    panels sized from the largest |u| given: on the plateau no wider than
+    relative accuracy 1e-6 of the scale value K(0).  With ``u_off``, K at
+    every u[q] + u_off[i] of a separable grid, as a (len(u), len(u_off))
+    array.  Each band segment is one cosine sum on that grid
+    (``_quad.gl_cos_sum``; without ``u_off``, u_off = [0]) over equal
+    panels sized from the largest |u + u_off|: on the plateau no wider than
     min(1/(16h), 2h/gamma, 4/max|u|) (at least 16 panels, at most 4 rad of
     cos(ut) and a rise of at most 4 in gamma t^2 each), on the taper no
     wider than min(h/8, pi/(4 max|u|)).  The sum's matrix products group
@@ -102,8 +107,11 @@ def kernel_eval(spec: KernelSpec, u):
     than _MAX_PANELS panels, is refused before anything is allocated."""
     _guard(spec)
     gamma, h = spec.noise.gamma, spec.h
-    u_arr = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-    u_abs_max = float(np.max(u_arr, initial=0.0))
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if u_off is None:
+        u_arr = np.abs(u_arr)   # K is even: exactly so, value by value
+    offsets = np.zeros(1) if u_off is None else np.asarray(u_off, dtype=float)
+    u_abs_max = float(np.max(np.abs(np.add.outer(u_arr, offsets)), initial=0.0))
     plateau_width, taper_width = _panel_widths(spec, u_abs_max)
     width = min(plateau_width, taper_width) if spec.variant == "modified" else plateau_width
     if not (math.isfinite(u_abs_max) and width * h * _MAX_PANELS >= 1.0):  # segments are 1/h long
@@ -112,15 +120,15 @@ def kernel_eval(spec: KernelSpec, u):
             f"{_MAX_PANELS} panels per band segment at h = {h}"
         )
     vals = gl_cos_sum(u_arr, 0.0, 1.0 / h, plateau_width,
-                      lambda t: np.exp(np.log(t) + gamma * t * t))
+                      lambda t: np.exp(np.log(t) + gamma * t * t), u_off)
     if spec.variant == "modified":
         def tapered(t):
             taper = h * h - 1.0 / (t * (2.0 / h - t))
             return np.exp(np.log(t) + gamma * t * t + taper)
 
-        vals += gl_cos_sum(u_arr, 1.0 / h, 2.0 / h, taper_width, tapered)
+        vals += gl_cos_sum(u_arr, 1.0 / h, 2.0 / h, taper_width, tapered, u_off)
     vals /= 2.0 * math.pi
-    return float(vals[0]) if np.ndim(u) == 0 else vals
+    return float(vals[0]) if np.ndim(u) == 0 and u_off is None else vals
 
 
 def kernel_scale(spec: KernelSpec) -> float:
@@ -173,7 +181,11 @@ def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) ->
             f"u_max / step = {u_max / step:.3g} asks for more than {_MAX_TABLE_NODES} table nodes"
         )
     n = int(math.ceil(u_max / step)) + 1
-    values = kernel_eval(spec, np.arange(n + 3) * step)   # 3 past u_max close the last stencils
+    # n + 3 nodes (3 past u_max close the last stencils), k step as the
+    # separable grid _TABLE_ROW step m + step j, j < _TABLE_ROW
+    rows = -(-(n + 3) // _TABLE_ROW)
+    values = kernel_eval(spec, _TABLE_ROW * step * np.arange(rows),
+                         step * np.arange(_TABLE_ROW)).ravel()[: n + 3]
     table = KernelTable(
         spec=spec, u_max=(n - 1) * step, step=step, values=values[:n],
         coef=hermite_cells(values, step),

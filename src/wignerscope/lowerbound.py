@@ -14,9 +14,10 @@ one z-integral with kappa = 2 eta - 1:
 
     p_0^eta(y) = int_xi^1 f(z) / sqrt(pi (1-z)(1+kappa z)) exp(-y^2 (1-z)/(1+kappa z)) dz;
 
-eta = 1 (kappa = 1) is the noiseless density p_alpha_xi.  The diagonal
-rho_kk and its tail are z-moments of f, taken by one stable recurrence
-(_z_moments); p_0^eta is one Gauss-Jacobi rule for every y and eta (_p_mixture).
+eta = 1 (kappa = 1) is the noiseless quadrature density of rho^{alpha,xi}.
+The diagonal rho_kk and its tail are z-moments of f, taken by one stable
+recurrence (_z_moments); p_0^eta is one Gauss-Jacobi rule for every y and
+eta (_p_mixture).
 
 J is C^3 only at its window's four knots, so every integral over J's support
 (tau_diag, sep_at_origin, perturbation_profile_noisy, perturbation_l2,
@@ -156,15 +157,6 @@ class PairReport:
     verdict_chi2: bool
     diagnostics: dict
 
-    @property
-    def all_true(self) -> bool:
-        return (
-            self.verdict_positivity
-            and self.verdict_class
-            and self.verdict_separation
-            and self.verdict_chi2
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "htilde": self.htilde,
@@ -242,14 +234,6 @@ def _p_mixture(axi: AlphaXi, x, eta: float):
     pref = a * (2.0 * eta) ** a * (1.0 - xi) ** -a / math.sqrt(math.pi)
     out = pref * v_top ** (a + 0.5) * (g @ sw)
     return float(out[0]) if scalar else out
-
-
-def p_alpha_xi(axi: AlphaXi, x):
-    """Quadrature density of rho^{alpha,xi} (phase-independent):
-
-        p(x) = int_xi^1 f(z) / sqrt(pi (1 - z^2)) exp(-x^2 (1-z)/(1+z)) dz.
-    """
-    return _p_mixture(axi, x, 1.0)
 
 
 def wtilde_alpha_xi(axi: AlphaXi, t):
@@ -479,8 +463,8 @@ def base_density_noisy(axi: AlphaXi, noise: NoiseModel, y) -> np.ndarray:
         p_0^eta(y) = int_xi^1 f(z) / sqrt(pi (1-z)(1+kappa z))
                      exp(-y^2 (1-z)/(1+kappa z)) dz,
 
-    the p_alpha_xi integral with 1+z replaced by 1+kappa z (eta = 1 is
-    p_alpha_xi), evaluated by _p_mixture's one rule.
+    the noiseless density's integral with 1+z replaced by 1+kappa z (eta = 1
+    is p(x)), evaluated by _p_mixture's one rule.
     """
     return _p_mixture(axi, np.atleast_1d(np.asarray(y, dtype=float)), noise.eta)
 
@@ -530,8 +514,9 @@ def chi_squared(
     quadrature in y (rotation invariance makes the angular integral trivial).
 
     p_1^eta = p_0^eta + q: the base density p_0^eta(y) is the closed mixture
-    integral of base_density_noisy (1+z replaced by 1+kappa z in p_alpha_xi,
-    kappa = 2 eta - 1), the perturbation q is perturbation_profile_noisy.
+    integral of base_density_noisy (1+z replaced by 1+kappa z in the
+    noiseless density, kappa = 2 eta - 1), the perturbation q is
+    perturbation_profile_noisy.
 
     The y rule's nodes are panel midpoints plus 16 shared offsets
     (_chi2_grid), and q takes them as that separable grid, with 2 (16 +

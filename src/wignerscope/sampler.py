@@ -61,6 +61,8 @@ _N_PHASES = 1024
 _N_POINTS = 1025
 _CDF_TOL = 1e-6
 _MAX_POINTS = 65537
+# rows per format call of write_csv_rows
+_CSV_BLOCK = 2**16
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -365,13 +367,22 @@ def simulate(spec: StateSpec, n: int, eta: float, seed: int) -> Dataset:
     return add_noise(ideal, eta, seed, spec)
 
 
+def write_csv_rows(fh, *columns) -> None:
+    """Write equal-length columns as CSV rows at 17 significant digits
+    (bit-exact round trip), _CSV_BLOCK rows per write, each row its own
+    %-format (one format over a whole block is faster, but its one large
+    string raised kernel-table's peak RSS)."""
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for i in range(0, len(rows), _CSV_BLOCK):
+        fh.writelines([line % tuple(row) for row in rows[i : i + _CSV_BLOCK].tolist()])
+
+
 def write_dataset(ds: Dataset, path) -> None:
-    """CSV with one `# meta: <JSON>` header line, then `y,phi` rows at 17
-    significant digits (bit-exact round trip)."""
+    """CSV with one `# meta: <JSON>` header line, then `y,phi` rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# meta: " + json.dumps(ds.meta.to_dict(), sort_keys=True) + "\n")
-        for i in range(ds.n):
-            fh.write(f"{ds.y[i]:.17g},{ds.phi[i]:.17g}\n")
+        write_csv_rows(fh, ds.y, ds.phi)
 
 
 def read_dataset(path) -> Dataset:

@@ -170,14 +170,20 @@ def class_integral(
             = 2 pi int_0^inf t |W~(t)|^2 exp(2 beta t^r) dt.
 
     Integrates block by block, stopping once blocks are negligible and
-    decreasing; growth across blocks is flagged as divergence.
+    decreasing; growth across blocks is flagged as divergence.  The first
+    panel is graded, t = _CLASS_PANEL v^5, so that a |t|^{2 alpha} cusp
+    at 0 (W~ of rho^{alpha,xi}) is smooth in v.
     """
     total = 0.0
     prev_contrib = None
     grow_count = 0
     t0 = 0.0
     while t0 < _CLASS_T_CAP:
-        t, w = gl_panels(t0, t0 + _CLASS_BLOCK, _CLASS_PANEL)
+        t, w = gl_panels(max(t0, _CLASS_PANEL), t0 + _CLASS_BLOCK, _CLASS_PANEL)
+        if t0 == 0.0:   # the graded first panel, t = _CLASS_PANEL v^5
+            v, wv = gl_panels(0.0, 1.0, 1.0)
+            t = np.concatenate([_CLASS_PANEL * v**5, t])
+            w = np.concatenate([5.0 * _CLASS_PANEL * v**4 * wv, w])
         g = 2.0 * math.pi * t * np.abs(np.asarray(profile(t), dtype=float)) ** 2
         g = g * np.exp(2.0 * cls.beta * t ** cls.r)
         contrib = float(np.dot(w, g))

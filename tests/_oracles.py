@@ -8,14 +8,15 @@ another way: the Radon transform of a Wigner evaluator (against
 (against the 2-d transform of W), the Hilbert-Schmidt distance (against
 the L2 distance of Wigner functions), and the lower bound's base-density
 tail mass by its asymptotic series (against the densities' normalization).
-Two are frozen copies of earlier fast paths, so that a faster one can be
-held to the same values bit for bit: ``gl_cos_sum_flat_reference``, the
-flat cosine sum before the separable grid, and ``invert_reference``, the
-sampler's table inversion as generator ``wignerscope-sampler/2`` first
-shipped it.  Generator ``/3`` still draws the same bits wherever a
-record's cell slopes lie in the box [0, 3 dc]^2 and its Newton sweeps
-converge under ``/2``'s stopping rule, which ``_solve_cubic_reference``
-keeps.
+``p_alpha_xi`` names the noiseless base density, the eta = 1 case of the
+package's one mixture rule.  Two are frozen copies of earlier fast paths,
+so that a faster one can be held to their values:
+``gl_cos_sum_flat_reference``, the flat cosine sum before the separable
+grid, and ``invert_reference``, the sampler's table inversion as generator
+``wignerscope-sampler/2`` first shipped it.  Generator ``/3`` still draws
+the same bits wherever a record's cell slopes lie in the box [0, 3 dc]^2
+and its Newton sweeps converge under ``/2``'s stopping rule, which
+``_solve_cubic_reference`` keeps.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from wignerscope._quad import _COS_SUM_BUDGET, _GL_X, _panel_rule, gl_panels
 from wignerscope.fockspace import DensityMatrix
-from wignerscope.lowerbound import AlphaXi
+from wignerscope.lowerbound import AlphaXi, _p_mixture
 from wignerscope.tomography import NoiseModel, quad_density, x_support_radius
 
 # Gauss-Legendre panel width of radon_numeric's line integral
@@ -98,6 +99,15 @@ def hs_distance_sq(rho: DensityMatrix, tau: DensityMatrix) -> float:
     a[: rho.dim, : rho.dim] = rho.entries
     b[: tau.dim, : tau.dim] = tau.entries
     return float(np.sum(np.abs(a - b) ** 2))
+
+
+def p_alpha_xi(axi: AlphaXi, x):
+    """Quadrature density of rho^{alpha,xi} (phase-independent):
+
+        p(x) = int_xi^1 f(z) / sqrt(pi (1 - z^2)) exp(-x^2 (1-z)/(1+z)) dz,
+
+    the eta = 1 case of the lower bound's noisy base density."""
+    return _p_mixture(axi, x, 1.0)
 
 
 # terms of p_tail_mass's asymptotic series
@@ -206,8 +216,8 @@ def invert_reference(x_grid, pdf, cdf, bucket, u):
 
 def gl_cos_sum_flat_reference(y, a: float, b: float, max_width: float, g) -> np.ndarray:
     """``_quad.gl_cos_sum`` on a flat y grid as it shipped before the
-    separable grid, frozen so that the flat path can be held to it bit for
-    bit: a block's cos(y d) and sin(y d) in fresh arrays, two products, two
+    separable grid, frozen so that the one separable path can be held to it:
+    a block's cos(y d) and sin(y d) in fresh arrays, two products, two
     row-wise dot products."""
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.zeros(ys.size)

@@ -107,6 +107,18 @@ class TestSharpKernel:
         spec = kn.KernelSpec(0.5, nm, "sharp")
         assert kn.kernel_eval(spec, u) == kn.kernel_eval(spec, -u)
 
+    @pytest.mark.parametrize("variant", kn.VARIANTS)
+    def test_separable_grid_is_the_flat_grid(self, nm_09, variant):
+        # u = u_mid + u_off, some negative, the offsets wider than the rows:
+        # the panels must follow the largest |u + u_off|, not the largest |u|
+        spec = kn.KernelSpec(0.3, nm_09, variant)
+        u_mid = np.linspace(-2.0, 3.0, 41)
+        u_off = np.array([-150.0, -1.5, 0.0, 0.7, 120.0])
+        got = kn.kernel_eval(spec, u_mid, u_off)
+        want = kn.kernel_eval(spec, np.add.outer(u_mid, u_off).ravel())
+        assert got.shape == (u_mid.size, u_off.size)
+        assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * kn.kernel_eval(spec, 0.0)
+
     def test_overflow_guard(self, nm_half):
         with pytest.raises(BandwidthTooSmallError):
             kn.kernel_eval(kn.KernelSpec(0.01, nm_half, "sharp"), 0.0)
@@ -237,8 +249,9 @@ class TestKernelTable:
         spec = kn.KernelSpec(h, nm_09, variant)
         table = kn.build_table(spec, u_max, step)
         s, n = table.step, table.values.size
-        k_all = kn.kernel_eval(spec, np.arange(n + 3) * s)
-        assert np.array_equal(table.values, k_all[:n])
+        exact = kn.kernel_eval(spec, np.arange(n + 3) * s)
+        assert np.max(np.abs(table.values - exact[:n])) <= 1e-13 * exact[0]
+        k_all = np.concatenate([table.values, exact[n:]])
 
         def slope(k):
             f = lambda j: k_all[abs(k + j)]
@@ -338,8 +351,9 @@ class TestKernelTable:
         lambda spec: kn.kernel_eval(spec, 1e300),
         lambda spec: kn.kernel_eval(spec, math.inf),
         lambda spec: kn.kernel_eval(spec, [0.0, math.nan]),
+        lambda spec: kn.kernel_eval(spec, [0.0, 1.0], [0.5, 1e300]),
         lambda spec: kn.build_table(spec, 10.0)(math.inf),
-    ], ids=["1e300", "inf", "nan", "table-fallback-inf"])
+    ], ids=["1e300", "inf", "nan", "offset-1e300", "table-fallback-inf"])
     def test_unbounded_argument_refused_before_allocation(self, nm_09, variant, call):
         # |u| sizes the panels: an infinite one asks for a panel of width 0,
         # a huge one for more nodes than memory holds

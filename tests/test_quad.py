@@ -111,19 +111,29 @@ class TestFlatReference:
     # kernel-tab's three kernels: (variant, h, eta), tabulated to 50 in steps of 1/32
     SPECS = [("modified", 0.25, 0.9), ("modified", 0.15, 0.9), ("sharp", 0.1, 0.95)]
 
+    @staticmethod
+    def _flat_reference(y, a, b, max_width, g, y_off):
+        # kernel_eval passes u_off through; the reference takes a flat grid only
+        assert y_off is None
+        return gl_cos_sum_flat_reference(y, a, b, max_width, g)
+
     @pytest.mark.parametrize("variant,h,eta", SPECS)
     def test_kernel_table_bit_equal(self, variant, h, eta, monkeypatch):
-        # build_table's node array and its 64 check points, through kernel_eval,
-        # against the flat sum before the separable grid
+        # build_table's nodes (a separable grid) and kernel_eval at its 64
+        # check points (u_off = [0]) against the flat sum before the separable
+        # grid, relative to K(0)
         spec = kn.KernelSpec(h, NoiseModel(eta), variant)
         step = 0.03125
-        n = int(math.ceil(50.0 / step)) + 1
-        nodes = np.arange(n + 3) * step
-        checks = np.random.default_rng(0).uniform(0.0, (n - 1) * step, size=kn._TABLE_CHECKS)
-        got = [kn.kernel_eval(spec, u) for u in (nodes, checks)]
-        monkeypatch.setattr(kn, "gl_cos_sum", gl_cos_sum_flat_reference)
-        want = [kn.kernel_eval(spec, u) for u in (nodes, checks)]
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        table = kn.build_table(spec, 50.0, step)
+        n = table.values.size
+        checks = np.random.default_rng(0).uniform(0.0, table.u_max, size=kn._TABLE_CHECKS)
+        got = kn.kernel_eval(spec, checks)
+        monkeypatch.setattr(kn, "gl_cos_sum", self._flat_reference)
+        want_nodes = kn.kernel_eval(spec, np.arange(n + 3) * step)[:n]
+        want_checks = kn.kernel_eval(spec, checks)
+        k0 = want_nodes[0]
+        assert np.max(np.abs(table.values - want_nodes)) <= 1e-13 * k0
+        assert np.max(np.abs(got - want_checks)) <= 1e-14 * k0
 
 
 class TestSeparableGrid:
