@@ -218,10 +218,7 @@ def cmd_risk(args) -> dict:
             points.append(PhasePoint(float(q), float(p)))
         except ValueError:
             raise ValidationError(f"--points expects q1,p1;q2,p2;..., got {args.points!r}")
-    if args.rule == "fixed" and args.hfixed is None:
-        raise ValidationError("--rule fixed needs --hfixed")
-    rule = parse_rule(args.hfixed if args.rule == "fixed" else args.rule,
-                      args.beta, args.r, args.L)
+    rule = parse_rule(args.rule, args.beta, args.r, args.L)
     report = risk_eval(
         spec, noise, rule, args.variant, points, args.n, args.reps, args.seed,
     )
@@ -244,9 +241,9 @@ def cmd_lb_verify(args) -> dict:
     bump = BumpSpec(args.delta, args.bigD)
     cls = SmoothnessClass(args.beta, args.r, args.L)
     noise = NoiseModel(args.eta)
-    report = verify_pair(axi, bump, cls, noise, int(args.n), k_max=args.kmax)
+    report = verify_pair(axi, bump, cls, noise, int(args.n))
     with open(args.out, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
     return {}
 
 
@@ -263,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noisy homodyne tomography simulation and Wigner reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bandwidth_help = "bandwidth: number in (0, 1] or rule " + "|".join(_RULE_KINDS)
 
     sim = sub.add_parser("simulate", help="draw a noisy homodyne dataset")
     sim.add_argument("--state", required=True)
@@ -273,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     def add_kernel_flags(p):
-        p.add_argument("--h", required=True,
-                       help="bandwidth: number in (0, 1] or rule " + "|".join(_RULE_KINDS))
+        p.add_argument("--h", required=True, help=bandwidth_help)
         p.add_argument("--beta", type=float)
         p.add_argument("--r", type=float)
         p.add_argument("--L", type=float)
@@ -304,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--n", type=int, required=True)
     risk.add_argument("--reps", type=int, required=True)
     risk.add_argument("--points", required=True, help="q1,p1;q2,p2;...")
-    risk.add_argument("--rule", default="r2", choices=(*_RULE_KINDS, "fixed"))
-    risk.add_argument("--hfixed", type=float, default=None)
+    risk.add_argument("--rule", default="r2", help=bandwidth_help)
     risk.add_argument("--beta", type=float)
     risk.add_argument("--r", type=float)
     risk.add_argument("--L", type=float)
@@ -333,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--n", type=_integer, required=True)
     lb.add_argument("--delta", type=float, default=0.5)
     lb.add_argument("--bigD", type=float, default=5.0)
-    lb.add_argument("--kmax", type=int, default=2000)
     lb.add_argument("--out", required=True)
     lb.set_defaults(func=cmd_lb_verify)
 

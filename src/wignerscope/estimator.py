@@ -145,6 +145,8 @@ def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
     if table is None:
         far = int(np.argmax(np.hypot(q, p)))
         table = default_table(data, spec, [PhasePoint(q[far], p[far])])
+    elif table.spec != spec:
+        raise ConfigurationError(f"kernel table built for {table.spec}, not for {spec}")
     cos_phi = np.cos(data.phi)
     sin_phi = np.sin(data.phi)
     shift = y / math.sqrt(spec.noise.eta)
@@ -159,7 +161,8 @@ def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
 
 def estimate_point(data: Dataset, spec: KernelSpec, z, *,
                    table: Optional[KernelTable] = None) -> float:
-    """Pointwise estimate West(z) from the records of a dataset."""
+    """Pointwise estimate West(z) from the records of a dataset; a given
+    ``table`` must be built for ``spec`` (ConfigurationError otherwise)."""
     zp = _as_phase_point(z)
     return float(_estimate(data, spec, np.array([zp.q]), np.array([zp.p]), table)[0])
 

@@ -28,7 +28,7 @@ on equal panels within each of the three knot segments (j_segments).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import numpy as np
 
 from ._quad import (
@@ -69,7 +69,6 @@ FROZEN_FIXTURE = {
     "delta": 0.5,
     "big_d": 5.0,
     "n": 10**120,
-    "k_max": 2000,
 }
 
 
@@ -140,9 +139,15 @@ class BumpSpec:
         return out
 
 
+def _finite_or_none(value):
+    # RFC 8259 JSON has no Infinity or NaN
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 @dataclass(frozen=True)
 class PairReport:
-    """Numbers and verdicts of the two-hypothesis construction checks."""
+    """Numbers and verdicts of the two-hypothesis construction checks;
+    verdicts maps positivity, class, separation and chi2 to a bool."""
 
     htilde: float
     positivity_margin: float
@@ -151,29 +156,14 @@ class PairReport:
     separation: float
     separation_threshold: float
     chi2_times_n: float
-    verdict_positivity: bool
-    verdict_class: bool
-    verdict_separation: bool
-    verdict_chi2: bool
+    verdicts: dict
     diagnostics: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "htilde": self.htilde,
-            "positivity_margin": self.positivity_margin,
-            "class_lhs": self.class_lhs,
-            "class_rhs": self.class_rhs,
-            "separation": self.separation,
-            "separation_threshold": self.separation_threshold,
-            "chi2_times_n": self.chi2_times_n,
-            "verdicts": {
-                "positivity": self.verdict_positivity,
-                "class": self.verdict_class,
-                "separation": self.verdict_separation,
-                "chi2": self.verdict_chi2,
-            },
-            "diagnostics": self.diagnostics,
-        }
+        """The report as JSON values: a non-finite number becomes None."""
+        out = {f.name: _finite_or_none(getattr(self, f.name)) for f in fields(self)}
+        out["diagnostics"] = {k: _finite_or_none(v) for k, v in self.diagnostics.items()}
+        return out
 
 
 def _z_moments(e: float, xi: float, m_max: int) -> np.ndarray:
@@ -559,37 +549,35 @@ def verify_pair(
     cls: SmoothnessClass,
     noise: NoiseModel,
     n: int,
-    *,
-    k_max: int = 2000,
-    tau_scale: float = 1.0,
 ) -> PairReport:
     """Build the pair rho_1/2 = rho^{alpha,xi} +/- tau and check the
     lower-bound conditions: positivity, class membership via the triangle
     decomposition, separation >= phi_n-scaled threshold, and
     n (chi^2 + its tail estimate past the y range) <= 1.
 
-    tau_scale multiplies the perturbation (for forced-violation tests).
+    Positivity is checked at Fock levels k <= fockspace.MAX_ORDER, the
+    recurrence budget; levels past it are not certified.
     """
     from .estimator import rate_phi2
 
     htilde = htilde_solve(cls, noise, n)
-    rho_d = rho_alpha_xi_diag(axi, k_max)
-    tau = tau_scale * tau_diag(bump, cls, htilde, k_max)
+    rho_d = rho_alpha_xi_diag(axi, MAX_ORDER)
+    tau = tau_diag(bump, cls, htilde, MAX_ORDER)
     margin = float(np.min(rho_d - np.abs(tau)))
 
     base = base_class_integral(axi, cls)
     pert = 2.0 * math.pi * _j_sq_weighted(bump, cls, htilde)
-    class_lhs = (math.sqrt(max(base.value, 0.0)) + math.sqrt(pert) * tau_scale) ** 2
+    class_lhs = (math.sqrt(max(base.value, 0.0)) + math.sqrt(pert)) ** 2
 
-    separation = tau_scale * sep_at_origin(bump, cls, htilde)
+    separation = sep_at_origin(bump, cls, htilde)
     phi_n = math.sqrt(rate_phi2(cls, n, noise))
     sep_threshold = 2.0 * phi_n * 0.5
 
     try:
         chi = chi_squared(axi, bump, cls, noise, htilde)
-        chi2_n = n * chi["chi2"] * tau_scale**2
+        chi2_n = n * chi["chi2"]
         # the verdict also counts chi^2 beyond the quadrature range
-        chi2_bound = n * (chi["chi2"] + chi["tail_estimate"]) * tau_scale**2
+        chi2_bound = n * (chi["chi2"] + chi["tail_estimate"])
     except ValidationError as exc:
         # degenerate model (p_1 not positive): failing verdict, not an error
         chi = {"chi2": math.inf, "tail_estimate": math.inf,
@@ -597,6 +585,19 @@ def verify_pair(
                "error": str(exc)}
         chi2_n = chi2_bound = math.inf
 
+    diagnostics = {
+        "base_class_integral": base.value,
+        "base_class_converged": base.converged,
+        "perturbation_class_integral": pert,
+        "phi_n": phi_n,
+        "chi2": chi["chi2"],
+        "chi2_tail_estimate": chi["tail_estimate"],
+        "l2_term": chi["l2_term"],
+        "tail_control_term": chi["tail_control_term"],
+        "k_max": MAX_ORDER,
+    }
+    if "error" in chi:
+        diagnostics["chi2_error"] = chi["error"]
     return PairReport(
         htilde=htilde,
         positivity_margin=margin,
@@ -605,22 +606,13 @@ def verify_pair(
         separation=separation,
         separation_threshold=sep_threshold,
         chi2_times_n=chi2_n,
-        verdict_positivity=margin >= 0.0,
-        verdict_class=(base.converged and class_lhs <= cls.rhs),
-        verdict_separation=separation >= sep_threshold,
-        verdict_chi2=chi2_bound <= 1.0,
-        diagnostics={
-            "base_class_integral": base.value,
-            "base_class_converged": base.converged,
-            "perturbation_class_integral": pert,
-            "phi_n": phi_n,
-            "chi2": chi["chi2"],
-            "chi2_tail_estimate": chi["tail_estimate"],
-            "l2_term": chi["l2_term"],
-            "tail_control_term": chi["tail_control_term"],
-            "k_max": k_max,
-            "tau_scale": tau_scale,
+        verdicts={
+            "positivity": margin >= 0.0,
+            "class": base.converged and class_lhs <= cls.rhs,
+            "separation": separation >= sep_threshold,
+            "chi2": chi2_bound <= 1.0,
         },
+        diagnostics=diagnostics,
     )
 
 

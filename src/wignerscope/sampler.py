@@ -22,10 +22,7 @@ region's edge elsewhere, so table_error estimates the error of the very
 interpolant the draws invert.  The cubic is solved by bisection-
 safeguarded Newton (one residual mask and one guarded step per sweep),
 stopped once every record has moved by at most 1e-15 of a cell or gone
-back to its previous iterate.  Generator wignerscope-sampler/3; /2
-clamped the slopes to the box [0, 3]^2 (in units of the cell's mean
-slope), which bent cubics beside a cat's fringe zeros and left
-table_error 10-20x short of the true error.
+back to its previous iterate.  Generator wignerscope-sampler/3.
 
 Reproducibility: generation is a pure function of (state, n, seed, eta).
 The RNG is counter-based (Philox) with two independent streams keyed by

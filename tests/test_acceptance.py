@@ -238,7 +238,7 @@ def test_criterion_7_lower_bound_fixture():
     bump = lb.BumpSpec(fx["delta"], fx["big_d"])
     cls = tg.SmoothnessClass(fx["beta"], fx["r"], fx["L"])
     noise = tg.NoiseModel(fx["eta"])
-    rep = lb.verify_pair(axi, bump, cls, noise, fx["n"], k_max=fx["k_max"])
+    rep = lb.verify_pair(axi, bump, cls, noise, fx["n"])
     verdicts_ok = all(rep.to_json_dict()["verdicts"].values())
     # Mehler identity <= 1e-8
     mehler_ok = True

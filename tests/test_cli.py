@@ -9,8 +9,8 @@ from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope.cli import parse_rule, parse_state, run
 from wignerscope.errors import ValidationError
-from wignerscope.estimator import BandwidthRule
-from wignerscope.tomography import SmoothnessClass
+from wignerscope.estimator import BandwidthRule, risk_eval
+from wignerscope.tomography import NoiseModel, SmoothnessClass
 
 
 def sha(path):
@@ -243,8 +243,8 @@ class TestRisk:
     def test_seed_out_of_range_exit_1(self, tmp_path, capsys, seed):
         out = tmp_path / "risk.json"
         rc = run(["risk", "--state", "fock:0", "--eta", "0.9", "--n", "100",
-                  "--reps", "2", "--points", "0,0", "--rule", "fixed",
-                  "--hfixed", "0.4", f"--seed={seed}", "--out", str(out)])
+                  "--reps", "2", "--points", "0,0", "--rule", "0.4",
+                  f"--seed={seed}", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.count("\n") == 1 and "--seed" in err
@@ -272,8 +272,8 @@ class TestParseErrors:
     def test_risk_parse_error_exit_1(self, tmp_path, capsys, bad_json, state, points):
         out = tmp_path / "risk.json"
         rc = run(["risk", "--state", state.format(bad_json=bad_json), "--eta", "0.9",
-                  "--n", "100", "--reps", "2", "--points", points, "--rule", "fixed",
-                  "--hfixed", "0.4", "--seed", "1", "--out", str(out)])
+                  "--n", "100", "--reps", "2", "--points", points, "--rule", "0.4",
+                  "--seed", "1", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.count("\n") == 1 and err.startswith("error: ")
@@ -326,10 +326,27 @@ class TestLbVerify:
         rc = run(["lb-verify", "--alpha", str(fx["alpha"]), "--xi", str(fx["xi"]),
                   "--beta", str(fx["beta"]), "--r", str(fx["r"]), "--L", str(fx["L"]),
                   "--eta", str(fx["eta"]), "--n", "1e120", "--delta", str(fx["delta"]),
-                  "--bigD", str(fx["big_d"]), "--kmax", "500", "--out", str(out)])
+                  "--bigD", str(fx["big_d"]), "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
         assert set(report["verdicts"]) == {"positivity", "class", "separation", "chi2"}
+        assert report["diagnostics"]["k_max"] == fs.MAX_ORDER
+
+    def test_degenerate_model_report_is_json(self, tmp_path):
+        # p_1^eta turns negative: chi^2 is infinite, and the report says why
+        # with null, never Infinity or NaN (RFC 8259)
+        out = tmp_path / "lb.json"
+        rc = run(["lb-verify", "--alpha", "0.2", "--xi", "0.94", "--beta", "0.111111111111",
+                  "--r", "2", "--L", "1e9", "--eta", "0.2", "--n", "1e6", "--delta", "0.5",
+                  "--bigD", "5", "--out", str(out)])
+        assert rc == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["verdicts"]["chi2"] is False and report["chi2_times_n"] is None
+        assert report["diagnostics"]["chi2_error"] == "p_1^eta not positive on the quadrature range"
 
     def test_invalid_alpha_exit_1(self, tmp_path):
         rc = run(["lb-verify", "--alpha", "1.5", "--xi", "0.9", "--beta", "0.1",
@@ -350,7 +367,7 @@ SMALL_ARGV = {
     "kernel-table": "kernel-table --h 0.25 --eta 0.9 --variant modified --umax 50 "
                     "--step 0.03125 --out {out}",
     "lb-verify": "lb-verify --alpha 0.2 --xi 0.94 --beta 0.111111111111 --r 2 --L 7.6 "
-                 "--eta 0.2 --n 1e120 --delta 0.5 --bigD 5 --kmax 200 --out {out}",
+                 "--eta 0.2 --n 1e120 --delta 0.5 --bigD 5 --out {out}",
 }
 
 # every parsed flag, plus what the command resolved
@@ -359,11 +376,15 @@ MANIFEST_FLAGS = {
     "estimate": {"data", "h", "beta", "r", "L", "variant", "grid", "resolved_rule", "out"},
     "cut": {"data", "p", "qmin", "qmax", "steps", "h", "beta", "r", "L", "variant",
             "resolved_rule", "out"},
-    "risk": {"state", "eta", "n", "reps", "points", "rule", "hfixed", "beta", "r", "L",
+    "risk": {"state", "eta", "n", "reps", "points", "rule", "beta", "r", "L",
              "variant", "seed", "out"},
     "kernel-table": {"h", "eta", "variant", "umax", "step", "out"},
-    "lb-verify": {"alpha", "xi", "beta", "r", "L", "eta", "n", "delta", "bigD", "kmax", "out"},
+    "lb-verify": {"alpha", "xi", "beta", "r", "L", "eta", "n", "delta", "bigD", "out"},
 }
+
+# flags the CLI no longer has: the truncation is fockspace.MAX_ORDER, and
+# risk --rule takes a fixed bandwidth as a number
+REMOVED_FLAGS = [("lb-verify", "--kmax"), ("risk", "--hfixed")]
 
 NUMERIC_FLAGS = [
     (command, token)
@@ -372,7 +393,7 @@ NUMERIC_FLAGS = [
     if token.startswith("--")
     and token.split("=")[0] not in ("--state", "--data", "--grid", "--points", "--rule",
                                     "--variant", "--out")
-]
+] + REMOVED_FLAGS
 
 BAD_VALUES = ["-1", "0", "nan", "inf", "-inf", "1e400", "x"]
 
@@ -394,16 +415,23 @@ class TestCliContract:
     @pytest.mark.parametrize("command,flag", NUMERIC_FLAGS)
     def test_bad_numeric_value_one_line(self, small_data, tmp_path, capsys,
                                         command, flag, value):
-        argv = small_argv(command, small_data, tmp_path / "out")
-        i = argv.index(flag)
+        out = tmp_path / "out"
+        argv = small_argv(command, small_data, out)
         name = flag.split("=")[0]
+        removed = (command, flag) in REMOVED_FLAGS
         # --flag=value, so that "-inf" and "-1" reach the flag's own parsing
-        argv[i:i + (1 if "=" in flag else 2)] = [f"{name}={value}"]
+        if removed:
+            argv.append(f"{name}={value}")
+        else:
+            i = argv.index(flag)
+            argv[i:i + (1 if "=" in flag else 2)] = [f"{name}={value}"]
         rc = run(argv)
         err = capsys.readouterr().err
         assert rc in (0, 1, 2)
         assert err.count("\n") <= 1 and "Traceback" not in err
         assert (rc == 0) == (err == "")
+        if removed:
+            assert rc == 1 and "unrecognized arguments" in err and not out.exists()
 
     @pytest.mark.parametrize("command", SMALL_ARGV)
     def test_manifest_holds_every_flag(self, small_data, tmp_path, command):
@@ -418,18 +446,30 @@ class TestCliContract:
         assert manifest["outputs"] == {str(out): sha(out)}
 
     def test_risk_fixed_manifest_replays(self, tmp_path):
+        # --rule 0.4 is the fixed rule h = 0.4, as --h 0.4 is
         out = tmp_path / "risk.json"
         assert run(["risk", "--state", "cat:3", "--eta", "0.95", "--n", "500",
-                    "--reps", "2", "--points", "0,0;3,0", "--rule", "fixed",
-                    "--hfixed", "0.4", "--seed", "11", "--out", str(out)]) == 0
+                    "--reps", "2", "--points", "0,0;3,0", "--rule", "0.4",
+                    "--seed", "11", "--out", str(out)]) == 0
+        expect = risk_eval(fs.StateSpec.cat(3.0), NoiseModel(0.95), BandwidthRule("fixed", h=0.4),
+                           "sharp", [(0.0, 0.0), (3.0, 0.0)], 500, 2, 11)
+        assert out.read_text() == json.dumps(expect.to_json_dict(), indent=2, sort_keys=True)
         sidecar = tmp_path / "risk.json.manifest.json"
         report, manifest = out.read_bytes(), sidecar.read_bytes()
         flags = json.loads(manifest)["flags"]
-        assert flags["hfixed"] == 0.4 and flags["rule"] == "fixed"
+        assert flags["rule"] == "0.4"
         replay = ["risk"] + [f"--{k}={v}" for k, v in flags.items() if v is not None]
         assert run(replay) == 0
         assert out.read_bytes() == report
         assert sidecar.read_bytes() == manifest
+
+    def test_risk_rule_fixed_exit_1(self, small_data, tmp_path, capsys):
+        # a fixed bandwidth is the number itself: "fixed" names no rule
+        out = tmp_path / "out"
+        rc = run(small_argv("risk", small_data, out) + ["--rule", "fixed"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.count("\n") == 1 and err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("h", ["1.5", "0", "nan", "inf"])
     def test_estimate_numeric_h_outside_unit_interval_exit_1(self, small_data, tmp_path,
@@ -527,7 +567,7 @@ class TestCliContract:
             def to_json_dict(self):
                 return {}
 
-        def fake_verify_pair(axi, bump, cls, noise, n, *, k_max):
+        def fake_verify_pair(axi, bump, cls, noise, n):
             seen.append(n)
             return Report()
 

@@ -179,6 +179,17 @@ class TestEstimatePoint:
         with pytest.raises(ConfigurationError):
             es.estimate_point(ds, kspec, (0.0, 0.0))
 
+    @pytest.mark.parametrize("h,eta", [(0.2, 0.9), (0.35, 0.85)])
+    def test_table_for_another_kernel_rejected(self, nm, h, eta):
+        # the h = 0.2 table once gave the h = 0.2 estimate for h = 0.35
+        ds = sp.simulate(fs.StateSpec.fock(1), 300, 0.9, seed=3)
+        kspec = kn.KernelSpec(0.35, nm, "sharp")
+        table = kn.build_table(kn.KernelSpec(h, tg.NoiseModel(eta), "sharp"), 30.0)
+        with pytest.raises(ConfigurationError, match="kernel table"):
+            es.estimate_point(ds, kspec, (0.0, 0.0), table=table)
+        with pytest.raises(ConfigurationError, match="kernel table"):
+            es.estimate_grid(ds, kspec, es.GridSpec(0, 1, 2, 0, 1, 2), table=table)
+
     def test_vacuum_mean_oracle_pooled(self, nm):
         # E[West(0,0)] = (1/pi)(1 - e^{-1/(4 h^2)}) for the vacuum
         ds = sp.simulate(fs.StateSpec.fock(0), 10**6, 0.9, seed=2024)

@@ -30,7 +30,7 @@ def fixture_objects():
         tg.SmoothnessClass(fx["beta"], fx["r"], fx["L"]),
         tg.NoiseModel(fx["eta"]),
         fx["n"],
-        fx["k_max"],
+        fs.MAX_ORDER,
     )
 
 
@@ -538,17 +538,19 @@ CHI2_TIMES_N = {120: 0.5639928382061586, 140: 0.4850293896074903,
 class TestVerifyPair:
     def test_frozen_fixture_all_verdicts(self, fixture_objects):
         axi, bump, cls, nm, n, k_max = fixture_objects
-        rep = lb.verify_pair(axi, bump, cls, nm, n, k_max=k_max)
-        assert rep.verdict_positivity, rep.positivity_margin
-        assert rep.verdict_class, (rep.class_lhs, rep.class_rhs)
-        assert rep.verdict_separation, (rep.separation, rep.separation_threshold)
-        assert rep.verdict_chi2, rep.chi2_times_n
+        rep = lb.verify_pair(axi, bump, cls, nm, n)
+        assert rep.verdicts["positivity"], rep.positivity_margin
+        assert rep.verdicts["class"], (rep.class_lhs, rep.class_rhs)
+        assert rep.verdicts["separation"], (rep.separation, rep.separation_threshold)
+        assert rep.verdicts["chi2"], rep.chi2_times_n
         assert all(rep.to_json_dict()["verdicts"].values())
 
     def test_forced_violation(self, fixture_objects):
+        # tau scales with sqrt(L): L x 1e6 is the perturbation x 1000
         axi, bump, cls, nm, n, k_max = fixture_objects
-        rep = lb.verify_pair(axi, bump, cls, nm, n, k_max=500, tau_scale=1000.0)
-        assert not rep.verdict_positivity
+        big = tg.SmoothnessClass(cls.beta, cls.r, cls.L * 1e6)
+        rep = lb.verify_pair(axi, bump, big, nm, n)
+        assert not rep.verdicts["positivity"]
 
     def test_chi2_linear_in_n(self, fixture_objects):
         axi, bump, cls, nm, n, k_max = fixture_objects
@@ -662,17 +664,19 @@ class TestVerifyPair:
         # lb-fixture's decades: all four verdicts, and n chi^2 within 1e-13 of
         # its value on the flat y grid
         axi, bump, cls, nm, _, k_max = fixture_objects
-        rep = lb.verify_pair(axi, bump, cls, nm, 10**decade, k_max=k_max)
+        rep = lb.verify_pair(axi, bump, cls, nm, 10**decade)
         assert all(rep.to_json_dict()["verdicts"].values())
         assert abs(rep.chi2_times_n / CHI2_TIMES_N[decade] - 1.0) <= 1e-13
 
     def test_chi2_verdict_counts_tail_estimate(self, fixture_objects):
-        # at this scale n chi^2 alone stays <= 1, chi^2 plus its tail does not
+        # with tau x 1.315 (L x 1.315^2), n chi^2 alone stays <= 1, chi^2
+        # plus its tail does not
         axi, bump, cls, nm, n, k_max = fixture_objects
-        rep = lb.verify_pair(axi, bump, cls, nm, n, k_max=k_max, tau_scale=1.315)
-        tail_n = n * rep.diagnostics["chi2_tail_estimate"] * 1.315**2
+        big = tg.SmoothnessClass(cls.beta, cls.r, cls.L * 1.315**2)
+        rep = lb.verify_pair(axi, bump, big, nm, n)
+        tail_n = n * rep.diagnostics["chi2_tail_estimate"]
         assert rep.chi2_times_n <= 1.0 < rep.chi2_times_n + tail_n
-        assert not rep.verdict_chi2
+        assert not rep.verdicts["chi2"]
 
     def test_separation_structure_bound(self, fixture_objects):
         axi, bump, cls, nm, n, k_max = fixture_objects
@@ -711,7 +715,7 @@ class TestVerifyPair:
         bump = lb.BumpSpec(0.1, 1.0)
         cls = tg.SmoothnessClass(0.5, 1.0, 0.47)
         nm = tg.NoiseModel(0.9)
-        rep = lb.verify_pair(axi, bump, cls, nm, 10**6, k_max=300)
+        rep = lb.verify_pair(axi, bump, cls, nm, 10**6)
         assert math.isfinite(rep.htilde)
         assert math.isfinite(rep.separation)
         assert rep.separation_threshold > 0.0
