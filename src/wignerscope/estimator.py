@@ -8,11 +8,13 @@ The estimator averages deconvolution-kernel values over records:
 with [z, phi] = q cos phi + p sin phi.  One core evaluates it for every
 entry point: it looks the kernel up on blocks of (points x records)
 arguments and reduces each point's row with one fixed-order numpy sum
-over that point's own records.  The row is the same contiguous
-reduction whatever the block, so, given the same kernel table, a grid
-value equals the pointwise call bit for bit, and a replay reproduces
-every value exactly.  Calls that each build their own default table size
-it from their own points, and their values can differ in the last bits.
+over that point's own records.  All blocks of a call reuse one
+workspace, allocated once and small enough to stay in cache.  The row is
+the same contiguous reduction whatever the block, so, given the same
+kernel table, a grid value equals the pointwise call bit for bit, and a
+replay reproduces every value exactly.  Calls that each build their own
+default table size it from their own points, and their values can differ
+in the last bits.
 """
 
 from __future__ import annotations
@@ -127,9 +129,11 @@ def default_table(data: Dataset, spec: KernelSpec, points) -> KernelTable:
     return build_table(spec, u_max)
 
 
-# elements of one (points x records) block of kernel arguments: bounds the
-# temporaries of a lookup, and changes no value (each row sums alone)
-_BLOCK = 2**18
+# elements of one (points x records) block of kernel arguments: sizes the
+# one workspace all blocks of a call reuse, four arrays of 256 KiB that stay
+# in a 2 MiB L2 cache (on grid-recon's grid 2^18 took 1.15 to 1.55 times as
+# long), and changes no value (each row sums alone)
+_BLOCK = 2**15
 
 
 def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
@@ -150,12 +154,19 @@ def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
     cos_phi = np.cos(data.phi)
     sin_phi = np.sin(data.phi)
     shift = y / math.sqrt(spec.noise.eta)
-    rows = max(1, _BLOCK // y.size)
+    rows = max(1, min(q.size, _BLOCK // y.size))
+    # one workspace for every block: arguments, kernel values, lookup scratch
+    u, vals, x = np.empty((3, rows, y.size))
+    cell = np.empty((rows, y.size), np.intp)
     out = np.empty(q.size)
     for start in range(0, q.size, rows):
-        block = slice(start, start + rows)
-        u = q[block, None] * cos_phi + p[block, None] * sin_phi - shift
-        out[block] = table(u).sum(axis=1) / y.size
+        k = min(rows, q.size - start)
+        block = slice(start, start + k)
+        np.multiply(q[block, None], cos_phi, out=u[:k])
+        u[:k] += np.multiply(p[block, None], sin_phi, out=vals[:k])
+        u[:k] -= shift
+        table(u[:k], out=vals[:k], work=(x[:k], cell[:k]))
+        out[block] = vals[:k].sum(axis=1) / y.size
     return out
 
 

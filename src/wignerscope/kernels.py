@@ -9,12 +9,16 @@ faster-decaying kernel in real space.
 Kernels are evaluated as cosine integrals with composite 16-point
 Gauss-Legendre panels on a separable u grid (``_quad.gl_cos_sum``: angle
 addition about each panel midpoint and each row of u makes a row block of
-one band segment one matrix product), and cached in local cubic Hermite
-tables, whose nodes are such a grid, for the estimator's inner loop.  Each
-band segment sizes its own panels from the largest |u| of a batch: the
-plateau [0, 1/h] to min(1/(16h), 2h/gamma, 4/max|u|), the taper [1/h, 2/h]
-to min(h/8, pi/(4 max|u|)).  The products group rows, so a value depends
-on its batch in the last bits.
+one band segment one matrix product).  Each band segment sizes its own
+panels from the largest |u| of a batch: the plateau [0, 1/h] to
+min(1/(16h), 2h/gamma, 4/max|u|), the taper [1/h, 2/h] to
+min(h/8, pi/(4 max|u|)).  The products group rows, so a value depends on
+its batch in the last bits.
+
+For the estimator's inner loop a table caches the kernel: local cubic
+Hermite cells on nodes k * step (themselves such a grid), refined to a
+table _FINE times denser that a lookup interpolates linearly, two gathers
+and one multiply-add a value, into buffers a caller can reuse.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._quad import cells_eval, gl_cos_sum, hermite_cells
+from ._quad import gl_cos_sum, hermite_cells
 from .errors import BandwidthTooSmallError, TableStepError, ValidationError
 from .tomography import NoiseModel
 
@@ -36,8 +40,16 @@ _TABLE_REL_TOL = 1e-4
 _TABLE_CHECKS = 64
 # nodes per row of build_table's separable grid (16 costs more workspace)
 _TABLE_ROW = 4
+# fine nodes per cubic cell of a table.  At the default step h/8 the linear
+# lookup on them errs by at most 1.5e-6 (sharp, h = 0.1 to 0.5) and 1.3e-5
+# (modified, h = 0.15 to 0.4) of max|K|, the cubic cells by 2.9e-7 and 6.5e-6
+_FINE = 32
+# largest error of a lookup against kernel_eval at the default step,
+# relative to max|K|, that the tests hold tables to
+_LOOKUP_REL_TOL = 2e-5
 # largest table build_table makes; the README's and the benchmark's hold
-# 1601 nodes, and the cosine sum behind a table grows with its node count
+# 1601 nodes, the cosine sum behind a table grows with its node count, and
+# its fine and slope arrays hold _FINE values a node (16 MiB each at the cap)
 _MAX_TABLE_NODES = 2**16
 # most panels kernel_eval lays on one band segment (2^24 nodes, 128 MiB per
 # node array); the README's and the benchmark's kernels need a few thousand
@@ -141,15 +153,18 @@ def kernel_scale(spec: KernelSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Tabulated kernel on [0, u_max] with local cubic interpolation.
+    """Tabulated kernel on [0, u_max], looked up by linear interpolation.
 
-    Lookup uses even symmetry and evaluates the cubic Hermite cell of |u|
-    (``_quad.hermite_cells``: node values, seven-point slopes), found by
-    index arithmetic: coef holds the (4, cells) Horner coefficients,
-    highest power first, cell k starting at k * step.  |u| beyond u_max
-    falls back to the exact integral, one value at a time, so every value
-    depends on its own u alone.  build_table refuses steps whose measured
-    mid-node error exceeds 1e-4 of the kernel scale.
+    values[k] = K(k step) are the nodes, and coef the (4, cells) Horner
+    coefficients of their local cubic Hermite cells (``_quad.hermite_cells``:
+    node values, seven-point slopes), highest power first, cell k starting
+    at k step.  fine[j] is the cubic at u = j step / _FINE, so fine[_FINE k]
+    = values[k], and slope[j] = fine[j + 1] - fine[j], with slope[-1] = 0.
+    A lookup uses even symmetry and the linear cell of |u| on the fine
+    nodes, found by index arithmetic.  |u| beyond u_max (and NaN) falls back
+    to the exact integral, one value at a time, so every value depends on
+    its own u alone.  build_table refuses steps whose measured lookup error
+    exceeds 1e-4 of the kernel scale.
     """
 
     spec: KernelSpec
@@ -157,15 +172,35 @@ class KernelTable:
     step: float
     values: np.ndarray
     coef: np.ndarray
+    fine: np.ndarray
+    slope: np.ndarray
 
-    def __call__(self, u):
-        u_abs = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-        # |u| past u_max (and NaN) lands in the last cell and is replaced below
-        out = cells_eval(self.coef, self.step, u_abs)
-        outside = ~(u_abs <= self.u_max)
-        if np.any(outside):
+    def __call__(self, u, out=None, work=None):
+        """K at every u, u unchanged.  A caller that looks up many blocks
+        can pass ``out``, a float array, and ``work``, a pair of a float and
+        an intp array, all of u's shape, and reuse them; the values are the
+        same bit for bit."""
+        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+        if out is None:
+            out = np.empty(u_arr.shape)
+        x, cell = work if work is not None else (np.empty(u_arr.shape),
+                                                 np.empty(u_arr.shape, np.intp))
+        np.abs(u_arr, out=x)
+        outside = not x.max(initial=0.0) <= self.u_max   # NaN compares false
+        # clamp before scaling: |u| past u_max, NaN and inf land on the last
+        # fine node, whose slope is 0, and are replaced below
+        np.fmin(x, self.u_max, out=x)
+        x /= self.step / _FINE    # a node k step maps to exactly _FINE k
+        np.copyto(cell, x, casting="unsafe")   # x >= 0: truncation is floor
+        x -= cell
+        np.take(self.slope, cell, out=out)
+        out *= x
+        out += np.take(self.fine, cell, out=x)
+        if outside:
+            u_abs = np.abs(u_arr)
+            far = ~(u_abs <= self.u_max)
             # one value per call: no value may depend on the rest of its batch
-            out[outside] = [kernel_eval(self.spec, v) for v in u_abs[outside]]
+            out[far] = [kernel_eval(self.spec, v) for v in u_abs[far]]
         return float(out[0]) if np.ndim(u) == 0 else out
 
 
@@ -186,9 +221,13 @@ def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) ->
     rows = -(-(n + 3) // _TABLE_ROW)
     values = kernel_eval(spec, _TABLE_ROW * step * np.arange(rows),
                          step * np.arange(_TABLE_ROW)).ravel()[: n + 3]
+    coef = hermite_cells(values, step)
+    # every cell at its _FINE offsets in one product, (cells, 4) @ (4, _FINE)
+    offsets = step / _FINE * np.arange(_FINE)
+    fine = np.append(coef.T @ np.vander(offsets, 4).T, values[n - 1])
     table = KernelTable(
-        spec=spec, u_max=(n - 1) * step, step=step, values=values[:n],
-        coef=hermite_cells(values, step),
+        spec=spec, u_max=(n - 1) * step, step=step, values=values[:n], coef=coef,
+        fine=fine, slope=np.append(np.diff(fine), 0.0),
     )
     # accuracy is relative to the variant's own magnitude scale (the
     # modified kernel's K(0) can dwarf the sharp closed form)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from wignerscope import kernels as kn
+from wignerscope._quad import cells_eval
 from wignerscope.errors import BandwidthTooSmallError, TableStepError, ValidationError
 from wignerscope.tomography import NoiseModel
 
@@ -237,15 +239,37 @@ class TestKernelTable:
         table = kn.build_table(spec, 10.0)
         assert table(11.3) == pytest.approx(kn.kernel_eval(spec, 11.3), rel=1e-12)
 
+    @pytest.mark.parametrize("variant,h,eta,u_max,step", [
+        ("sharp", 0.5, 0.9, 20.0, None),
+        ("sharp", 0.35, 0.9, 12.3, 0.0437),
+        ("sharp", 0.142, 0.95, 20.0, None),
+        ("modified", 0.4, 0.9, 15.0, None),
+        ("modified", 0.15, 0.9, 50.0, None),
+    ])
+    def test_lookup_within_tolerance_of_kernel_eval(self, variant, h, eta, u_max, step):
+        # the exact kernel as the oracle, at random points and at the fine
+        # cells' midpoints over the first coarse cells, where |K''| is largest
+        spec = kn.KernelSpec(h, NoiseModel(eta), variant)
+        table = kn.build_table(spec, u_max, step)
+        rng = np.random.default_rng(3)
+        fine_mids = (np.arange(8 * kn._FINE) + 0.5) * table.step / kn._FINE
+        us = np.concatenate([fine_mids, rng.uniform(0.0, table.u_max, 2000)])
+        scale = float(np.max(np.abs(table.values)))
+        err = np.max(np.abs(table(us) - kn.kernel_eval(spec, us)))
+        assert err <= kn._LOOKUP_REL_TOL * scale
+        assert np.array_equal(table(-us), table(us))
+        assert table(table.u_max) == table.values[-1]
+
     @pytest.mark.parametrize("variant,h,u_max,step", [
         ("sharp", 0.5, 20.0, None),
         ("sharp", 0.35, 12.3, 0.0437),
         ("modified", 0.4, 15.0, None),
     ])
-    def test_lookup_is_the_hermite_cell(self, nm_09, variant, h, u_max, step):
-        # the Horner lookup against each cell's Hermite form written out
+    def test_fine_table_is_the_hermite_cells(self, nm_09, variant, h, u_max, step):
+        # the Horner cells against each cell's Hermite form written out
         # independently: node values K(k s) (K even, three nodes past u_max),
-        # seven-point central-difference slopes, the cubic Hermite basis
+        # seven-point central-difference slopes, the cubic Hermite basis;
+        # then the one-product fine table against Horner's rule in each cell
         spec = kn.KernelSpec(h, nm_09, variant)
         table = kn.build_table(spec, u_max, step)
         s, n = table.step, table.values.size
@@ -266,9 +290,38 @@ class TestKernelTable:
         want = ((2 * tau**3 - 3 * tau**2 + 1) * k_all[cell] + (tau**3 - 2 * tau**2 + tau) * s * d[cell]
                 + (3 * tau**2 - 2 * tau**3) * k_all[cell + 1] + (tau**3 - tau**2) * s * d[cell + 1])
         scale = float(np.max(np.abs(table.values)))
-        assert np.max(np.abs(table(us) - want)) <= 1e-14 * scale
-        assert np.array_equal(table(-us), table(us))
-        assert table(table.u_max) == pytest.approx(table.values[-1], abs=1e-14 * scale)
+        assert np.max(np.abs(cells_eval(table.coef, s, us) - want)) <= 1e-14 * scale
+        fine_u = np.arange(table.fine.size - 1) * (s / kn._FINE)
+        assert np.max(np.abs(table.fine[:-1] - cells_eval(table.coef, s, fine_u))) <= 1e-14 * scale
+        assert np.array_equal(table.fine[:: kn._FINE], table.values)
+        assert np.array_equal(table.slope, np.append(np.diff(table.fine), 0.0))
+
+    def test_lookup_leaves_u_unchanged_and_reuses_buffers(self, nm_09):
+        table = kn.build_table(kn.KernelSpec(0.4, nm_09, "sharp"), 10.0)
+        rng = np.random.default_rng(5)
+        u = rng.uniform(-12.0, 12.0, (3, 50))     # some past u_max = 10
+        u[0, :3] = [table.u_max, -table.u_max, 0.0]
+        kept = u.copy()
+        alone = table(u)
+        assert np.array_equal(u, kept)
+        out, x, cell = np.empty((3, 50)), np.empty((3, 50)), np.empty((3, 50), np.intp)
+        for _ in range(2):    # buffers holding the last call's values
+            assert table(u, out=out, work=(x, cell)) is out
+            assert np.array_equal(out, alone)
+        assert np.array_equal(u, kept)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
+    @pytest.mark.parametrize("variant", kn.VARIANTS)
+    def test_non_finite_lookup_one_line_error_no_warning(self, nm_09, variant, bad):
+        # every table's last fine slope is 0: a NaN or inf that reached the
+        # interpolation would meet 0 * inf there
+        table = kn.build_table(kn.KernelSpec(0.5, nm_09, variant), 10.0)
+        assert table.slope[-1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="kernel argument") as info:
+                table(np.array([0.3, bad, 2.0]))
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("variant,h,eta,u_max", [
         ("modified", 0.25, 0.9, 50.0),    # README kernel-table; kernel-tab
