@@ -26,6 +26,7 @@ from .kernels import VARIANTS, KernelSpec, build_table
 from .sampler import read_dataset, simulate, write_csv_rows, write_dataset
 from .tomography import NoiseModel, SmoothnessClass
 from .estimator import (
+    RULE_NAMES,
     BandwidthRule,
     GridSpec,
     bandwidth,
@@ -33,9 +34,6 @@ from .estimator import (
     risk_eval,
 )
 from .lowerbound import AlphaXi, BumpSpec, verify_pair
-
-# rule names of --h and risk --rule, and the BandwidthRule kind of each
-_RULE_KINDS = {"opt": "opt", "h1": "h1", "h2": "h2", "r2": "r2_closed", "adaptive": "adaptive"}
 
 
 def _state_number(text: str, convert=float):
@@ -104,17 +102,16 @@ def parse_rule(value, beta, r, L) -> BandwidthRule:
     """The BandwidthRule a rule name or a number (a fixed h) stands for;
     the named rules but adaptive take their class from beta, r and L
     (None where the flag was not given)."""
-    kind = _RULE_KINDS.get(value)
-    if kind == "adaptive":
-        return BandwidthRule(kind)
-    if kind is not None:
+    if value == "adaptive":
+        return BandwidthRule(value)
+    if value in RULE_NAMES:
         if beta is None or r is None or L is None:
             raise ValidationError("bandwidth rule needs --beta, --r and --L")
-        return BandwidthRule(kind, cls=SmoothnessClass(beta, r, L))
+        return BandwidthRule(value, cls=SmoothnessClass(beta, r, L))
     try:
         h = float(value)
     except ValueError:
-        raise ValidationError(f"bandwidth must be a number or one of {tuple(_RULE_KINDS)}")
+        raise ValidationError(f"bandwidth must be a number or one of {RULE_NAMES}")
     return BandwidthRule("fixed", h=h)
 
 
@@ -124,11 +121,8 @@ def _data_and_kernel(args) -> tuple:
     ds = read_dataset(args.data)
     noise = NoiseModel(ds.meta.eta)
     rule = parse_rule(args.h, args.beta, args.r, args.L)
-    if rule.kind == "fixed":  # needs no sample size
-        h, kind = rule.h, "fixed"
-    else:
-        h, kind = bandwidth(rule, ds.n, noise), args.h
-    return ds, KernelSpec(h=h, noise=noise, variant=args.variant), {"kind": kind, "h": h}
+    h = bandwidth(rule, ds.n, noise)
+    return ds, KernelSpec(h=h, noise=noise, variant=args.variant), {"kind": rule.kind, "h": h}
 
 
 def _digest(path: str) -> str:
@@ -180,10 +174,8 @@ def cmd_estimate(args) -> dict:
         qpart, ppart = args.grid.split(",")
         qmin, qmax, qsteps = qpart.split(":")
         pmin, pmax, psteps = ppart.split(":")
-        qsteps, psteps = int(qsteps), int(psteps)
-        if qsteps < 1 or psteps < 1:
-            raise ValidationError(f"--grid: steps must be >= 1, got {args.grid!r}")
-        grid = GridSpec(float(qmin), float(qmax), qsteps, float(pmin), float(pmax), psteps)
+        grid = GridSpec(float(qmin), float(qmax), int(qsteps),
+                        float(pmin), float(pmax), int(psteps))
     except ValueError:
         raise ValidationError("--grid expects qmin:qmax:steps,pmin:pmax:steps")
     wg = estimate_grid(ds, kspec, grid)
@@ -194,11 +186,9 @@ def cmd_estimate(args) -> dict:
 
 
 def cmd_cut(args) -> dict:
-    if args.steps < 1:
-        raise ValidationError(f"--steps must be >= 1, got {args.steps}")
+    grid = GridSpec(args.qmin, args.qmax, args.steps, args.p, args.p, 1)
     ds, kspec, rule_desc = _data_and_kernel(args)
     rho = materialize(ds.meta.state)
-    grid = GridSpec(args.qmin, args.qmax, args.steps, args.p, args.p, 1)
     wg = estimate_grid(ds, kspec, grid)
     wtrue = wigner_eval_many(rho, wg.q, np.full_like(wg.q, args.p))
     with open(args.out, "w") as fh:
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noisy homodyne tomography simulation and Wigner reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    bandwidth_help = "bandwidth: number in (0, 1] or rule " + "|".join(_RULE_KINDS)
+    bandwidth_help = "bandwidth: number in (0, 1] or rule " + "|".join(RULE_NAMES)
 
     sim = sub.add_parser("simulate", help="draw a noisy homodyne dataset")
     sim.add_argument("--state", required=True)

@@ -12,9 +12,12 @@ over that point's own records.  All blocks of a call reuse one
 workspace, allocated once and small enough to stay in cache.  The row is
 the same contiguous reduction whatever the block, so, given the same
 kernel table, a grid value equals the pointwise call bit for bit, and a
-replay reproduces every value exactly.  Calls that each build their own
-default table size it from their own points, and their values can differ
-in the last bits.
+replay reproduces every value exactly.  Every table the estimator builds
+has one range rule, default_table's u_max = max|z| + max|y|/sqrt(eta) + 1:
+an estimate takes its own points and records, risk_eval a bound fixed
+before the draw, which a record exceeds with probability 1.2e-15 (and then
+takes the exact kernel).  Calls that each build their own default table size it from
+their own points, and their values can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -43,15 +46,16 @@ __all__ = [
     "risk_eval",
 ]
 
-_RULES = ("opt", "h1", "h2", "r2_closed", "adaptive", "fixed")
+# the bandwidth rules a name selects; a "fixed" rule pins h to a number
+RULE_NAMES = ("opt", "h1", "h2", "r2", "adaptive")
 
 
 @dataclass(frozen=True)
 class BandwidthRule:
     """A bandwidth selection rule: BandwidthRule(kind, cls=..., h=...).
 
-    opt solves 2 beta / h^r + 2 gamma / h^2 = log n; h1/h2/r2_closed are
-    the closed-form variants; these four need the SmoothnessClass cls.
+    opt solves 2 beta / h^r + 2 gamma / h^2 = log n; h1/h2/r2 are the
+    closed-form variants; these four need the SmoothnessClass cls.
     adaptive depends only on (n, eta); fixed pins h directly.
     """
 
@@ -60,9 +64,9 @@ class BandwidthRule:
     h: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _RULES:
-            raise ValidationError(f"rule must be one of {_RULES}")
-        if self.kind in ("opt", "h1", "h2", "r2_closed") and self.cls is None:
+        if self.kind not in RULE_NAMES + ("fixed",):
+            raise ValidationError(f"rule must be 'fixed' or one of {RULE_NAMES}")
+        if self.kind not in ("adaptive", "fixed") and self.cls is None:
             raise ValidationError(f"rule {self.kind!r} needs a SmoothnessClass")
         if self.kind == "fixed" and not (self.h and 0.0 < self.h <= 1.0):
             raise ValidationError("fixed rule needs h in (0, 1]")
@@ -74,18 +78,18 @@ def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
     The produced value always lies in (0, 1]; rules whose formulas land
     above 1 (n too small for the asymptotics) raise BandwidthError.
     """
+    if rule.kind == "fixed":
+        return rule.h
     if n < 2:
         raise ValidationError("n must be >= 2")
     gamma = noise.gamma
     log_n = math.log(n)
-    if rule.kind == "fixed":
-        return rule.h
     if rule.kind == "adaptive":
         a = log_n / (2.0 * gamma)        # = 2 eta log n / (1 - eta)
         if a <= math.sqrt(a):
             raise BandwidthError("adaptive rule needs 2 eta log n/(1-eta) > 1")
         h = (a - math.sqrt(a)) ** -0.5
-    elif rule.kind == "r2_closed":
+    elif rule.kind == "r2":
         h = math.sqrt((2.0 * rule.cls.beta + 2.0 * gamma) / log_n)
     elif rule.kind == "h1":
         a = log_n / (2.0 * gamma)
@@ -122,11 +126,10 @@ def rate_phi2(cls: SmoothnessClass, n: int, noise: NoiseModel) -> float:
     )
 
 
-def default_table(data: Dataset, spec: KernelSpec, points) -> KernelTable:
-    """Kernel table wide enough for every |[z, phi] - y/sqrt(eta)| in data."""
-    z_max = max((math.hypot(p.q, p.p) for p in points), default=0.0)
-    u_max = z_max + float(np.max(np.abs(data.y))) / math.sqrt(spec.noise.eta) + 1.0
-    return build_table(spec, u_max)
+def default_table(spec: KernelSpec, z_max: float, y_max: float) -> KernelTable:
+    """Kernel table wide enough for every |[z, phi] - y/sqrt(eta)| with
+    |z| <= z_max and |y| <= y_max: u_max = z_max + y_max/sqrt(eta) + 1."""
+    return build_table(spec, z_max + y_max / math.sqrt(spec.noise.eta) + 1.0)
 
 
 # elements of one (points x records) block of kernel arguments: sizes the
@@ -147,8 +150,7 @@ def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
     if y.size == 0:
         raise ValidationError("empty dataset")
     if table is None:
-        far = int(np.argmax(np.hypot(q, p)))
-        table = default_table(data, spec, [PhasePoint(q[far], p[far])])
+        table = default_table(spec, float(np.max(np.hypot(q, p))), float(np.max(np.abs(y))))
     elif table.spec != spec:
         raise ConfigurationError(f"kernel table built for {table.spec}, not for {spec}")
     cos_phi = np.cos(data.phi)
@@ -196,8 +198,8 @@ class GridSpec:
         if not all(map(math.isfinite, (self.q_min, self.q_max, self.p_min, self.p_max))):
             raise ValidationError("grid bounds must be finite")
         steps = (self.q_steps, self.p_steps)
-        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in steps):
-            raise ValidationError(f"grid steps must be integers >= 0, got {steps!r}")
+        if not all(isinstance(k, (int, np.integer)) and k >= 1 for k in steps):
+            raise ValidationError(f"grid steps must be integers >= 1, got {steps!r}")
         if int(self.q_steps) * int(self.p_steps) > _MAX_GRID_POINTS:  # numpy ints wrap
             raise ValidationError(
                 f"grid of {self.q_steps} x {self.p_steps} points exceeds {_MAX_GRID_POINTS} points"
@@ -227,8 +229,6 @@ def estimate_grid(
     """Dense evaluation of the estimator; values identical to pointwise
     calls given the same ``table``."""
     qs, ps = grid.axes()
-    if qs.size == 0 or ps.size == 0:
-        return WignerGrid(q=qs, p=ps, values=np.zeros((qs.size, ps.size)))
     q, p = np.meshgrid(qs, ps, indexing="ij")
     values = _estimate(data, spec, q.ravel(), p.ravel(), table)
     return WignerGrid(q=qs, p=ps, values=values.reshape(qs.size, ps.size))
@@ -299,13 +299,11 @@ def risk_eval(
     h = bandwidth(rule, n, noise)
     kspec = KernelSpec(h=h, noise=noise, variant=variant)
     sampler = QuadratureSampler(rho)
-    # conservative table range: y support ~ sqrt(eta) x_max + noise tails
-    u_max = (
-        max(math.hypot(p.q, p.p) for p in pts)
-        + x_support_radius(rho.dim)
-        + 8.0 / math.sqrt(noise.eta)
-    )
-    table = build_table(kspec, u_max)
+    # a record y = sqrt(eta) x + sqrt((1-eta)/2) g has |x| <= x_support_radius,
+    # the sampler grid's edge, and |g| > 8 with probability 1.2e-15
+    y_max = (math.sqrt(noise.eta) * x_support_radius(rho.dim)
+             + 8.0 * math.sqrt((1.0 - noise.eta) / 2.0))
+    table = default_table(kspec, max(math.hypot(p.q, p.p) for p in pts), y_max)
     qs = np.array([z.q for z in pts])
     ps = np.array([z.p for z in pts])
 

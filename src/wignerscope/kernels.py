@@ -155,11 +155,10 @@ def kernel_scale(spec: KernelSpec) -> float:
 class KernelTable:
     """Tabulated kernel on [0, u_max], looked up by linear interpolation.
 
-    values[k] = K(k step) are the nodes, and coef the (4, cells) Horner
-    coefficients of their local cubic Hermite cells (``_quad.hermite_cells``:
-    node values, seven-point slopes), highest power first, cell k starting
-    at k step.  fine[j] is the cubic at u = j step / _FINE, so fine[_FINE k]
-    = values[k], and slope[j] = fine[j + 1] - fine[j], with slope[-1] = 0.
+    values[k] = K(k step) are the nodes.  fine[j] is their local cubic
+    Hermite interpolant (``_quad.hermite_cells``: node values, seven-point
+    slopes) at u = j step / _FINE, so fine[_FINE k] = values[k], and
+    slope[j] = fine[j + 1] - fine[j], with slope[-1] = 0.
     A lookup uses even symmetry and the linear cell of |u| on the fine
     nodes, found by index arithmetic.  |u| beyond u_max (and NaN) falls back
     to the exact integral, one value at a time, so every value depends on
@@ -171,7 +170,6 @@ class KernelTable:
     u_max: float
     step: float
     values: np.ndarray
-    coef: np.ndarray
     fine: np.ndarray
     slope: np.ndarray
 
@@ -226,8 +224,8 @@ def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) ->
     offsets = step / _FINE * np.arange(_FINE)
     fine = np.append(coef.T @ np.vander(offsets, 4).T, values[n - 1])
     table = KernelTable(
-        spec=spec, u_max=(n - 1) * step, step=step, values=values[:n], coef=coef,
-        fine=fine, slope=np.append(np.diff(fine), 0.0),
+        spec=spec, u_max=(n - 1) * step, step=step, values=values[:n], fine=fine,
+        slope=np.append(np.diff(fine), 0.0),
     )
     # accuracy is relative to the variant's own magnitude scale (the
     # modified kernel's K(0) can dwarf the sharp closed form)

@@ -50,6 +50,12 @@ _EPS = float(np.finfo(float).eps)
 # radians of oscillation, or e-foldings of the envelope, one panel of
 # j_segments' rule spans at most
 _J_PANEL_RAD = 2.0
+# caps on what J's rules allocate: the nodes of one j_segments rule (1 MiB a
+# node array; the README's and the tests' rules hold at most 1024 tau and 4304
+# noisy nodes, a check at D = 500, eta = 0.05 8912 and 75,408), and the values
+# of tau_diag's Laguerre table (256 MiB, 16,768 nodes at k_max = MAX_ORDER)
+_MAX_J_NODES = 2**17
+_MAX_TAU_VALUES = 2**25
 # chi_squared's y quadrature: range [0, _CHI2_Y_MAX], panels at most _CHI2_PANEL wide
 _CHI2_Y_MAX = 120.0
 _CHI2_PANEL = 0.05
@@ -184,8 +190,7 @@ def _z_moments(e: float, xi: float, m_max: int) -> np.ndarray:
 def rho_alpha_xi_diag(axi: AlphaXi, k_max: int) -> np.ndarray:
     """Diagonal elements rho_kk = int_xi^1 z^k f(z) dz for k = 0..k_max,
     alpha (1-xi)^{-alpha} times the moments of (1-z)^alpha."""
-    if not 0 <= k_max <= MAX_ORDER:
-        raise ValidationError(f"k_max must lie in [0, {MAX_ORDER}]")
+    _check_order(k_max)
     a, xi = axi.alpha, axi.xi
     return a * (1.0 - xi) ** -a * _z_moments(a, xi, k_max)
 
@@ -368,13 +373,18 @@ def j_segments(
     largest log-slope on the support, whichever is larger: J^2's envelope
     gives 4 beta r t^{r-1}, and scale = 1/sqrt(eta) adds the noisy
     integrals' factor e^{-(1-eta) s^2/2}, (scale^2 - 1) t_hi, both per unit s.
+    A rule of more than _MAX_J_NODES nodes is refused before any is laid.
     """
     d, D, r = bump.delta, bump.big_d, cls.r
     knots = [(htilde**-r + u) ** (1.0 / r) for u in (d, 2.0 * d, D - 2.0 * d, D - d)]
     t_lo, t_hi = knots[0], knots[-1]
     envelope = 4.0 * cls.beta * r * max(t_lo ** (r - 1.0), t_hi ** (r - 1.0))
     width = _J_PANEL_RAD / max(omega, (envelope + (scale * scale - 1.0) * t_hi) / scale)
-    return [(scale * knots[i], scale * knots[i + 1], width) for i in range(3)]
+    segments = [(scale * knots[i], scale * knots[i + 1], width) for i in range(3)]
+    nodes = sum(16 * max(1, math.ceil((b - a) / width)) for a, b, _ in segments)
+    if nodes > _MAX_J_NODES:
+        raise ValidationError(f"J's rule needs {nodes:.3g} nodes, more than {_MAX_J_NODES}")
+    return segments
 
 
 def _j_rule(bump: BumpSpec, cls: SmoothnessClass, htilde: float, omega: float = 0.0,
@@ -409,9 +419,14 @@ def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) ->
     bounded Laguerre row b_k^0(t^2/2) (``fockspace.laguerre_rows``), so
     neither factor over- or underflows; it oscillates like J_0(t sqrt(2k+1))
     (Hilb's formula), so the rule's panels resolve omega = sqrt(2 k_max + 1).
+    A table of more than _MAX_TAU_VALUES values is refused before it is built.
     """
     _check_order(k_max)
     t, w = _j_rule(bump, cls, htilde, math.sqrt(2.0 * k_max + 1.0))
+    if (k_max + 1) * t.size > _MAX_TAU_VALUES:
+        raise ValidationError(
+            f"tau's Laguerre table needs {k_max + 1} x {t.size} values, more than {_MAX_TAU_VALUES}"
+        )
     weights = w * t * j_htilde(bump, cls, htilde, t)
     lag = np.array(list(laguerre_rows(k_max, 0, t * t / 2.0)))
     return 4.0 * math.pi**2 * (lag @ weights)

@@ -60,6 +60,9 @@ _CDF_TOL = 1e-6
 _MAX_POINTS = 65537
 # rows per format call of write_csv_rows
 _CSV_BLOCK = 2**16
+# most records one draw makes: simulate peaks at about 200 B a record (238 MB
+# at 10^6), so 2^23 records take about 1.7 GB
+_MAX_RECORDS = 2**23
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -326,8 +329,8 @@ class QuadratureSampler:
         return np.clip(s, 0.0, 1.0), sweep
 
     def sample(self, n: int, seed: int) -> IdealSample:
-        if n < 1:
-            raise ValidationError("n must be >= 1")
+        if not 1 <= n <= _MAX_RECORDS:
+            raise ValidationError(f"n must lie in [1, {_MAX_RECORDS}] records, got {n}")
         rng = _stream(seed, _PHI_STREAM)
         phi = rng.uniform(0.0, math.pi, size=n)
         u = rng.random(n)

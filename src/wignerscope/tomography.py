@@ -156,7 +156,6 @@ class ClassIntegralResult:
 
     value: float
     converged: bool
-    in_class: bool
     diagnostic: Optional[str] = None
 
 
@@ -194,20 +193,16 @@ def class_integral(
                 return ClassIntegralResult(
                     value=total,
                     converged=False,
-                    in_class=False,
                     diagnostic=f"integrand growing past t = {t0 + _CLASS_BLOCK:.1f}",
                 )
         else:
             grow_count = 0
         if contrib <= 1e-13 * max(total, 1e-300) and prev_contrib is not None:
-            return ClassIntegralResult(
-                value=total, converged=True, in_class=total <= cls.rhs
-            )
+            return ClassIntegralResult(value=total, converged=True)
         prev_contrib = contrib
         t0 += _CLASS_BLOCK
     return ClassIntegralResult(
         value=total,
         converged=False,
-        in_class=False,
         diagnostic=f"no convergence by t = {_CLASS_T_CAP}",
     )

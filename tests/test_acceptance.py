@@ -50,7 +50,7 @@ def test_criterion_1_vacuum_estimator_mean():
 # Frozen cat-state MSE configuration: sharp kernel, smoothness beta = 0.08
 # (any beta < 1/4 admits these states), cat amplitude q0 = 3 (domes at +-3).
 _T1_CLS = tg.SmoothnessClass(0.08, 2.0, 1.0)
-_T1_RULE = es.BandwidthRule("r2_closed", cls=_T1_CLS)
+_T1_RULE = es.BandwidthRule("r2", cls=_T1_CLS)
 
 
 def _cat_mse(eta: float, n: int, reps: int, seed: int = 11) -> tuple:

@@ -45,7 +45,7 @@ class TestParseState:
 
 class TestParseRule:
     @pytest.mark.parametrize("name,kind", [
-        ("opt", "opt"), ("h1", "h1"), ("h2", "h2"), ("r2", "r2_closed"),
+        ("opt", "opt"), ("h1", "h1"), ("h2", "h2"), ("r2", "r2"),
     ])
     def test_class_rules(self, name, kind):
         cls = SmoothnessClass(0.2, 2.0, 1.0)
@@ -596,6 +596,57 @@ class TestCliContract:
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert out.read_text().startswith("u,value\n")
         assert (tmp_path / "kt.csv.manifest.json").exists()
+
+
+class TestRuleNames:
+    @pytest.mark.parametrize("name", ["opt", "h1", "h2", "r2", "adaptive"])
+    def test_manifest_and_report_record_the_cli_name(self, small_data, tmp_path, name):
+        # beta < gamma (eta = 0.9) keeps h1 and h2 defined at n = 200
+        cls = [] if name == "adaptive" else ["--beta", "0.02", "--r", "2", "--L", "1"]
+        grid, report = tmp_path / "grid.csv", tmp_path / "risk.json"
+        assert run(["estimate", "--data", str(small_data), "--h", name, *cls,
+                    "--grid=0:1:2,0:1:2", "--out", str(grid)]) == 0
+        manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+        assert manifest["flags"]["resolved_rule"]["kind"] == name
+        assert run(["risk", "--state", "fock:0", "--eta", "0.9", "--n", "200", "--reps", "1",
+                    "--points", "0,0", "--rule", name, *cls, "--seed", "3",
+                    "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["meta"]["rule"]["kind"] == name
+
+
+class TestOversizedInputs:
+    """An input that would size an allocation past a cap ends in one error
+    line before the allocation.  Each runs in a child held to 1 GiB of
+    address space, so an input that does allocate ends there in a
+    MemoryError, not in the host's out-of-memory killer."""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "--n", "cap + 1"),     # sampler._MAX_RECORDS + 1 records
+        ("risk", "--n", "cap + 1"),
+        ("lb-verify", "--bigD", "1844"),    # tau's Laguerre table one panel past its cap
+        ("lb-verify", "--bigD", "19900"),   # J's rule one panel past its cap
+        ("lb-verify", "--bigD", "1e6"),
+        ("lb-verify", "--bigD", "1e12"),
+    ])
+    def test_exit_1_before_allocating(self, tmp_path, command, flag, value):
+        import resource
+        import subprocess
+        import sys
+
+        out = tmp_path / "out"
+        argv = SMALL_ARGV[command].format(out=out).split()
+        argv[argv.index(flag) + 1] = str(sp._MAX_RECORDS + 1) if value == "cap + 1" else value
+
+        def limit():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))
+
+        proc = subprocess.run([sys.executable, "-m", "wignerscope.cli", *argv],
+                              env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"), preexec_fn=limit,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stderr.startswith("error:"), proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 def _child_env():

@@ -21,7 +21,7 @@ class TestBandwidth:
     def test_r2_closed_form_matches_root(self, nm):
         cls = tg.SmoothnessClass(0.2, 2.0, 1.0)
         h_root = es.bandwidth(es.BandwidthRule("opt", cls=cls), 5000, nm)
-        h_closed = es.bandwidth(es.BandwidthRule("r2_closed", cls=cls), 5000, nm)
+        h_closed = es.bandwidth(es.BandwidthRule("r2", cls=cls), 5000, nm)
         expect = math.sqrt((0.4 + 2.0 / 36.0) / math.log(5000))
         assert h_root == pytest.approx(expect, abs=1e-12)
         assert h_closed == pytest.approx(expect, abs=1e-15)
@@ -123,7 +123,7 @@ class TestBandwidth:
         # rules landing above 1 (n too small for the asymptotics) refuse
         cls = tg.SmoothnessClass(2.0, 2.0, 1.0)
         with pytest.raises(BandwidthError):
-            es.bandwidth(es.BandwidthRule("r2_closed", cls=cls), 8, nm)
+            es.bandwidth(es.BandwidthRule("r2", cls=cls), 8, nm)
         with pytest.raises(ValidationError):
             es.BandwidthRule("fixed", h=1.5)
 
@@ -237,13 +237,7 @@ class TestEstimateGrid:
                     ds, kspec, (q, p), table=table
                 )
 
-    def test_empty_grid(self, nm):
-        ds = sp.simulate(fs.StateSpec.fock(0), 100, 0.9, seed=8)
-        kspec = kn.KernelSpec(0.35, nm, "sharp")
-        wg = es.estimate_grid(ds, kspec, es.GridSpec(0, 1, 0, 0, 1, 0))
-        assert wg.values.size == 0
-
-    @pytest.mark.parametrize("steps", [-1, 2.5])
+    @pytest.mark.parametrize("steps", [0, -1, 2.5])
     def test_bad_step_count_refused(self, steps):
         with pytest.raises(ValidationError, match="steps"):
             es.GridSpec(0, 1, steps, 0, 1, 3)
@@ -322,6 +316,23 @@ class TestEstimateGrid:
 
 
 class TestRiskEval:
+    def test_table_range_covers_every_record(self, monkeypatch):
+        # README risk's configuration: the table's range, fixed before any
+        # record is drawn, holds every |u| of every repetition, so no lookup
+        # falls back to the exact kernel
+        ratios = []
+        lookup = kn.KernelTable.__call__
+
+        def recorded(table, u, out=None, work=None):
+            ratios.append(float(np.max(np.abs(u))) / table.u_max)
+            return lookup(table, u, out=out, work=work)
+
+        monkeypatch.setattr(kn.KernelTable, "__call__", recorded)
+        rule = es.BandwidthRule("r2", cls=tg.SmoothnessClass(0.08, 2.0, 1.0))
+        es.risk_eval(fs.StateSpec.cat(3.0), tg.NoiseModel(0.95), rule, "sharp",
+                     [(0.0, 0.0), (3.0, 0.0)], 10**4, 4, seed=11)
+        assert len(ratios) == 1 + 4 and max(ratios) <= 1.0   # build_table's check, 4 reps
+
     def test_determinism(self, nm):
         rule = es.BandwidthRule("fixed", h=0.4)
         a = es.risk_eval(
@@ -337,7 +348,7 @@ class TestRiskEval:
         noise = tg.NoiseModel(0.999)
         cls = tg.SmoothnessClass(0.2, 2.0, 1.0)
         rep = es.risk_eval(
-            fs.StateSpec.fock(0), noise, es.BandwidthRule("r2_closed", cls=cls), "sharp",
+            fs.StateSpec.fock(0), noise, es.BandwidthRule("r2", cls=cls), "sharp",
             [(0.0, 0.0)], 10**5, 20, seed=21,
         )
         assert rep.per_point_mse[0] <= 1e-3

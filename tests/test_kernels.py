@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from wignerscope import kernels as kn
-from wignerscope._quad import cells_eval
+from wignerscope._quad import cells_eval, hermite_cells
 from wignerscope.errors import BandwidthTooSmallError, TableStepError, ValidationError
 from wignerscope.tomography import NoiseModel
 
@@ -266,10 +266,11 @@ class TestKernelTable:
         ("modified", 0.4, 15.0, None),
     ])
     def test_fine_table_is_the_hermite_cells(self, nm_09, variant, h, u_max, step):
-        # the Horner cells against each cell's Hermite form written out
-        # independently: node values K(k s) (K even, three nodes past u_max),
-        # seven-point central-difference slopes, the cubic Hermite basis;
-        # then the one-product fine table against Horner's rule in each cell
+        # the fine table, which lookups read, against each cell's Hermite
+        # form written out independently: node values K(k s) (K even, three
+        # nodes past u_max), seven-point central-difference slopes, the cubic
+        # Hermite basis at the _FINE offsets of every cell; then the cells
+        # themselves through cells_eval, as chi_squared evaluates its table
         spec = kn.KernelSpec(h, nm_09, variant)
         table = kn.build_table(spec, u_max, step)
         s, n = table.step, table.values.size
@@ -281,18 +282,22 @@ class TestKernelTable:
             f = lambda j: k_all[abs(k + j)]
             return (45 * (f(1) - f(-1)) - 9 * (f(2) - f(-2)) + (f(3) - f(-3))) / (60 * s)
 
-        rng = np.random.default_rng(3)
-        nodes = np.arange(n) * s
-        us = np.concatenate([nodes, [table.u_max], rng.uniform(0.0, table.u_max, 500)])
-        cell = np.minimum((us / s).astype(int), n - 2)
-        tau = us / s - cell
         d = np.array([slope(k) for k in range(n)])
-        want = ((2 * tau**3 - 3 * tau**2 + 1) * k_all[cell] + (tau**3 - 2 * tau**2 + tau) * s * d[cell]
-                + (3 * tau**2 - 2 * tau**3) * k_all[cell + 1] + (tau**3 - tau**2) * s * d[cell + 1])
+
+        def hermite(cell, tau):
+            return ((2 * tau**3 - 3 * tau**2 + 1) * k_all[cell]
+                    + (tau**3 - 2 * tau**2 + tau) * s * d[cell]
+                    + (3 * tau**2 - 2 * tau**3) * k_all[cell + 1]
+                    + (tau**3 - tau**2) * s * d[cell + 1])
+
         scale = float(np.max(np.abs(table.values)))
-        assert np.max(np.abs(cells_eval(table.coef, s, us) - want)) <= 1e-14 * scale
-        fine_u = np.arange(table.fine.size - 1) * (s / kn._FINE)
-        assert np.max(np.abs(table.fine[:-1] - cells_eval(table.coef, s, fine_u))) <= 1e-14 * scale
+        cell, j = np.divmod(np.arange(table.fine.size - 1), kn._FINE)
+        assert np.max(np.abs(table.fine[:-1] - hermite(cell, j / kn._FINE))) <= 1e-14 * scale
+        rng = np.random.default_rng(3)
+        us = np.concatenate([np.arange(n) * s, [table.u_max], rng.uniform(0.0, table.u_max, 500)])
+        cell = np.minimum((us / s).astype(int), n - 2)
+        cells = cells_eval(hermite_cells(k_all, s), s, us)
+        assert np.max(np.abs(cells - hermite(cell, us / s - cell))) <= 1e-14 * scale
         assert np.array_equal(table.fine[:: kn._FINE], table.values)
         assert np.array_equal(table.slope, np.append(np.diff(table.fine), 0.0))
 

@@ -511,6 +511,34 @@ class TestJRule:
         assert abs(q[0] - q0) <= 1e-12 * abs(q0)
 
 
+class TestJRuleCaps:
+    """At the fixture, bump (0.5, D) with tau's frequency at MAX_ORDER: D =
+    19,899 lays exactly _MAX_J_NODES nodes and D = 1843 a Laguerre table of
+    exactly (MAX_ORDER + 1) x 16,768 values; one unit of D more is one panel
+    past either cap, refused before the rule or the table is built."""
+
+    @staticmethod
+    def _tau_nodes(fixture_objects, big_d):
+        # the nodes j_segments' rule lays: 16 a panel, as in gl_panels
+        _, _, cls, nm, n, k_max = fixture_objects
+        ht = lb.htilde_solve(cls, nm, n)
+        segments = lb.j_segments(lb.BumpSpec(0.5, big_d), cls, ht, math.sqrt(2.0 * k_max + 1.0))
+        return sum(16 * math.ceil((b - a) / w) for a, b, w in segments)
+
+    def test_rule_one_panel_past_its_cap(self, fixture_objects):
+        assert self._tau_nodes(fixture_objects, 19899.0) == lb._MAX_J_NODES
+        with pytest.raises(ValidationError, match="nodes"):
+            self._tau_nodes(fixture_objects, 19900.0)
+
+    def test_tau_table_one_panel_past_its_cap(self, fixture_objects):
+        _, _, cls, nm, n, k_max = fixture_objects
+        nodes = lb._MAX_TAU_VALUES // (k_max + 1)
+        assert self._tau_nodes(fixture_objects, 1843.0) == nodes
+        assert self._tau_nodes(fixture_objects, 1844.0) == nodes + 16
+        with pytest.raises(ValidationError, match="Laguerre"):
+            lb.tau_diag(lb.BumpSpec(0.5, 1844.0), cls, lb.htilde_solve(cls, nm, n), k_max)
+
+
 class TestMehler:
     @pytest.mark.parametrize("z", [0.3, 0.6, 0.9])
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.5])

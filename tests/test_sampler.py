@@ -41,6 +41,15 @@ class TestSampleIdeal:
         res = kstest(np.abs(s.x), lambda t: gammainc(1.5, t * t))
         assert res.pvalue > 0.01
 
+    def test_record_cap(self, vac):
+        # refused before any record is drawn; the cap admits the 10^6-record
+        # datasets of the dataset I/O work
+        assert sp._MAX_RECORDS >= 10**6
+        sampler = sp.QuadratureSampler(vac)
+        for n in (0, sp._MAX_RECORDS + 1):
+            with pytest.raises(ValidationError, match="records"):
+                sampler.sample(n, seed=1)
+
     def test_determinism(self, fock1):
         a = sp.QuadratureSampler(fock1).sample(2000, seed=99)
         b = sp.QuadratureSampler(fock1).sample(2000, seed=99)
