@@ -28,10 +28,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BandwidthError, ConfigurationError, ValidationError
+from .errors import BandwidthError, ConfigurationError, NumericGuardError, ValidationError
 from .fockspace import PhasePoint, StateSpec, _as_phase_point, materialize, wigner_eval
 from .kernels import KernelSpec, KernelTable, build_table
-from .sampler import Dataset, QuadratureSampler, add_noise, derive_seed
+from .sampler import Dataset, QuadratureSampler, add_noise, check_records, check_seed, derive_seed
 from .tomography import NoiseModel, SmoothnessClass, bandwidth_root, x_support_radius
 
 __all__ = [
@@ -287,17 +287,20 @@ def risk_eval(
     """Pointwise MSE of the estimator over `reps` fresh datasets.
 
     Repetition j uses the derived seed derive_seed(seed, j); the report's
-    manifest is sufficient to regenerate the experiment exactly.
+    manifest is sufficient to regenerate the experiment exactly.  n and
+    seed are checked before any work; an overflowing loss is a numeric guard.
     """
+    check_records(n)
+    check_seed(seed)
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     pts = tuple(map(_as_phase_point, points))
     if not pts:
         raise ValidationError("need at least one evaluation point")
-    rho = materialize(state)
-    truth = np.array([wigner_eval(rho, p) for p in pts])
     h = bandwidth(rule, n, noise)
     kspec = KernelSpec(h=h, noise=noise, variant=variant)
+    rho = materialize(state)
+    truth = np.array([wigner_eval(rho, p) for p in pts])
     sampler = QuadratureSampler(rho)
     # a record y = sqrt(eta) x + sqrt((1-eta)/2) g has |x| <= x_support_radius,
     # the sampler grid's edge, and |g| > 8 with probability 1.2e-15
@@ -313,7 +316,11 @@ def risk_eval(
         ds = add_noise(ideal, noise.eta, rep_seed, state)
         # all points in one pass; each row still sums alone, so every value
         # equals estimate_point's
-        return (_estimate(ds, kspec, qs, ps, table) - truth) ** 2
+        with np.errstate(over="ignore"):
+            loss = (_estimate(ds, kspec, qs, ps, table) - truth) ** 2
+        if not np.all(np.isfinite(loss)):
+            raise NumericGuardError(f"squared loss overflows at h = {h}, repetition {j}")
+        return loss
 
     losses = np.vstack([one_rep(j) for j in range(reps)])
     mse = losses.mean(axis=0)

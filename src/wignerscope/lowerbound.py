@@ -23,6 +23,8 @@ J is C^3 only at its window's four knots, so every integral over J's support
 (tau_diag, sep_at_origin, perturbation_profile_noisy, perturbation_l2,
 tail_control_term, _j_sq_weighted) takes one rule: 16-point Gauss-Legendre
 on equal panels within each of the three knot segments (j_segments).
+Every rule and table is capped and refused (ValidationError) before it is
+allocated; a p_1^eta that is not positive is no error but an infinite chi^2.
 """
 
 from __future__ import annotations
@@ -56,9 +58,12 @@ _J_PANEL_RAD = 2.0
 # of tau_diag's Laguerre table (256 MiB, 16,768 nodes at k_max = MAX_ORDER)
 _MAX_J_NODES = 2**17
 _MAX_TAU_VALUES = 2**25
-# chi_squared's y quadrature: range [0, _CHI2_Y_MAX], panels at most _CHI2_PANEL wide
+# chi_squared's y quadrature: range [0, _CHI2_Y_MAX], panels at most _CHI2_PANEL
+# wide, at most _MAX_CHI2_Y_NODES nodes (8 MiB a node array; the README's r = 1
+# case holds 148,832, and a rule just under the cap peaks at about 120 MB)
 _CHI2_Y_MAX = 120.0
 _CHI2_PANEL = 0.05
+_MAX_CHI2_Y_NODES = 2**20
 _CHI2_COARSE = 960  # nodes of chi_squared's p_0^eta table on [0, _CHI2_Y_MAX]
 
 # Known-good regression configuration: all four verify_pair verdicts hold.
@@ -400,9 +405,11 @@ def htilde_solve(cls: SmoothnessClass, noise: NoiseModel, n: int) -> float:
         2 beta / h^r + 2 gamma / h^2 = log n + (log log n)^2   (r < 2),
 
     or the closed form (log(n log n) / (2 (beta+gamma)))^{-1/2} for r = 2.
+    The one check of verify_pair's n: an integer value in [16, _N_MAX], the
+    range compared first, so an int past the largest double is refused.
     """
-    if not 16 <= n <= _N_MAX:
-        raise ValidationError(f"n must lie in [16, {_N_MAX:.0e}]")
+    if not (16 <= n <= _N_MAX and float(n).is_integer()):
+        raise ValidationError(f"n must be an integer in [16, {_N_MAX:.0e}], got {n!r}")
     beta, r = cls.beta, cls.r
     gamma = noise.gamma
     if r == 2.0:
@@ -503,8 +510,14 @@ def tail_control_term(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, h
 def _chi2_grid(t_hi: float):
     """chi_squared's y rule on [0, _CHI2_Y_MAX]: equal panels no wider than
     _CHI2_PANEL or pi/(4 t_hi), as panel midpoints, the 16 offsets they
-    share and the (panels, 16) weights."""
-    y_mid, half, _, w = _panel_rule(0.0, _CHI2_Y_MAX, min(_CHI2_PANEL, math.pi / (4.0 * t_hi)))
+    share and the (panels, 16) weights.  A rule of more than
+    _MAX_CHI2_Y_NODES nodes is refused before any is laid."""
+    width = min(_CHI2_PANEL, math.pi / (4.0 * t_hi))
+    nodes = 16 * math.ceil(_CHI2_Y_MAX / width)
+    if nodes > _MAX_CHI2_Y_NODES:
+        raise ValidationError(f"chi^2's y rule needs {nodes:.3g} nodes, "
+                              f"more than {_MAX_CHI2_Y_NODES}")
+    y_mid, half, _, w = _panel_rule(0.0, _CHI2_Y_MAX, width)
     return y_mid, half[0] * _GL_X, w
 
 
@@ -527,7 +540,8 @@ def chi_squared(
     (_chi2_grid), and q takes them as that separable grid, with 2 (16 +
     panels) cos and sin per midpoint, not per node (``_quad.gl_cos_sum``).
 
-    Returns the value plus the L2 and y^2-weighted tail-control diagnostics.
+    Returns the value plus the L2 and y^2-weighted tail-control diagnostics,
+    or, where p_1^eta is not positive, chi^2 = inf and "error" saying why.
     """
     y_mid, y_off, w = _chi2_grid(j_support(bump, cls, htilde)[1])
     y, w = np.add.outer(y_mid, y_off).ravel(), w.ravel()
@@ -539,7 +553,9 @@ def chi_squared(
     p0 = cells_eval(hermite_cells(p0_nodes, step), step, y)
     p1 = p0 + q
     if float(np.min(p1)) <= 0.0:
-        raise ValidationError("p_1^eta not positive on the quadrature range")
+        return {"chi2": math.inf, "tail_estimate": math.inf, "l2_term": math.nan,
+                "tail_control_term": math.nan,
+                "error": "p_1^eta not positive on the quadrature range"}
     integrand = 4.0 * q * q / p1
     chi2 = 2.0 * math.pi * float(np.dot(w, integrand))
     # crude tail bound from the measured power-law decay of the integrand
@@ -588,17 +604,10 @@ def verify_pair(
     phi_n = math.sqrt(rate_phi2(cls, n, noise))
     sep_threshold = 2.0 * phi_n * 0.5
 
-    try:
-        chi = chi_squared(axi, bump, cls, noise, htilde)
-        chi2_n = n * chi["chi2"]
-        # the verdict also counts chi^2 beyond the quadrature range
-        chi2_bound = n * (chi["chi2"] + chi["tail_estimate"])
-    except ValidationError as exc:
-        # degenerate model (p_1 not positive): failing verdict, not an error
-        chi = {"chi2": math.inf, "tail_estimate": math.inf,
-               "l2_term": math.nan, "tail_control_term": math.nan,
-               "error": str(exc)}
-        chi2_n = chi2_bound = math.inf
+    chi = chi_squared(axi, bump, cls, noise, htilde)
+    chi2_n = n * chi["chi2"]
+    # the verdict also counts chi^2 beyond the quadrature range
+    chi2_bound = n * (chi["chi2"] + chi["tail_estimate"])
 
     diagnostics = {
         "base_class_integral": base.value,

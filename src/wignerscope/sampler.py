@@ -27,6 +27,8 @@ back to its previous iterate.  Generator wignerscope-sampler/3.
 Reproducibility: generation is a pure function of (state, n, seed, eta).
 The RNG is counter-based (Philox) with two independent streams keyed by
 (seed, stream); per-repetition seeds elsewhere derive via derive_seed.
+Inputs: check_records, check_seed and NoiseModel hold n, seed and eta;
+simulate applies all three before the state is materialized.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -77,8 +80,21 @@ def derive_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def check_records(n: int) -> None:
+    """The one rule on a draw's record count: an integer in [1, _MAX_RECORDS]."""
+    if not (isinstance(n, Integral) and 1 <= n <= _MAX_RECORDS):
+        raise ValidationError(f"n must be an integer in [1, {_MAX_RECORDS}] records, got {n!r}")
+
+
+def check_seed(seed: int) -> None:
+    """The one rule on a seed: an integer in [0, 2^64), the RNG's 64-bit key."""
+    if not (isinstance(seed, Integral) and 0 <= seed <= _MASK64):
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def _stream(seed: int, stream: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(stream,))
+    check_seed(seed)
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -329,8 +345,7 @@ class QuadratureSampler:
         return np.clip(s, 0.0, 1.0), sweep
 
     def sample(self, n: int, seed: int) -> IdealSample:
-        if not 1 <= n <= _MAX_RECORDS:
-            raise ValidationError(f"n must lie in [1, {_MAX_RECORDS}] records, got {n}")
+        check_records(n)
         rng = _stream(seed, _PHI_STREAM)
         phi = rng.uniform(0.0, math.pi, size=n)
         u = rng.random(n)
@@ -362,7 +377,10 @@ def add_noise(
 
 
 def simulate(spec: StateSpec, n: int, eta: float, seed: int) -> Dataset:
-    """Materialize a state, draw ideal records, and add detection noise."""
+    """Check the inputs, materialize the state, draw and add noise."""
+    check_records(n)
+    check_seed(seed)
+    NoiseModel(eta)
     ideal = QuadratureSampler(materialize(spec)).sample(n, seed)
     return add_noise(ideal, eta, seed, spec)
 

@@ -107,8 +107,7 @@ class TestSimulate:
                   f"--seed={seed}", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.count("\n") == 1 and "--seed" in err
-        assert "Traceback" not in err
+        assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("state", ["fock:2500", "coherent:42,0"])
@@ -247,8 +246,19 @@ class TestRisk:
                   f"--seed={seed}", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.count("\n") == 1 and "--seed" in err
-        assert "Traceback" not in err
+        assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_loss_exit_2(self, tmp_path, capsys):
+        # K(0) is about e^657 at h = 0.0195, eta = 0.5, so the squared loss
+        # overflows: one numeric-guard line, no numpy warning, no report
+        out = tmp_path / "risk.json"
+        rc = run(["risk", "--state", "fock:0", "--eta", "0.5", "--n", "200", "--reps", "2",
+                  "--points", "0,0", "--rule", "0.0195", "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numeric guard: ") and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -555,8 +565,8 @@ class TestCliContract:
     @pytest.mark.parametrize("text,n,recorded", [
         ("1e120", 10**120, 1e120),
         ("1.234560e120", 123456 * 10**115, 1.23456e120),
-        # no double reads back as this integer, so the manifest keeps its digits
-        ("12345678901234567891", 12345678901234567891, 12345678901234567891),
+        # no double equals this integer: n is the double nearest to it
+        ("12345678901234567891", 12345678901234567891, 1.2345678901234567e19),
     ])
     def test_lb_verify_n_is_exact(self, tmp_path, monkeypatch, text, n, recorded):
         import wignerscope.cli as cli
@@ -565,7 +575,7 @@ class TestCliContract:
 
         class Report:
             def to_json_dict(self):
-                return {}
+                return {"n": seen[-1]}
 
         def fake_verify_pair(axi, bump, cls, noise, n):
             seen.append(n)
@@ -576,12 +586,16 @@ class TestCliContract:
         argv = ["lb-verify", "--alpha", "0.2", "--xi", "0.94", "--beta", "0.1", "--r", "2",
                 "--L", "7.6", "--eta", "0.2", "--n", text, "--out", str(out)]
         assert run(argv) == 0
-        assert seen == [n] and type(seen[0]) is int
-        # the manifest's n replays to the same exact integer
-        flags = json.loads((tmp_path / "lb.json.manifest.json").read_text())["flags"]
-        assert flags["n"] == recorded and type(flags["n"]) is type(recorded)
+        assert recorded == float(n) and seen == [recorded] and type(seen[0]) is float
+        # the manifest records n as that double, and a replay with it
+        # rewrites the report and the manifest byte for byte
+        sidecar = tmp_path / "lb.json.manifest.json"
+        report, manifest = out.read_bytes(), sidecar.read_bytes()
+        flags = json.loads(manifest)["flags"]
+        assert flags["n"] == recorded and type(flags["n"]) is float
         assert run(argv[:-4] + ["--n", repr(flags["n"]), "--out", str(out)]) == 0
-        assert seen == [n, n]
+        assert seen == [recorded, recorded]
+        assert out.read_bytes() == report and sidecar.read_bytes() == manifest
 
     def test_python_m_runs_the_cli(self, tmp_path):
         import subprocess
@@ -629,13 +643,30 @@ class TestOversizedInputs:
         ("lb-verify", "--bigD", "1e12"),
     ])
     def test_exit_1_before_allocating(self, tmp_path, command, flag, value):
+        value = str(sp._MAX_RECORDS + 1) if value == "cap + 1" else value
+        self._refused(tmp_path, command, {flag: value})
+
+    @pytest.mark.parametrize("flags", [
+        # J's noisy rule inside chi^2 past its cap (135,536 and 166,176 nodes)
+        "--eta 0.01 --bigD 200",
+        "--eta 0.002 --bigD 50",
+        # chi^2's y rule past its cap (4.08e7 nodes, 327 MB a node array)
+        "--beta 1e-6 --r 2 --L 1 --eta 0.999999 --n 1e300 --delta 1e-3 --bigD 5e-3",
+    ])
+    def test_chi2_caps_exit_1(self, tmp_path, flags):
+        words = flags.split()
+        self._refused(tmp_path, "lb-verify", dict(zip(words[::2], words[1::2])))
+
+    @staticmethod
+    def _refused(tmp_path, command, changes):
         import resource
         import subprocess
         import sys
 
         out = tmp_path / "out"
         argv = SMALL_ARGV[command].format(out=out).split()
-        argv[argv.index(flag) + 1] = str(sp._MAX_RECORDS + 1) if value == "cap + 1" else value
+        for flag, value in changes.items():
+            argv[argv.index(flag) + 1] = value
 
         def limit():
             _, hard = resource.getrlimit(resource.RLIMIT_AS)

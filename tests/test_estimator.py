@@ -9,7 +9,7 @@ from wignerscope import fockspace as fs
 from wignerscope import kernels as kn
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
-from wignerscope.errors import BandwidthError, ConfigurationError, ValidationError
+from wignerscope.errors import BandwidthError, ConfigurationError, NumericGuardError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +332,25 @@ class TestRiskEval:
         es.risk_eval(fs.StateSpec.cat(3.0), tg.NoiseModel(0.95), rule, "sharp",
                      [(0.0, 0.0), (3.0, 0.0)], 10**4, 4, seed=11)
         assert len(ratios) == 1 + 4 and max(ratios) <= 1.0   # build_table's check, 4 reps
+
+    @pytest.mark.parametrize("n,seed", [(sp._MAX_RECORDS + 1, 1), (100, 2**64 + 7), (100, -1)],
+                             ids=["n-cap+1", "seed-2^64+7", "seed--1"])
+    def test_refused_before_materialize(self, monkeypatch, nm, n, seed):
+        def materialize(spec):
+            raise AssertionError("materialize reached")
+
+        monkeypatch.setattr(es, "materialize", materialize)
+        with pytest.raises(ValidationError):
+            es.risk_eval(fs.StateSpec.fock(0), nm, es.BandwidthRule("fixed", h=0.4), "sharp",
+                         [(0.0, 0.0)], n, 1, seed)
+
+    def test_overflowing_loss_is_a_numeric_guard(self, recwarn):
+        # K(0) is about e^657 at h = 0.0195, eta = 0.5: its square overflows
+        rule = es.BandwidthRule("fixed", h=0.0195)
+        with pytest.raises(NumericGuardError, match="squared loss overflows"):
+            es.risk_eval(fs.StateSpec.fock(0), tg.NoiseModel(0.5), rule, "sharp",
+                         [(0.0, 0.0)], 200, 2, seed=1)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_determinism(self, nm):
         rule = es.BandwidthRule("fixed", h=0.4)

@@ -363,9 +363,11 @@ class TestHtildeSolve:
         hts = [lb.htilde_solve(cls, nm, n) for n in (10**3, 10**4, 10**5, 10**6, 10**7)]
         assert all(a > b for a, b in zip(hts, hts[1:]))
 
-    @pytest.mark.parametrize("n", [15, 10**301, 10**400], ids=["15", "1e301", "1e400"])
+    @pytest.mark.parametrize("n", [15, 10**301, 10**400, 100.5],
+                             ids=["15", "1e301", "1e400", "100.5"])
     def test_n_outside_range_refused(self, n):
-        # past 1e300, n log n overflows and htilde would collapse to 0
+        # past 1e300, n log n overflows and htilde would collapse to 0; n
+        # counts records, so it has an integer value
         cls = tg.SmoothnessClass(0.1, 2.0, 1.0)
         with pytest.raises(ValidationError):
             lb.htilde_solve(cls, tg.NoiseModel(0.2), n)
@@ -537,6 +539,29 @@ class TestJRuleCaps:
         assert self._tau_nodes(fixture_objects, 1844.0) == nodes + 16
         with pytest.raises(ValidationError, match="Laguerre"):
             lb.tau_diag(lb.BumpSpec(0.5, 1844.0), cls, lb.htilde_solve(cls, nm, n), k_max)
+
+
+class TestChi2Caps:
+    def test_y_rule_at_its_cap(self):
+        # 120 / (pi / (4 t_hi)) panels: 65535.5 rounds up to 2^16 panels,
+        # 2^20 nodes, and 65536.5 to one panel more
+        y_mid, y_off, w = lb._chi2_grid(math.pi * 65535.5 / 480.0)
+        assert w.size == y_mid.size * y_off.size == lb._MAX_CHI2_Y_NODES
+        with pytest.raises(ValidationError, match="y rule"):
+            lb._chi2_grid(math.pi * 65536.5 / 480.0)
+
+    def test_cap_inside_chi_squared_is_refused(self, fixture_objects):
+        # J's noisy rule inside chi^2 past its cap is an error, not a false
+        # chi^2 verdict
+        axi, _, cls, _, n, _ = fixture_objects
+        with pytest.raises(ValidationError, match="J's rule"):
+            lb.verify_pair(axi, lb.BumpSpec(0.5, 200.0), cls, tg.NoiseModel(0.01), n)
+
+    def test_degenerate_model_is_a_value(self, fixture_objects):
+        axi, bump, _, nm, _, _ = fixture_objects
+        cls = tg.SmoothnessClass(0.111111111111, 2.0, 1e9)
+        chi = lb.chi_squared(axi, bump, cls, nm, lb.htilde_solve(cls, nm, 10**6))
+        assert chi["chi2"] == math.inf and chi["error"].startswith("p_1^eta not positive")
 
 
 class TestMehler:

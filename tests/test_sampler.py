@@ -512,6 +512,41 @@ class TestAddNoise:
         assert np.array_equal(again.y, ds.y) and np.array_equal(again.phi, ds.phi)
 
 
+class TestDrawInputs:
+    """simulate checks n, seed and eta before it materializes the state."""
+
+    @pytest.mark.parametrize("n,seed,eta", [
+        (sp._MAX_RECORDS + 1, 1, 0.9),
+        (0, 1, 0.9),
+        (10.0, 1, 0.9),
+        (10, 2**64 + 7, 0.9),
+        (10, -1, 0.9),
+        (10, 1, 1.5),
+    ], ids=["n-cap+1", "n-0", "n-float", "seed-2^64+7", "seed--1", "eta-1.5"])
+    def test_refused_before_materialize(self, monkeypatch, n, seed, eta):
+        def materialize(spec):
+            raise AssertionError("materialize reached")
+
+        monkeypatch.setattr(sp, "materialize", materialize)
+        with pytest.raises(ValidationError):
+            sp.simulate(fs.StateSpec.fock(1), n, eta, seed)
+
+    @pytest.mark.parametrize("seed", [2**64 + 7, -1])
+    def test_seed_outside_64_bits_refused(self, fock1, seed):
+        # 2^64 + 7 would key the RNG as seed 7, and -1 as 2^64 - 1
+        spec = fs.StateSpec.fock(1)
+        with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            sp.simulate(spec, 10, 0.9, seed)
+        ideal = sp.QuadratureSampler(fock1).sample(10, seed=7)
+        with pytest.raises(ValidationError, match="seed"):
+            sp.add_noise(ideal, 0.9, seed, spec)
+        with pytest.raises(ValidationError, match="seed"):
+            sp.QuadratureSampler(fock1).sample(10, seed)
+
+    def test_largest_seed_draws(self, fock1):
+        assert sp.QuadratureSampler(fock1).sample(10, 2**64 - 1).x.size == 10
+
+
 class TestDatasetIO:
     def test_roundtrip_bit_exact(self, tmp_path, fock1):
         ds = sp.simulate(fs.StateSpec.fock(1), 257, 0.9, seed=13)
