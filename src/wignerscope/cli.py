@@ -96,10 +96,10 @@ def parse_rule(value, beta, r, L) -> BandwidthRule:
 
 def _data_and_kernel(args) -> tuple:
     """(dataset, KernelSpec, resolved_rule) from --data, --variant and
-    --h, a number or a rule name."""
+    --h, a number or a rule name; the rule is parsed before the data is read."""
+    rule = parse_rule(args.h, args.beta, args.r, args.L)
     ds = read_dataset(args.data)
     noise = NoiseModel(ds.meta.eta)
-    rule = parse_rule(args.h, args.beta, args.r, args.L)
     h = bandwidth(rule, ds.n, noise)
     return ds, KernelSpec(h=h, noise=noise, variant=args.variant), {"kind": rule.kind, "h": h}
 
@@ -137,7 +137,6 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_estimate(args) -> dict:
-    ds, kspec, rule_desc = _data_and_kernel(args)
     try:
         qpart, ppart = args.grid.split(",")
         qmin, qmax, qsteps = qpart.split(":")
@@ -146,6 +145,7 @@ def cmd_estimate(args) -> dict:
                         float(pmin), float(pmax), int(psteps))
     except ValueError:
         raise ValidationError("--grid expects qmin:qmax:steps,pmin:pmax:steps")
+    ds, kspec, rule_desc = _data_and_kernel(args)
     wg = estimate_grid(ds, kspec, grid)
     with open(args.out, "w") as fh:
         fh.write("q,p,west\n")
@@ -156,8 +156,8 @@ def cmd_estimate(args) -> dict:
 def cmd_cut(args) -> dict:
     grid = GridSpec(args.qmin, args.qmax, args.steps, args.p, args.p, 1)
     ds, kspec, rule_desc = _data_and_kernel(args)
-    rho = materialize(ds.meta.state)
     wg = estimate_grid(ds, kspec, grid)
+    rho = materialize(ds.meta.state)
     wtrue = wigner_eval_many(rho, wg.q, np.full_like(wg.q, args.p))
     with open(args.out, "w") as fh:
         fh.write("q,west,wtrue\n")

@@ -287,8 +287,10 @@ def risk_eval(
     """Pointwise MSE of the estimator over `reps` fresh datasets.
 
     Repetition j uses the derived seed derive_seed(seed, j); the report's
-    manifest is sufficient to regenerate the experiment exactly.  n and
-    seed are checked before any work; an overflowing loss is a numeric guard.
+    manifest is sufficient to regenerate the experiment exactly.  n, seed
+    and the kernel spec are checked before any work, and the kernel table,
+    whose range needs the state's dim, before the truth and the sampler's
+    table; an overflowing loss is a numeric guard.
     """
     check_records(n)
     check_seed(seed)
@@ -300,13 +302,13 @@ def risk_eval(
     h = bandwidth(rule, n, noise)
     kspec = KernelSpec(h=h, noise=noise, variant=variant)
     rho = materialize(state)
-    truth = np.array([wigner_eval(rho, p) for p in pts])
-    sampler = QuadratureSampler(rho)
     # a record y = sqrt(eta) x + sqrt((1-eta)/2) g has |x| <= x_support_radius,
     # the sampler grid's edge, and |g| > 8 with probability 1.2e-15
     y_max = (math.sqrt(noise.eta) * x_support_radius(rho.dim)
              + 8.0 * math.sqrt((1.0 - noise.eta) / 2.0))
     table = default_table(kspec, max(math.hypot(p.q, p.p) for p in pts), y_max)
+    truth = np.array([wigner_eval(rho, p) for p in pts])
+    sampler = QuadratureSampler(rho)
     qs = np.array([z.q for z in pts])
     ps = np.array([z.p for z in pts])
 

@@ -4,7 +4,9 @@ The sharp kernel has Fourier multiplier (|t|/2) e^{gamma t^2} on |t| <= 1/h
 (deconvolving the Gaussian detection noise while band-limiting the inverse
 Radon filter |t|).  The modified variant extends the multiplier over
 [1/h, 2/h] with a smooth taper exp(h^2 - 1/(u(2/h - u))), u = |t|, giving a
-faster-decaying kernel in real space.
+faster-decaying kernel in real space.  KernelSpec holds the one check of
+the multiplier's peak exponent, gamma/h/h (4 gamma/h/h modified; no h under-
+or overflows it) <= _EXP_CAP, and of the modified h <= _MAX_TAPER_H.
 
 Kernels are evaluated as cosine integrals with composite 16-point
 Gauss-Legendre panels on a separable u grid (``_quad.gl_cos_sum``: angle
@@ -33,7 +35,9 @@ from ._quad import gl_cos_sum, hermite_cells
 from .errors import BandwidthTooSmallError, TableStepError, ValidationError
 from .tomography import NoiseModel
 
-_EXP_CAP = 700.0  # hard guard on the deconvolution exponent
+_EXP_CAP = 700.0  # KernelSpec's cap on the deconvolution exponent
+# largest modified h: the taper's 1/(u (2/h - u)) overflows past h = 1.4e153
+_MAX_TAPER_H = 1e150
 # build_table's check: largest error at _TABLE_CHECKS random mid-node
 # points, relative to the table's largest |value|
 _TABLE_REL_TOL = 1e-4
@@ -70,17 +74,14 @@ class KernelSpec:
             raise ValidationError(f"bandwidth h must be finite and > 0, got {self.h!r}")
         if self.variant not in VARIANTS:
             raise ValidationError(f"variant must be one of {VARIANTS}")
-
-
-def _guard(spec: KernelSpec) -> None:
-    expo = spec.noise.gamma / spec.h**2
-    if spec.variant == "modified":
-        expo *= 4.0
-    if expo > _EXP_CAP:
-        raise BandwidthTooSmallError(
-            f"deconvolution exponent {expo:.1f} exceeds {_EXP_CAP:.0f}; "
-            f"h = {spec.h} too small for eta = {spec.noise.eta}"
-        )
+        if self.variant == "modified" and self.h > _MAX_TAPER_H:
+            raise ValidationError(f"modified variant needs h <= {_MAX_TAPER_H:.0e}, got {self.h!r}")
+        expo = (4.0 if self.variant == "modified" else 1.0) * self.noise.gamma / self.h / self.h
+        if expo > _EXP_CAP:
+            raise BandwidthTooSmallError(
+                f"deconvolution exponent {expo:.1f} exceeds {_EXP_CAP:.0f}; "
+                f"h = {self.h} too small for eta = {self.noise.eta}"
+            )
 
 
 def _panel_widths(spec: KernelSpec, u_abs_max: float) -> tuple[float, float]:
@@ -117,7 +118,6 @@ def kernel_eval(spec: KernelSpec, u, u_off=None):
     the u values in row blocks, so a value depends on its batch in the
     last bits.  A non-finite |u|, or one whose segment would need more
     than _MAX_PANELS panels, is refused before anything is allocated."""
-    _guard(spec)
     gamma, h = spec.noise.gamma, spec.h
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if u_off is None:
@@ -146,9 +146,8 @@ def kernel_eval(spec: KernelSpec, u, u_off=None):
 def kernel_scale(spec: KernelSpec) -> float:
     """Closed-form magnitude scale: the sharp kernel at u = 0 equals
     (e^{gamma/h^2} - 1) / (4 pi gamma)."""
-    _guard(spec)
     gamma = spec.noise.gamma
-    return math.expm1(gamma / spec.h**2) / (4.0 * math.pi * gamma)
+    return math.expm1(gamma / spec.h / spec.h) / (4.0 * math.pi * gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +203,6 @@ class KernelTable:
 
 def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) -> KernelTable:
     """Tabulate the kernel on a uniform grid and validate the interpolant."""
-    _guard(spec)
     if step is None:
         step = spec.h / 8.0
     if not 0.0 < step < u_max < math.inf:

@@ -25,6 +25,10 @@ tail_control_term, _j_sq_weighted) takes one rule: 16-point Gauss-Legendre
 on equal panels within each of the three knot segments (j_segments).
 Every rule and table is capped and refused (ValidationError) before it is
 allocated; a p_1^eta that is not positive is no error but an infinite chi^2.
+Both class integrals join the profile and the weight e^{2 beta t^r} in log
+space (log_wtilde_alpha_xi, J's log envelope), since the weight overflows
+where W~^2 and J^2 underflow; a base integral that does not converge adds
+its reason to the report's diagnostics.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .tomography import (
 _N_MAX = 1e300  # keeps n log n, in htilde_solve, a finite double
 _P_NODES = 64  # Gauss-Jacobi nodes of _p_mixture's one rule
 _P_EXP_CUT = 45.0  # _p_mixture ends its range where x^2 w reaches this
-# wtilde_alpha_xi's incomplete-gamma series and fraction: a cap on their
+# log_wtilde_alpha_xi's incomplete-gamma series and fraction: a cap on their
 # terms, and the relative change at which a value has converged
 _GAMMA_TERMS = 200
 _EPS = float(np.finfo(float).eps)
@@ -236,8 +240,8 @@ def _p_mixture(axi: AlphaXi, x, eta: float):
     return float(out[0]) if scalar else out
 
 
-def wtilde_alpha_xi(axi: AlphaXi, t):
-    """Radial Fourier profile of the base state:
+def log_wtilde_alpha_xi(axi: AlphaXi, t):
+    """log of the radial Fourier profile of the base state:
 
         W~(t) = int_xi^1 f(z)/(1-z) exp(-t^2 (1+z) / (4 (1-z))) dz
               = e^{t^2/4} (e^{-c} - c^alpha Gamma(1-alpha, c)),
@@ -255,6 +259,10 @@ def wtilde_alpha_xi(axi: AlphaXi, t):
 
     with F from the Legendre continued fraction (_upper_gamma_fraction).
     t^2/4 - c < 0, so W~ stays finite for all t, and W~(inf) = 0.
+    Returns log W~: above c = 2 - alpha the sum log alpha + t^2/4 - c +
+    log F, which stays finite where W~ underflows; below, the log of the
+    product, -inf where rounding leaves it <= 0 (at alpha near 1e-16 the
+    difference cancels to below the rounding of its terms) and at t = inf.
     """
     scalar = np.ndim(t) == 0
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -263,16 +271,17 @@ def wtilde_alpha_xi(axi: AlphaXi, t):
     a = axi.alpha
     with np.errstate(over="ignore"):   # c = inf past t ~ 1e154, where W~ is 0
         c = ts * ts / (2.0 * (1.0 - axi.xi))
-    out = np.zeros_like(ts)
+    out = np.full_like(ts, -math.inf)   # log W~
     low = c < 2.0 - a
     high = ~low & (c < math.inf)
     cl, tl = c[low], ts[low]
-    out[low] = np.exp(tl * tl / 4.0) * (
+    wl = np.exp(tl * tl / 4.0) * (
         (1.0 + cl * _lower_gamma_series(1.0 - a, cl)) * np.exp(-cl)
         - math.gamma(1.0 - a) * cl**a
     )
+    out[low] = np.log(wl, out=np.full_like(wl, -math.inf), where=wl > 0.0)
     ch, th = c[high], ts[high]
-    out[high] = a * np.exp(th * th / 4.0 - ch) * _upper_gamma_fraction(-a, ch)
+    out[high] = math.log(a) + (th * th / 4.0 - ch) + np.log(_upper_gamma_fraction(-a, ch))
     return float(out[0]) if scalar else out
 
 
@@ -317,9 +326,9 @@ def _upper_gamma_fraction(a: float, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _envelope(cls: SmoothnessClass, htilde: float, ts: np.ndarray) -> np.ndarray:
-    """2 sqrt(pi beta r L) htilde^{1 - r/2} e^{beta/htilde^r} e^{-2 beta t^r},
-    the part of j_htilde outside the window, evaluated in log space."""
+def _log_envelope(cls: SmoothnessClass, htilde: float, ts: np.ndarray) -> np.ndarray:
+    """log of 2 sqrt(pi beta r L) htilde^{1 - r/2} e^{beta/htilde^r} e^{-2 beta t^r},
+    the part of j_htilde outside the window."""
     if not 0.0 < htilde < 1.0:
         raise ValidationError("htilde must lie in (0, 1)")
     beta, r, L = cls.beta, cls.r, cls.L
@@ -330,7 +339,7 @@ def _envelope(cls: SmoothnessClass, htilde: float, ts: np.ndarray) -> np.ndarray
         + (1.0 - r / 2.0) * math.log(htilde)
         + beta / htilde**r
     )
-    return np.exp(log_amp - 2.0 * beta * ts**r)
+    return log_amp - 2.0 * beta * ts**r
 
 
 def j_htilde(bump: BumpSpec, cls: SmoothnessClass, htilde: float, t):
@@ -343,7 +352,7 @@ def j_htilde(bump: BumpSpec, cls: SmoothnessClass, htilde: float, t):
     """
     scalar = np.ndim(t) == 0
     ts = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    envelope = _envelope(cls, htilde, ts)
+    envelope = np.exp(_log_envelope(cls, htilde, ts))
     window = bump.j_value(ts**cls.r - htilde**-cls.r)
     out = np.where(window > 0.0, envelope * window, 0.0)
     return float(out[0]) if scalar else out
@@ -353,7 +362,7 @@ def j_htilde_derivative(bump: BumpSpec, cls: SmoothnessClass, htilde: float, t):
     """d/dt of j_htilde (chain rule through the window and the envelope)."""
     r = cls.r
     ts = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    envelope = _envelope(cls, htilde, ts)
+    envelope = np.exp(_log_envelope(cls, htilde, ts))
     u = ts**r - htilde**-r
     dt_tr = r * ts ** (r - 1.0)
     return envelope * (-2.0 * cls.beta * dt_tr * bump.j_value(u) + bump.j_derivative(u) * dt_tr)
@@ -571,7 +580,7 @@ def chi_squared(
 def base_class_integral(axi: AlphaXi, cls: SmoothnessClass) -> ClassIntegralResult:
     """Class integral of the base profile W~^{alpha,xi} (finite for xi close
     to 1; used to size L for the frozen fixture)."""
-    return class_integral(lambda t: wtilde_alpha_xi(axi, t), cls)
+    return class_integral(lambda t: log_wtilde_alpha_xi(axi, t), cls)
 
 
 def verify_pair(
@@ -620,6 +629,8 @@ def verify_pair(
         "tail_control_term": chi["tail_control_term"],
         "k_max": MAX_ORDER,
     }
+    if not base.converged:
+        diagnostics["base_class_diagnostic"] = base.diagnostic
     if "error" in chi:
         diagnostics["chi2_error"] = chi["error"]
     return PairReport(
@@ -641,7 +652,10 @@ def verify_pair(
 
 
 def _j_sq_weighted(bump: BumpSpec, cls: SmoothnessClass, htilde: float) -> float:
-    """int_0^inf t J(t)^2 e^{2 beta t^r} dt (class weight on the perturbation)."""
+    """int_0^inf t J(t)^2 e^{2 beta t^r} dt (class weight on the perturbation),
+    the envelope and the weight joined in log space, where neither the
+    envelope's square underflows nor the weight overflows."""
     t, w = _j_rule(bump, cls, htilde)
-    f = t * j_htilde(bump, cls, htilde, t) ** 2 * np.exp(2.0 * cls.beta * t**cls.r)
-    return float(np.dot(w, f))
+    window = bump.j_value(t**cls.r - htilde**-cls.r)
+    log_f = 2.0 * _log_envelope(cls, htilde, t) + 2.0 * cls.beta * t**cls.r
+    return float(np.dot(w, t * window**2 * np.exp(log_f)))

@@ -2,7 +2,8 @@
 
 Quadrature densities of a state, the detection-noise model, the
 supersmooth class and its bandwidth equation, and the weighted-L2
-class-membership integral.
+class-membership integral, which takes the log of its profile and joins it
+with the class weight in log space.
 
 Density convention: all densities here are conditional-in-x densities
 with respect to Lebesgue measure at fixed phase; the uniform phase
@@ -160,18 +161,22 @@ class ClassIntegralResult:
 
 
 def class_integral(
-    profile: Callable[[np.ndarray], np.ndarray],
+    log_profile: Callable[[np.ndarray], np.ndarray],
     cls: SmoothnessClass,
 ) -> ClassIntegralResult:
-    """Weighted L2 integral of a radial Fourier profile:
+    """Weighted L2 integral of a radial Fourier profile W~, given as
+    log_profile(t) = log |W~(t)| (-inf where W~ vanishes):
 
         int_{R^2} |W~(w)|^2 exp(2 beta |w|^r) dw
-            = 2 pi int_0^inf t |W~(t)|^2 exp(2 beta t^r) dt.
+            = 2 pi int_0^inf t exp(2 log |W~(t)| + 2 beta t^r) dt.
 
-    Integrates block by block, stopping once blocks are negligible and
-    decreasing; growth across blocks is flagged as divergence.  The first
-    panel is graded, t = _CLASS_PANEL v^5, so that a |t|^{2 alpha} cusp
-    at 0 (W~ of rho^{alpha,xi}) is smooth in v.
+    In log space neither a profile far below the smallest double nor the
+    weight far above the largest hides the integrand; where the integrand
+    itself overflows or is NaN, the integral ends unconverged.  Integrates block by
+    block, stopping once blocks are negligible and decreasing; growth
+    across blocks is flagged as divergence.  The first panel is graded,
+    t = _CLASS_PANEL v^5, so that a |t|^{2 alpha} cusp at 0 (W~ of
+    rho^{alpha,xi}) is smooth in v.
     """
     total = 0.0
     prev_contrib = None
@@ -183,9 +188,17 @@ def class_integral(
             v, wv = gl_panels(0.0, 1.0, 1.0)
             t = np.concatenate([_CLASS_PANEL * v**5, t])
             w = np.concatenate([5.0 * _CLASS_PANEL * v**4 * wv, w])
-        g = 2.0 * math.pi * t * np.abs(np.asarray(profile(t), dtype=float)) ** 2
-        g = g * np.exp(2.0 * cls.beta * t ** cls.r)
-        contrib = float(np.dot(w, g))
+        with np.errstate(over="ignore"):   # an overflow ends the integral below
+            g = 2.0 * math.pi * t * np.exp(2.0 * np.asarray(log_profile(t), dtype=float)
+                                            + 2.0 * cls.beta * t ** cls.r)
+            contrib = float(np.dot(w, g))
+        if not math.isfinite(contrib):
+            what = "is NaN" if math.isnan(contrib) else "overflows"
+            return ClassIntegralResult(
+                value=total,
+                converged=False,
+                diagnostic=f"integrand {what} on t in [{t0:.1f}, {t0 + _CLASS_BLOCK:.1f}]",
+            )
         total += contrib
         if prev_contrib is not None and contrib > prev_contrib and contrib > 1e-290:
             grow_count += 1

@@ -93,7 +93,7 @@ def test_criterion_4_risk_envelopes():
     noise = tg.NoiseModel(0.9)
     g = noise.gamma
     beta = 0.2
-    res = tg.class_integral(lambda t: np.exp(-t * t / 4.0), tg.SmoothnessClass(beta, 2.0, 1.0))
+    res = tg.class_integral(lambda t: -t * t / 4.0, tg.SmoothnessClass(beta, 2.0, 1.0))
     L = res.value / (2 * math.pi) ** 2
     spec = fs.StateSpec.fock(0)
     sampler = sp.QuadratureSampler(fs.materialize(spec))

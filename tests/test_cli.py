@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from wignerscope import cli
+from wignerscope import estimator as es
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope.cli import parse_rule, parse_state, run
@@ -358,6 +361,35 @@ class TestLbVerify:
         assert report["verdicts"]["chi2"] is False and report["chi2_times_n"] is None
         assert report["diagnostics"]["chi2_error"] == "p_1^eta not positive on the quadrature range"
 
+    @pytest.mark.parametrize("flags,converged", [
+        ("--beta 3", True),
+        ("--beta 10", False),   # 2 beta > (1 + xi) / (2 (1 - xi)): the integral diverges
+        ("--beta 1 --n 1e300 --bigD 300", True),
+        ("--alpha 1e-17", True),   # W~'s small-t difference rounds to <= 0
+    ])
+    def test_class_weight_past_the_doubles(self, tmp_path, capsys, flags, converged):
+        # e^{2 beta t^r} overflows where |W~|^2 (or J^2) underflows; joined in
+        # log space the class integrals stay finite, with no RuntimeWarning
+        out = tmp_path / "lb.json"
+        argv = SMALL_ARGV["lb-verify"].format(out=out).split()
+        for flag, value in zip(flags.split()[::2], flags.split()[1::2]):
+            argv[argv.index(flag) + 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        diag = report["diagnostics"]
+        assert diag["base_class_converged"] is converged
+        assert report["verdicts"]["class"] is converged
+        assert ("base_class_diagnostic" in diag) is not converged
+        if converged:
+            assert math.isfinite(diag["base_class_integral"])
+            assert math.isfinite(diag["perturbation_class_integral"])
+            assert report["class_lhs"] <= report["class_rhs"]
+        else:
+            assert diag["base_class_diagnostic"].startswith("integrand overflows on t in")
+
     def test_invalid_alpha_exit_1(self, tmp_path):
         rc = run(["lb-verify", "--alpha", "1.5", "--xi", "0.9", "--beta", "0.1",
                   "--r", "2", "--L", "1", "--eta", "0.9", "--n", "1e6",
@@ -677,6 +709,80 @@ class TestOversizedInputs:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1 and proc.stderr.startswith("error:"), proc.stderr
         assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+
+class TestRefusedBeforeWork:
+    """A flag that needs no data is refused before the data is read, the
+    state materialized or the sampler's table built; a bandwidth whose
+    exponent no double holds is one numeric-guard line."""
+
+    @pytest.mark.parametrize("command", ["estimate", "cut", "risk", "kernel-table"])
+    def test_tiny_h_exit_2(self, small_data, tmp_path, capsys, command):
+        # h^2 underflows to 0 at h = 1e-200
+        out = tmp_path / "out"
+        argv = small_argv(command, small_data, out)
+        flag = "--rule" if command == "risk" else "--h"
+        argv[argv.index(flag) + 1] = "1e-200"
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("numeric guard: deconvolution exponent inf") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,changes", [
+        ("estimate", {"--h": "foo"}),
+        ("estimate", {"--beta": None}),
+        ("estimate", {"--grid=-4:4:3,-4:4:3": "--grid=0:1:0,0:1:3"}),
+        ("estimate", {"--grid=-4:4:3,-4:4:3": "--grid=0:1"}),
+        ("cut", {"--h": "foo"}),
+        ("cut", {"--h": "opt"}),
+    ], ids=["estimate-h", "estimate-no-class", "estimate-grid-steps", "estimate-grid-form",
+            "cut-h", "cut-no-class"])
+    def test_estimator_flags_refused_before_reading(self, small_data, tmp_path, capsys,
+                                                    monkeypatch, command, changes):
+        def read_dataset(path):
+            raise AssertionError("read_dataset reached")
+
+        monkeypatch.setattr(cli, "read_dataset", read_dataset)
+        out = tmp_path / "out"
+        argv = small_argv(command, small_data, out)
+        for flag, value in changes.items():
+            i = argv.index(flag)
+            if value is None:           # drop the flag and its value
+                del argv[i:i + 2]
+            elif flag.startswith("--grid="):
+                argv[i] = value
+            else:
+                argv[i + 1] = value
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_risk_kernel_refused_before_materialize(self, tmp_path, capsys, monkeypatch):
+        def materialize(spec):
+            raise AssertionError("materialize reached")
+
+        monkeypatch.setattr(es, "materialize", materialize)
+        out = tmp_path / "risk.json"
+        rc = run(["risk", "--state", "coherent:20,0", "--eta", "0.5", "--n", "100", "--reps", "1",
+                  "--points", "0,0", "--rule", "0.01", "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("numeric guard:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_risk_table_cap_before_sampler(self, tmp_path, capsys, monkeypatch):
+        # a table out to |z| = 1e5 at step h/8 = 0.05 holds 2e6 nodes
+        def sampler(rho):
+            raise AssertionError("QuadratureSampler reached")
+
+        monkeypatch.setattr(es, "QuadratureSampler", sampler)
+        out = tmp_path / "risk.json"
+        rc = run(["risk", "--state", "coherent:20,0", "--eta", "0.9", "--n", "100", "--reps", "1",
+                  "--points", "100000,0", "--rule", "0.4", "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and "table nodes" in err and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -444,7 +444,7 @@ class TestRiskEnvelopes:
         noise = tg.NoiseModel(0.9)
         beta = 0.2
         cls_probe = tg.SmoothnessClass(beta, 2.0, 1.0)
-        res = tg.class_integral(lambda t: np.exp(-t * t / 4.0), cls_probe)
+        res = tg.class_integral(lambda t: -t * t / 4.0, cls_probe)
         L = res.value / (2 * math.pi) ** 2
         cls = tg.SmoothnessClass(beta, 2.0, L)
         for n in (10**4, 10**5):

@@ -138,6 +138,35 @@ class TestSharpKernel:
         assert resid[2] < 0.02
 
 
+class TestKernelSpec:
+    """KernelSpec holds the kernel's one exponent check, gamma/h/h (times 4
+    for the modified variant), which no h under- or overflows."""
+
+    @pytest.mark.parametrize("variant", kn.VARIANTS)
+    def test_tiny_h_is_a_numeric_guard(self, nm_half, variant):
+        # h^2 underflows to 0 at h = 1e-200
+        with pytest.raises(BandwidthTooSmallError, match="deconvolution exponent inf exceeds 700"):
+            kn.KernelSpec(1e-200, nm_half, variant)
+
+    @pytest.mark.parametrize("variant, h", [("sharp", 1e300), ("modified", 1e150)])
+    def test_huge_h_is_accepted(self, nm_half, variant, h):
+        # h^2 overflows at h = 1e300; gamma/h/h does not
+        spec = kn.KernelSpec(h, nm_half, variant)
+        assert 0.0 <= kn.kernel_scale(spec) < 1e-300
+        table = kn.build_table(spec, 1.0, 0.1)
+        assert np.all(np.isfinite(table.values))
+
+    def test_modified_refuses_h_its_taper_overflows(self, nm_half):
+        # 1/(u (2/h - u)) overflows on [1/h, 2/h] past h = 1.4e153
+        with pytest.raises(ValidationError, match="modified variant needs h <= 1e"):
+            kn.KernelSpec(1.4e153, nm_half, "modified")
+
+    @pytest.mark.parametrize("h", [math.inf, -0.5, math.nan, 0.0])
+    def test_bad_h_is_a_validation_error(self, nm_half, h):
+        with pytest.raises(ValidationError, match="bandwidth h must be finite and > 0"):
+            kn.KernelSpec(h, nm_half, "sharp")
+
+
 class TestModifiedKernel:
     def test_taper_continuity_at_band_edge(self):
         # multiplier value 1 at |t| = 1/h: u(2/h - u) = 1/h^2 exactly
@@ -211,10 +240,10 @@ class TestModifiedKernel:
         )
 
     def test_extended_guard(self, nm_half):
-        # modified variant guards at 4 gamma / h^2
+        # modified variant guards at 4 gamma / h^2, when the spec is built
         h = math.sqrt(4.0 * 0.25 / 701.0)
         with pytest.raises(BandwidthTooSmallError):
-            kn.kernel_eval(kn.KernelSpec(h, nm_half, "modified"), 0.0)
+            kn.KernelSpec(h, nm_half, "modified")
         # the same h is fine for the sharp variant
         kn.kernel_eval(kn.KernelSpec(h, nm_half, "sharp"), 0.0)
 

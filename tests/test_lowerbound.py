@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ class TestBaseDensityNoisy:
 
 class TestWtilde:
     def test_normalization_at_zero(self, axi_ref):
-        assert lb.wtilde_alpha_xi(axi_ref, 0.0) == 1.0
+        assert lb.log_wtilde_alpha_xi(axi_ref, 0.0) == 0.0
 
     def test_against_z_integral_quadrature(self, axi_ref):
         def oracle(t):
@@ -188,7 +189,7 @@ class TestWtilde:
             return quad(f, 0.5, 1.0, limit=300)[0]
 
         for t in (0.1, 0.5, 1.0, 3.0, 10.0):
-            assert lb.wtilde_alpha_xi(axi_ref, t) == pytest.approx(
+            assert math.exp(lb.log_wtilde_alpha_xi(axi_ref, t)) == pytest.approx(
                 oracle(t), rel=1e-8, abs=0.0
             )
 
@@ -225,21 +226,35 @@ class TestWtilde:
         (0.5, 0.99, 3.0, 3.8811565356902206e-198),      # c = 450
     ])
     def test_matches_mpmath(self, alpha, xi, t, ref):
-        got = lb.wtilde_alpha_xi(lb.AlphaXi(alpha, xi), np.array([t]))[0]
-        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        # an absolute error in log W~ is a relative error in W~
+        got = lb.log_wtilde_alpha_xi(lb.AlphaXi(alpha, xi), np.array([t]))[0]
+        assert got == pytest.approx(math.log(ref), rel=0.0, abs=1e-12)
 
     def test_nan_is_refused(self, axi_ref):
         with pytest.raises(ValidationError):
-            lb.wtilde_alpha_xi(axi_ref, np.array([math.nan]))
+            lb.log_wtilde_alpha_xi(axi_ref, np.array([math.nan]))
 
     def test_infinity_is_zero(self):
         # W~(inf) = 0 beside a finite t, with no RuntimeWarning (tier-1 makes
         # one an error); t = 1e200 overflows t^2 and is 0 as well
         axi = lb.AlphaXi(0.2, 0.94)
-        got = lb.wtilde_alpha_xi(axi, np.array([math.inf, 1.0, 1e200]))
-        assert got[0] == 0.0 and got[2] == 0.0
-        assert got[1] == lb.wtilde_alpha_xi(axi, 1.0)
-        assert lb.wtilde_alpha_xi(axi, math.inf) == 0.0
+        got = lb.log_wtilde_alpha_xi(axi, np.array([math.inf, 1.0, 1e200]))
+        assert got[0] == -math.inf and got[2] == -math.inf
+        assert got[1] == lb.log_wtilde_alpha_xi(axi, 1.0)
+        assert lb.log_wtilde_alpha_xi(axi, math.inf) == -math.inf
+
+    def test_tiny_alpha_cancels_to_zero(self):
+        # at alpha = 1e-17, W~ ~ alpha O(1) below c = 2 - alpha is a difference
+        # of terms near 1 that rounding can leave <= 0: its log is -inf, a zero
+        # contribution, with no RuntimeWarning and no NaN
+        axi = lb.AlphaXi(1e-17, 0.94)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lb.log_wtilde_alpha_xi(axi, np.linspace(0.0, 1.0, 101))
+            res = lb.base_class_integral(axi, tg.SmoothnessClass(0.1, 2.0, 1.0))
+        assert not np.isnan(got).any() and np.isneginf(got).any()
+        assert got[0] == 0.0
+        assert res.converged and res.diagnostic is None and 0.0 < res.value < 1e-30
 
     def test_class_membership_xi_near_one(self):
         # for xi close to 1 the base profile belongs to the class
@@ -258,7 +273,8 @@ class TestWtilde:
         axi = lb.AlphaXi(alpha, axi.xi)
 
         def f(t):
-            return 2.0 * math.pi * t * lb.wtilde_alpha_xi(axi, t) ** 2 * math.exp(2.0 * cls.beta * t**cls.r)
+            wt = math.exp(lb.log_wtilde_alpha_xi(axi, t))
+            return 2.0 * math.pi * t * wt**2 * math.exp(2.0 * cls.beta * t**cls.r)
 
         edges = [0.0, 0.25, 2.0, 8.0]
         want = sum(quad(f, a, b, limit=200, epsabs=0.0, epsrel=1e-13)[0]
@@ -266,6 +282,48 @@ class TestWtilde:
         res = lb.base_class_integral(axi, cls)
         assert res.converged
         assert abs(res.value / want - 1.0) <= 1e-10
+
+    def test_class_integral_where_the_weight_overflows(self, fixture_objects):
+        # at beta = 3, e^{6 t^2} overflows past t = 10.9, where W~^2 has long
+        # underflowed; log W~ keeps the integrand finite.  Past 8 it is below
+        # e^{-600}, so QUADPACK stops there
+        axi, _, cls, _, _, _ = fixture_objects
+        cls = tg.SmoothnessClass(3.0, cls.r, cls.L)
+
+        def f(t):
+            return 2.0 * math.pi * t * math.exp(lb.log_wtilde_alpha_xi(axi, t)) ** 2 * math.exp(6.0 * t * t)
+
+        edges = [0.0, 0.25, 2.0, 8.0]
+        want = sum(quad(f, a, b, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+                   for a, b in zip(edges, edges[1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lb.base_class_integral(axi, cls)
+        assert res.converged and res.diagnostic is None
+        assert abs(res.value / want - 1.0) <= 1e-12
+
+    def test_divergent_class_integral_ends_at_overflow(self, fixture_objects):
+        # 2 beta = 20 > (1 + xi) / (2 (1 - xi)) = 16.2: the integrand grows as
+        # e^{3.8 t^2}, and overflows past t = 13.6, where W~ itself is 0
+        axi, _, cls, _, _, _ = fixture_objects
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lb.base_class_integral(axi, tg.SmoothnessClass(10.0, cls.r, cls.L))
+        assert not res.converged and math.isfinite(res.value)
+        assert res.diagnostic == "integrand overflows on t in [8.0, 16.0]"
+
+    def test_log_past_underflow(self, axi_ref):
+        # W~ underflows at t = 40 (c = 1600) while its log is
+        # log alpha + t^2/4 - c + log F(-alpha, c); F's large-c expansion
+        # (1 + (a-1)/c + (a-1)(a-2)/c^2) / c drops a term of 2e-9 relative
+        a, t = -axi_ref.alpha, 40.0
+        c = t * t / (2.0 * (1.0 - axi_ref.xi))
+        want = (math.log(axi_ref.alpha) + t * t / 4.0 - c
+                + math.log((1.0 + (a - 1.0) / c + (a - 1.0) * (a - 2.0) / c**2) / c))
+        got = lb.log_wtilde_alpha_xi(axi_ref, np.array([t, math.inf]))
+        assert math.exp(got[0]) == 0.0
+        assert abs(got[0] - want) <= 1e-8
+        assert got[1] == -math.inf
 
     def test_fourier_transform_of_p_matches(self, axi_ref):
         # W~(t) = F1[p](t): heavy-tailed oscillatory integral via QUADPACK
@@ -279,7 +337,7 @@ class TestWtilde:
                 limit=400,
             )
             assert 2.0 * val == pytest.approx(
-                lb.wtilde_alpha_xi(axi_ref, t), abs=1e-6
+                math.exp(lb.log_wtilde_alpha_xi(axi_ref, t)), abs=1e-6
             )
 
 
@@ -435,9 +493,12 @@ class TestTauDiag:
         assert abs(tau.sum()) <= 1e-5
 
 
-# (n, delta, D) of the knot-split rule's oracle checks: the fixture's three n,
-# and a plateau ten times wider
-J_RULE_CASES = [(1e120, 0.5, 5.0), (1e160, 0.5, 5.0), (1e200, 0.5, 5.0), (1e120, 0.5, 50.0)]
+# (n, delta, D, beta) of the knot-split rule's oracle checks, beta None for
+# the fixture's: the fixture's three n, a plateau ten times wider, and beta = 1
+# at n = 1e300, D = 300, where J^2 underflows on J's support and e^{2 beta t^2}
+# overflows
+J_RULE_CASES = [(1e120, 0.5, 5.0, None), (1e160, 0.5, 5.0, None), (1e200, 0.5, 5.0, None),
+                (1e120, 0.5, 50.0, None), (1e300, 0.5, 300.0, 1.0)]
 
 
 def _knots(bump, cls, ht):
@@ -462,18 +523,28 @@ class TestJRule:
         u = np.array(knots) ** r - ht**-r
         assert np.allclose(bump.j_value(u), [0.0, 1.0, 1.0, 0.0], atol=1e-12)
 
-    @pytest.mark.parametrize("n,delta,big_d", J_RULE_CASES)
-    def test_integrals_match_quadpack(self, fixture_objects, n, delta, big_d):
+    @pytest.mark.parametrize("n,delta,big_d,beta", J_RULE_CASES,
+                             ids=["-".join(str(v) for v in case if v is not None)
+                                  for case in J_RULE_CASES])
+    def test_integrals_match_quadpack(self, fixture_objects, n, delta, big_d, beta):
         # each integral over J's support against QUADPACK split at the same
         # knots: the scalar ones relative to their value, tau_kk relative to
         # max|tau|, q(y) relative to q(0)
         _, _, cls, nm, _, k_max = fixture_objects
+        if beta is not None:
+            cls = tg.SmoothnessClass(beta, cls.r, cls.L)
         bump = lb.BumpSpec(delta, big_d)
         ht = lb.htilde_solve(cls, nm, n)
         knots, se, g = _knots(bump, cls, ht), math.sqrt(nm.eta), 1.0 - nm.eta
+        beta, r = cls.beta, cls.r
+        log_amp = (math.log(2.0 * math.sqrt(math.pi * beta * r * cls.L))
+                   + (1.0 - r / 2.0) * math.log(ht) + beta / ht**r)
 
         def J(t):
             return lb.j_htilde(bump, cls, ht, t)
+
+        def J_weighted(t):   # J(t) e^{beta t^r}, neither factor out of range
+            return bump.j_value(t**r - ht**-r) * math.exp(log_amp - beta * t**r)
 
         def d(s):   # d/ds of J(sqrt(eta) s) e^{-(1-eta) s^2/4}
             dj = se * float(lb.j_htilde_derivative(bump, cls, ht, se * s)[0])
@@ -486,7 +557,7 @@ class TestJRule:
             "sep": (lb.sep_at_origin(bump, cls, ht),
                     _quad_knots(lambda t: t * J(t), knots) / math.pi),
             "j_sq": (lb._j_sq_weighted(bump, cls, ht),
-                     _quad_knots(lambda t: t * J(t) ** 2 * math.exp(2.0 * cls.beta * t**cls.r), knots)),
+                     _quad_knots(lambda t: t * J_weighted(t) ** 2, knots)),
             "l2": (lb.perturbation_l2(bump, cls, nm, ht),
                    4.0 / math.pi * _quad_knots(lambda s: profile(s) ** 2, knots, 1.0 / se)),
             "tail": (lb.tail_control_term(bump, cls, nm, ht),
@@ -751,7 +822,7 @@ class TestVerifyPair:
     def test_normalization_chain(self, fixture_objects):
         # W~(0) = 1 <-> int p = 1 <-> sum rho_kk = 1, tail-compensated
         axi, bump, cls, nm, n, k_max = fixture_objects
-        assert lb.wtilde_alpha_xi(axi, 0.0) == 1.0
+        assert lb.log_wtilde_alpha_xi(axi, 0.0) == 0.0
         rho = lb.rho_alpha_xi_diag(axi, fs.MAX_ORDER)
         assert rho.sum() + lb.rho_tail_mass(axi, fs.MAX_ORDER) == pytest.approx(
             1.0, abs=1e-6
