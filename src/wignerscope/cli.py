@@ -23,7 +23,7 @@ from . import __version__
 from .errors import NumericGuardError, ValidationError
 from .fockspace import DensityMatrix, PhasePoint, StateSpec, materialize, wigner_eval_many
 from .kernels import VARIANTS, KernelSpec, build_table
-from .sampler import read_dataset, simulate, write_csv_rows, write_dataset
+from .sampler import read_dataset, read_meta, simulate, write_csv_rows, write_dataset
 from .tomography import NoiseModel, SmoothnessClass
 from .estimator import (
     RULE_NAMES,
@@ -96,12 +96,15 @@ def parse_rule(value, beta, r, L) -> BandwidthRule:
 
 def _data_and_kernel(args) -> tuple:
     """(dataset, KernelSpec, resolved_rule) from --data, --variant and
-    --h, a number or a rule name; the rule is parsed before the data is read."""
+    --h, a number or a rule name; the rule is parsed before the data is
+    read, and the kernel is built from the header's eta and n before a
+    record is."""
     rule = parse_rule(args.h, args.beta, args.r, args.L)
-    ds = read_dataset(args.data)
-    noise = NoiseModel(ds.meta.eta)
-    h = bandwidth(rule, ds.n, noise)
-    return ds, KernelSpec(h=h, noise=noise, variant=args.variant), {"kind": rule.kind, "h": h}
+    meta = read_meta(args.data)
+    noise = NoiseModel(meta.eta)
+    h = bandwidth(rule, meta.n, noise)
+    kspec = KernelSpec(h=h, noise=noise, variant=args.variant)
+    return read_dataset(args.data), kspec, {"kind": rule.kind, "h": h}
 
 
 def _digest(path: str) -> str:

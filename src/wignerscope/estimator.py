@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BandwidthError, ConfigurationError, NumericGuardError, ValidationError
-from .fockspace import PhasePoint, StateSpec, _as_phase_point, materialize, wigner_eval
+from .errors import NumericGuardError, ValidationError
+from .fockspace import StateSpec, _as_phase_point, materialize, wigner_eval
 from .kernels import KernelSpec, KernelTable, build_table
 from .sampler import Dataset, QuadratureSampler, add_noise, check_records, check_seed, derive_seed
 from .tomography import NoiseModel, SmoothnessClass, bandwidth_root, x_support_radius
@@ -76,7 +76,7 @@ def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
     """Bandwidth produced by a rule for sample size n and noise level eta.
 
     The produced value always lies in (0, 1]; rules whose formulas land
-    above 1 (n too small for the asymptotics) raise BandwidthError.
+    above 1 (n too small for the asymptotics) raise ValidationError.
     """
     if rule.kind == "fixed":
         return rule.h
@@ -87,7 +87,7 @@ def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
     if rule.kind == "adaptive":
         a = log_n / (2.0 * gamma)        # = 2 eta log n / (1 - eta)
         if a <= math.sqrt(a):
-            raise BandwidthError("adaptive rule needs 2 eta log n/(1-eta) > 1")
+            raise ValidationError("adaptive rule needs 2 eta log n/(1-eta) > 1")
         h = (a - math.sqrt(a)) ** -0.5
     elif rule.kind == "r2":
         h = math.sqrt((2.0 * rule.cls.beta + 2.0 * gamma) / log_n)
@@ -95,18 +95,18 @@ def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
         a = log_n / (2.0 * gamma)
         inner = a - (rule.cls.beta / gamma) * a ** (rule.cls.r / 2.0)
         if inner <= 0.0:
-            raise BandwidthError("h1 rule: inner expression not positive")
+            raise ValidationError("h1 rule: inner expression not positive")
         h = inner ** -0.5
     elif rule.kind == "h2":
         h1 = bandwidth(BandwidthRule("h1", cls=rule.cls), n, noise)
         inner = log_n / (2.0 * gamma) - (rule.cls.beta / gamma) * h1 ** -rule.cls.r
         if inner <= 0.0:
-            raise BandwidthError("h2 rule: inner expression not positive")
+            raise ValidationError("h2 rule: inner expression not positive")
         h = inner ** -0.5
     else:
         h = bandwidth_root(rule.cls, noise, log_n)
     if h > 1.0:
-        raise BandwidthError(f"n too small: rule {rule.kind!r} gives h = {h} > 1")
+        raise ValidationError(f"n too small: rule {rule.kind!r} gives h = {h} > 1")
     return h
 
 
@@ -143,7 +143,7 @@ def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
               table: Optional[KernelTable]) -> np.ndarray:
     """West at the points (q[k], p[k]), one row of records per point."""
     if abs(data.meta.eta - spec.noise.eta) > 1e-12:
-        raise ConfigurationError(
+        raise ValidationError(
             f"dataset eta = {data.meta.eta} but kernel eta = {spec.noise.eta}"
         )
     y = data.y
@@ -152,7 +152,7 @@ def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
     if table is None:
         table = default_table(spec, float(np.max(np.hypot(q, p))), float(np.max(np.abs(y))))
     elif table.spec != spec:
-        raise ConfigurationError(f"kernel table built for {table.spec}, not for {spec}")
+        raise ValidationError(f"kernel table built for {table.spec}, not for {spec}")
     cos_phi = np.cos(data.phi)
     sin_phi = np.sin(data.phi)
     shift = y / math.sqrt(spec.noise.eta)
@@ -175,7 +175,7 @@ def _estimate(data: Dataset, spec: KernelSpec, q: np.ndarray, p: np.ndarray,
 def estimate_point(data: Dataset, spec: KernelSpec, z, *,
                    table: Optional[KernelTable] = None) -> float:
     """Pointwise estimate West(z) from the records of a dataset; a given
-    ``table`` must be built for ``spec`` (ConfigurationError otherwise)."""
+    ``table`` must be built for ``spec`` (ValidationError otherwise)."""
     zp = _as_phase_point(z)
     return float(_estimate(data, spec, np.array([zp.q]), np.array([zp.p]), table)[0])
 
@@ -260,18 +260,6 @@ class RiskReport:
             "rate_phi2": self.rate_phi2,
             "meta": self.meta,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RiskReport":
-        return cls(
-            points=tuple(PhasePoint(q, p) for q, p in d["points"]),
-            reps=int(d["reps"]),
-            per_point_mse=np.asarray(d["per_point_mse"], dtype=float),
-            per_point_se=np.asarray(d["per_point_se"], dtype=float),
-            per_rep_losses=np.asarray(d["per_rep_losses"], dtype=float),
-            rate_phi2=d.get("rate_phi2"),
-            meta=d.get("meta", {}),
-        )
 
 
 def risk_eval(

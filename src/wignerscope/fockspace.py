@@ -3,8 +3,10 @@
 The Hermite oscillator eigenfunctions and the normalized associated-
 Laguerre family b_j^d, both from one three-term recurrence carried with a
 per-point exponent; standard quantum states (number, coherent, squeezed
-vacuum, cat); and pointwise Wigner-function evaluation through the closed
-Laguerre form of the basis kernels.
+vacuum, cat), whose recipes (StateSpec) refuse an order, a dim or a mean
+photon number past the stability budget when they are built; and
+pointwise Wigner-function evaluation through the closed Laguerre form of
+the basis kernels.
 
 All number conventions: the oscillator eigenfunctions are
 
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import TruncationError, UnsupportedOrderError, ValidationError
+from .errors import ValidationError
 
 MAX_ORDER = 2000          # stability budget for hermite_psi_table / laguerre_rows
 DEFAULT_TAIL_MASS = 1e-8  # truncation rule: diagonal tail mass target
@@ -39,7 +41,7 @@ def _check_order(j: int) -> None:
     if j < 0 or int(j) != j:
         raise ValidationError(f"order must be a nonnegative integer, got {j!r}")
     if j > MAX_ORDER:
-        raise UnsupportedOrderError(f"order {j} exceeds stability budget {MAX_ORDER}")
+        raise ValidationError(f"order {j} exceeds stability budget {MAX_ORDER}")
 
 
 def _recurrence_rows(n: int, log2_y0: np.ndarray, coef):
@@ -195,7 +197,10 @@ class StateSpec:
 
     kind is one of fock/coherent/squeezed/cat/custom; params holds the
     kind-specific parameters.  dim=None leaves the truncation to the tail
-    rule of materialize().
+    rule of materialize().  A spec holds the caps that need no matrix: dim
+    at most _MAX_DIM, a fock n at most MAX_ORDER, and a mean photon number
+    (_mean_photons) at most _MAX_DIM, so a recipe past them is refused
+    where it is parsed.
     """
 
     kind: str
@@ -205,6 +210,19 @@ class StateSpec:
     def __post_init__(self):
         if self.dim is not None and not (isinstance(self.dim, int) and self.dim >= 1):
             raise ValidationError(f"dim must be a positive integer or null, got {self.dim!r}")
+        if self.dim is not None and self.dim > _MAX_DIM:
+            raise ValidationError(
+                f"dim {self.dim} exceeds the truncation cap {_MAX_DIM} (orders up to {MAX_ORDER})"
+            )
+        if self.kind == "fock":
+            _check_order(self.params["n"])
+        elif self.kind in ("coherent", "squeezed", "cat"):
+            mean_n = _mean_photons(self)
+            if not mean_n <= _MAX_DIM:
+                raise ValidationError(
+                    f"{self.kind} state {self.params}: mean photon number {mean_n:.3g} "
+                    f"exceeds the dim cap {_MAX_DIM}"
+                )
 
     @classmethod
     def fock(cls, n: int, dim: Optional[int] = None) -> "StateSpec":
@@ -302,30 +320,19 @@ def materialize(spec: StateSpec) -> DensityMatrix:
     The truncation dim starts at spec.dim (16 if unset) and doubles until
     the diagonal tail mass is at most DEFAULT_TAIL_MASS; the realized tail
     is recorded in tail_mass.  A fock state gets at least n + 1 levels.
-    No dim past _MAX_DIM is built: a fock n past MAX_ORDER, an explicit
-    dim past _MAX_DIM, or a tail target the doubling would only reach past
-    _MAX_DIM is refused before the matrix is allocated.
+    No dim past _MAX_DIM is built: StateSpec refuses the caps on the
+    recipe, and a tail target the doubling would only reach past _MAX_DIM
+    is refused before the matrix is allocated.
     """
     if spec.kind == "custom":
         return spec.params["matrix"]
-    if spec.dim is not None and spec.dim > _MAX_DIM:
-        raise UnsupportedOrderError(
-            f"dim {spec.dim} exceeds the truncation cap {_MAX_DIM} (orders up to {MAX_ORDER})"
-        )
     if spec.kind == "fock":
         n = spec.params["n"]
-        _check_order(n)
         dim = max(spec.dim or 0, n + 1)
         entries = np.zeros((dim, dim), dtype=complex)
         entries[n, n] = 1.0
         return DensityMatrix(dim=dim, entries=entries, tail_mass=0.0)
 
-    mean_n = _mean_photons(spec)
-    if not mean_n <= _MAX_DIM:
-        raise TruncationError(
-            f"{spec.kind} state {spec.params}: mean photon number {mean_n:.3g} "
-            f"exceeds the dim cap {_MAX_DIM}"
-        )
     dim = spec.dim if spec.dim is not None else 16
     while True:
         c = _pure_state_vector(spec, dim)
@@ -334,7 +341,7 @@ def materialize(spec: StateSpec) -> DensityMatrix:
         if tail <= DEFAULT_TAIL_MASS:
             break
         if 2 * dim > _MAX_DIM:
-            raise TruncationError(
+            raise ValidationError(
                 f"{spec.kind} state {spec.params}: tail target {DEFAULT_TAIL_MASS:.1e} "
                 f"not reached at dim {dim}, and dim {2 * dim} exceeds the cap {_MAX_DIM}"
             )

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from ._quad import gl_cos_sum, hermite_cells
-from .errors import BandwidthTooSmallError, TableStepError, ValidationError
+from .errors import NumericGuardError, ValidationError
 from .tomography import NoiseModel
 
 _EXP_CAP = 700.0  # KernelSpec's cap on the deconvolution exponent
@@ -78,7 +78,7 @@ class KernelSpec:
             raise ValidationError(f"modified variant needs h <= {_MAX_TAPER_H:.0e}, got {self.h!r}")
         expo = (4.0 if self.variant == "modified" else 1.0) * self.noise.gamma / self.h / self.h
         if expo > _EXP_CAP:
-            raise BandwidthTooSmallError(
+            raise NumericGuardError(
                 f"deconvolution exponent {expo:.1f} exceeds {_EXP_CAP:.0f}; "
                 f"h = {self.h} too small for eta = {self.noise.eta}"
             )
@@ -232,7 +232,7 @@ def build_table(spec: KernelSpec, u_max: float, step: Optional[float] = None) ->
     mids = rng.uniform(0.0, table.u_max, size=_TABLE_CHECKS)
     err = float(np.max(np.abs(table(mids) - kernel_eval(spec, mids))))
     if err > _TABLE_REL_TOL * scale:
-        raise TableStepError(
+        raise ValidationError(
             f"step {step} gives interpolation error {err:.3e} "
             f"> {_TABLE_REL_TOL:.0e} * scale ({scale:.3e})"
         )

@@ -28,7 +28,10 @@ allocated; a p_1^eta that is not positive is no error but an infinite chi^2.
 Both class integrals join the profile and the weight e^{2 beta t^r} in log
 space (log_wtilde_alpha_xi, J's log envelope), since the weight overflows
 where W~^2 and J^2 underflow; a base integral that does not converge adds
-its reason to the report's diagnostics.
+its reason to the report's diagnostics.  A weighted sum over J's rule or
+chi^2's y rule is numpy's own reduction, np.sum(w * f), not BLAS's dot,
+which splits long vectors over its threads, so the report does not move
+with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from ._quad import (
     _GL_X, _panel_rule, cells_eval, gl_cos_sum, gl_panels, hermite_cells, jacobi_unit,
 )
-from .errors import BandwidthError, ValidationError
+from .errors import ValidationError
 from .fockspace import MAX_ORDER, _check_order, laguerre_rows
 from .tomography import (
     ClassIntegralResult, NoiseModel, SmoothnessClass, bandwidth_root, class_integral,
@@ -333,7 +336,7 @@ def _log_envelope(cls: SmoothnessClass, htilde: float, ts: np.ndarray) -> np.nda
         raise ValidationError("htilde must lie in (0, 1)")
     beta, r, L = cls.beta, cls.r, cls.L
     if beta / htilde**r > 700.0:
-        raise BandwidthError("j_htilde amplitude exponent beyond overflow guard")
+        raise ValidationError("j_htilde amplitude exponent beyond overflow guard")
     log_amp = (
         math.log(2.0 * math.sqrt(math.pi * beta * r * L))
         + (1.0 - r / 2.0) * math.log(htilde)
@@ -451,7 +454,7 @@ def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) ->
 def sep_at_origin(bump: BumpSpec, cls: SmoothnessClass, htilde: float) -> float:
     """|W_2(0) - W_1(0)| = (1/pi) int_0^inf t J(t) dt."""
     t, w = _j_rule(bump, cls, htilde)
-    return float(np.dot(w, t * j_htilde(bump, cls, htilde, t))) / math.pi
+    return float(np.sum(w * (t * j_htilde(bump, cls, htilde, t)))) / math.pi
 
 
 def perturbation_profile_noisy(
@@ -495,7 +498,7 @@ def perturbation_l2(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, hti
     se = math.sqrt(noise.eta)
     t, w = _j_rule(bump, cls, htilde, scale=1.0 / se)
     f = j_htilde(bump, cls, htilde, se * t) ** 2 * np.exp(-(1.0 - noise.eta) * t * t / 2.0)
-    return 4.0 / math.pi * float(np.dot(w, f))
+    return 4.0 / math.pi * float(np.sum(w * f))
 
 
 def tail_control_term(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, htilde: float) -> float:
@@ -513,7 +516,7 @@ def tail_control_term(bump: BumpSpec, cls: SmoothnessClass, noise: NoiseModel, h
         se * j_htilde_derivative(bump, cls, htilde, se * t).ravel() * env
         - (1.0 - noise.eta) * t / 2.0 * j_htilde(bump, cls, htilde, se * t) * env
     )
-    return 4.0 / math.pi * float(np.dot(w, d * d))
+    return 4.0 / math.pi * float(np.sum(w * (d * d)))
 
 
 def _chi2_grid(t_hi: float):
@@ -566,7 +569,7 @@ def chi_squared(
                 "tail_control_term": math.nan,
                 "error": "p_1^eta not positive on the quadrature range"}
     integrand = 4.0 * q * q / p1
-    chi2 = 2.0 * math.pi * float(np.dot(w, integrand))
+    chi2 = 2.0 * math.pi * float(np.sum(w * integrand))
     # crude tail bound from the measured power-law decay of the integrand
     tail = float(integrand[-1]) * _CHI2_Y_MAX / 4.0
     return {
@@ -658,4 +661,4 @@ def _j_sq_weighted(bump: BumpSpec, cls: SmoothnessClass, htilde: float) -> float
     t, w = _j_rule(bump, cls, htilde)
     window = bump.j_value(t**cls.r - htilde**-cls.r)
     log_f = 2.0 * _log_envelope(cls, htilde, t) + 2.0 * cls.beta * t**cls.r
-    return float(np.dot(w, t * window**2 * np.exp(log_f)))
+    return float(np.sum(w * (t * window**2 * np.exp(log_f))))

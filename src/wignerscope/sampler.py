@@ -24,6 +24,11 @@ safeguarded Newton (one residual mask and one guarded step per sweep),
 stopped once every record has moved by at most 1e-15 of a cell or gone
 back to its previous iterate.  Generator wignerscope-sampler/3.
 
+Datasets: read_meta parses a file's header line alone, so a caller can
+check what the header's state, eta and n imply before read_dataset parses
+a record.  A malformed line is refused with its line number, a file that
+is not UTF-8 text without one.
+
 Reproducibility: generation is a pure function of (state, n, seed, eta).
 The RNG is counter-based (Philox) with two independent streams keyed by
 (seed, stream); per-repetition seeds elsewhere derive via derive_seed.
@@ -41,7 +46,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import DatasetFormatError, ValidationError
+from .errors import ValidationError
 from .fockspace import DensityMatrix, StateSpec, materialize
 from .tomography import NoiseModel, quad_density_blocks, x_support_radius
 
@@ -403,18 +408,29 @@ def write_dataset(ds: Dataset, path) -> None:
         write_csv_rows(fh, ds.y, ds.phi)
 
 
-def read_dataset(path) -> Dataset:
-    """Parse a dataset file; malformed content raises with the line number."""
+def read_meta(path) -> DatasetMeta:
+    """Parse a dataset file's line 1, its `# meta: <JSON>` header, alone."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline()
-            if not header.startswith("# meta: "):
-                raise DatasetFormatError("missing '# meta:' header", line=1)
-            try:
-                meta = DatasetMeta.from_dict(json.loads(header[len("# meta: "):]))
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                # ValueError covers malformed JSON and fields that do not parse
-                raise DatasetFormatError(f"bad metadata ({exc})", line=1)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8 text ({exc.reason})")
+    if not header.startswith("# meta: "):
+        raise ValidationError("line 1: missing '# meta:' header")
+    try:
+        return DatasetMeta.from_dict(json.loads(header[len("# meta: "):]))
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        # ValueError covers malformed JSON and fields that do not parse
+        raise ValidationError(f"line 1: bad metadata ({exc})")
+
+
+def read_dataset(path) -> Dataset:
+    """Parse a dataset file (its header by read_meta); malformed content
+    raises with the line number."""
+    meta = read_meta(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
             ys, phis = [], []
             for lineno, raw in enumerate(fh, start=2):
                 raw = raw.strip()
@@ -422,22 +438,20 @@ def read_dataset(path) -> Dataset:
                     continue
                 parts = raw.split(",")
                 if len(parts) != 2:
-                    raise DatasetFormatError("expected 'y,phi'", line=lineno)
+                    raise ValidationError(f"line {lineno}: expected 'y,phi'")
                 try:
                     y = float(parts[0])
                     phi = float(parts[1])
                 except ValueError:
-                    raise DatasetFormatError("non-numeric field", line=lineno)
+                    raise ValidationError(f"line {lineno}: non-numeric field")
                 if not (0.0 <= phi <= math.pi):
-                    raise DatasetFormatError(f"phi = {phi} outside [0, pi]", line=lineno)
+                    raise ValidationError(f"line {lineno}: phi = {phi} outside [0, pi]")
                 if not math.isfinite(y):
-                    raise DatasetFormatError("non-finite y", line=lineno)
+                    raise ValidationError(f"line {lineno}: non-finite y")
                 ys.append(y)
                 phis.append(phi)
     except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"not UTF-8 text ({exc.reason})")
+        raise ValidationError(f"not UTF-8 text ({exc.reason})")
     if meta.n != len(ys):
-        raise DatasetFormatError(
-            f"metadata n = {meta.n} but {len(ys)} record lines", line=1
-        )
+        raise ValidationError(f"line 1: metadata n = {meta.n} but {len(ys)} record lines")
     return Dataset(y=np.asarray(ys), phi=np.asarray(phis), meta=meta)

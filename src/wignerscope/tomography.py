@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import gl_panels
-from .errors import BandwidthError, ForwardModelError, ValidationError
+from .errors import NumericGuardError, ValidationError
 from .fockspace import DensityMatrix, hermite_psi_table
 
 # class_integral: t-blocks of this length, panels of this width, and the
@@ -93,7 +93,7 @@ def bandwidth_root(cls: SmoothnessClass, noise: NoiseModel, target: float) -> fl
     while g(h_lo) <= 0.0:
         h_lo *= 0.5
         if h_lo < 1e-12:
-            raise BandwidthError("failed to bracket the bandwidth equation")
+            raise ValidationError("failed to bracket the bandwidth equation")
     while (mid := 0.5 * (h_lo + h_hi)) not in (h_lo, h_hi):
         if g(mid) >= 0.0:
             h_lo = mid
@@ -137,7 +137,7 @@ def quad_density_blocks(rho: DensityMatrix, x, phases):
         p = (coeff @ profiles).real
         p_min = float(p.min(initial=0.0))      # 0.0 for an empty x
         if p_min < -1e-9:
-            raise ForwardModelError(
+            raise NumericGuardError(
                 f"quadrature density is negative ({p_min:.3e}): broken DensityMatrix"
             )
         np.clip(p, 0.0, None, out=p)

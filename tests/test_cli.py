@@ -45,6 +45,14 @@ class TestParseState:
         with pytest.raises(ValidationError):
             parse_state("thermal:1")
 
+    @pytest.mark.parametrize("text,message", [
+        ("fock:2001", "order 2001 exceeds stability budget 2000"),
+        ("coherent:100,0", r"mean photon number 5e\+03 exceeds the dim cap 2001"),
+    ])
+    def test_state_past_a_cap_refused_at_parse(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_state(text)
+
 
 class TestParseRule:
     @pytest.mark.parametrize("name,kind", [
@@ -396,6 +404,31 @@ class TestLbVerify:
                   "--out", str(tmp_path / "lb.json")])
         assert rc == 1
 
+    @pytest.mark.parametrize("flags", [
+        "--alpha 0.2 --xi 0.95 --beta 0.5 --r 1 --L 1 --eta 0.9 --n 1e100 --delta 0.1 --bigD 1",
+        "--alpha 0.2 --xi 0.94 --beta 0.111111111111 --r 2 --L 7.6 --eta 0.2 --n 1e120 "
+        "--delta 0.5 --bigD 1000",
+    ], ids=["readme-r1", "fixture-bigD-1000"])
+    def test_report_same_at_one_and_two_blas_threads(self, tmp_path, flags):
+        # OpenBLAS's dot product splits a long vector over its threads, and
+        # J's and chi^2's rules reach 10^4 to 10^5 nodes here; their weighted
+        # sums are numpy's own reduction, so the bytes do not depend on it
+        import subprocess
+        import sys
+
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"lb-{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "wignerscope.cli", "lb-verify", *flags.split(),
+                 "--out", str(out)],
+                env=dict(_child_env(), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 # the README commands at small sizes; {data} is a fock:1 dataset of 200
 # records, {out} the output path
@@ -557,9 +590,17 @@ class TestCliContract:
         lambda meta: meta["state"].update(params={}),
         lambda meta: meta.update(state={"kind": "cat", "dim": None,
                                         "params": {"q0": 1.0, "axis": "z"}}),
-    ], ids=["eta", "n", "params", "ragged-matrix", "kind", "dim", "no-params", "cat-axis"])
+        lambda meta: meta["state"].update(params={"n": 3000}),
+    ], ids=["eta", "n", "params", "ragged-matrix", "kind", "dim", "no-params", "cat-axis",
+            "fock-past-budget"])
     def test_header_that_cannot_be_rebuilt_one_line(self, small_data, tmp_path, capsys,
-                                                    command, edit):
+                                                    monkeypatch, command, edit):
+        # refused at line 1: no record is parsed, nothing estimated or built
+        def reached(*args, **kwargs):
+            raise AssertionError("reached")
+
+        for name in ("read_dataset", "estimate_grid", "materialize"):
+            monkeypatch.setattr(cli, name, reached)
         header, records = small_data.read_text().split("\n", 1)
         meta = json.loads(header[len("# meta: "):])
         edit(meta)
@@ -718,8 +759,13 @@ class TestRefusedBeforeWork:
     exponent no double holds is one numeric-guard line."""
 
     @pytest.mark.parametrize("command", ["estimate", "cut", "risk", "kernel-table"])
-    def test_tiny_h_exit_2(self, small_data, tmp_path, capsys, command):
-        # h^2 underflows to 0 at h = 1e-200
+    def test_tiny_h_exit_2(self, small_data, tmp_path, capsys, monkeypatch, command):
+        # h^2 underflows to 0 at h = 1e-200; estimate and cut build the
+        # kernel from the dataset's header line and parse no record
+        def read_dataset(path):
+            raise AssertionError("read_dataset reached")
+
+        monkeypatch.setattr(cli, "read_dataset", read_dataset)
         out = tmp_path / "out"
         argv = small_argv(command, small_data, out)
         flag = "--rule" if command == "risk" else "--h"

@@ -9,12 +9,23 @@ from wignerscope import fockspace as fs
 from wignerscope import kernels as kn
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
-from wignerscope.errors import BandwidthError, ConfigurationError, NumericGuardError, ValidationError
+from wignerscope.errors import NumericGuardError, ValidationError
 
 
 @pytest.fixture(scope="module")
 def nm():
     return tg.NoiseModel(0.9)
+
+
+def _h1_or_none(cls, n, noise):
+    """The h1 rule's bandwidth, or None where the rule does not apply (its
+    inner expression is not positive); any other refusal is raised."""
+    try:
+        return es.bandwidth(es.BandwidthRule("h1", cls=cls), n, noise)
+    except ValidationError as exc:
+        if str(exc) != "h1 rule: inner expression not positive":
+            raise
+        return None
 
 
 class TestBandwidth:
@@ -61,22 +72,25 @@ class TestBandwidth:
     def test_h1_above_opt(self):
         # provable ordering: the h1 formula subtracts a strictly larger
         # term than the fixed-point one, so h_opt <= h1 wherever defined
+        checked = 0
         for eta in (0.7, 0.9):
             noise = tg.NoiseModel(eta)
             for beta in (0.1, 0.3, 0.5):
                 for r in (0.3, 0.6, 1.0):
                     cls = tg.SmoothnessClass(beta, r, 1.0)
                     for n in (10**4, 10**6):
-                        try:
-                            h1 = es.bandwidth(es.BandwidthRule("h1", cls=cls), n, noise)
-                        except BandwidthError:
+                        h1 = _h1_or_none(cls, n, noise)
+                        if h1 is None:
                             continue
                         h_opt = es.bandwidth(es.BandwidthRule("opt", cls=cls), n, noise)
                         assert h_opt <= h1 + 1e-15
+                        checked += 1
+        assert checked
 
     def test_adaptive_undersmooths_on_lattice(self):
         # h_ad <= h1 holds iff beta/gamma >= (log n / 2 gamma)^{(1-r)/2};
         # check on that sublattice (the unrestricted claim is false)
+        checked = 0
         for eta in (0.7, 0.9):
             noise = tg.NoiseModel(eta)
             g = noise.gamma
@@ -86,12 +100,13 @@ class TestBandwidth:
                     for mult in (1.0, 2.0, 5.0):
                         beta = beta_min * mult
                         cls = tg.SmoothnessClass(beta, r, 1.0)
-                        try:
-                            h1 = es.bandwidth(es.BandwidthRule("h1", cls=cls), n, noise)
-                        except BandwidthError:
+                        h1 = _h1_or_none(cls, n, noise)
+                        if h1 is None:
                             continue
                         h_ad = es.bandwidth(es.BandwidthRule("adaptive"), n, noise)
                         assert h_ad <= h1 + 1e-12
+                        checked += 1
+        assert checked
 
     def test_adaptive_variance_identity(self):
         # adaptive variance identity: (1/n) exp(2 gamma / h_ad^2) = exp(-sqrt(2 gamma log n))
@@ -113,7 +128,7 @@ class TestBandwidth:
     def test_adaptive_too_small_n(self):
         # needs 2 eta log n / (1 - eta) > 1, violated at eta = 0.2, n = 2
         noise = tg.NoiseModel(0.2)
-        with pytest.raises(BandwidthError):
+        with pytest.raises(ValidationError, match=r"adaptive rule needs 2 eta log n/\(1-eta\) > 1"):
             es.bandwidth(es.BandwidthRule("adaptive"), 2, noise)
 
     def test_fixed(self, nm):
@@ -122,7 +137,7 @@ class TestBandwidth:
     def test_produced_h_in_unit_interval(self, nm):
         # rules landing above 1 (n too small for the asymptotics) refuse
         cls = tg.SmoothnessClass(2.0, 2.0, 1.0)
-        with pytest.raises(BandwidthError):
+        with pytest.raises(ValidationError, match="n too small: rule 'r2' gives h = .* > 1"):
             es.bandwidth(es.BandwidthRule("r2", cls=cls), 8, nm)
         with pytest.raises(ValidationError):
             es.BandwidthRule("fixed", h=1.5)
@@ -176,7 +191,7 @@ class TestEstimatePoint:
     def test_eta_mismatch_rejected(self, nm):
         ds = sp.simulate(fs.StateSpec.fock(0), 100, 0.8, seed=3)
         kspec = kn.KernelSpec(0.4, nm, "sharp")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="dataset eta = 0.8 but kernel eta = 0.9"):
             es.estimate_point(ds, kspec, (0.0, 0.0))
 
     @pytest.mark.parametrize("h,eta", [(0.2, 0.9), (0.35, 0.85)])
@@ -185,9 +200,9 @@ class TestEstimatePoint:
         ds = sp.simulate(fs.StateSpec.fock(1), 300, 0.9, seed=3)
         kspec = kn.KernelSpec(0.35, nm, "sharp")
         table = kn.build_table(kn.KernelSpec(h, tg.NoiseModel(eta), "sharp"), 30.0)
-        with pytest.raises(ConfigurationError, match="kernel table"):
+        with pytest.raises(ValidationError, match="kernel table built for"):
             es.estimate_point(ds, kspec, (0.0, 0.0), table=table)
-        with pytest.raises(ConfigurationError, match="kernel table"):
+        with pytest.raises(ValidationError, match="kernel table built for"):
             es.estimate_grid(ds, kspec, es.GridSpec(0, 1, 2, 0, 1, 2), table=table)
 
     def test_vacuum_mean_oracle_pooled(self, nm):
@@ -372,15 +387,6 @@ class TestRiskEval:
         )
         assert rep.per_point_mse[0] <= 1e-3
 
-    def test_report_roundtrip(self, nm):
-        rule = es.BandwidthRule("fixed", h=0.4)
-        rep = es.risk_eval(
-            fs.StateSpec.fock(0), nm, rule, "sharp", [(0.0, 0.0)], 200, 2, seed=5
-        )
-        again = es.RiskReport.from_json_dict(rep.to_json_dict())
-        assert np.array_equal(again.per_rep_losses, rep.per_rep_losses)
-        assert again.points == rep.points
-
     def test_standard_error_of_the_mse(self, nm):
         rule = es.BandwidthRule("fixed", h=0.4)
         rep = es.risk_eval(
@@ -392,8 +398,7 @@ class TestRiskEval:
             col = losses[:, k]
             want = math.sqrt(np.sum((col - col.mean()) ** 2) / 4) / math.sqrt(5)
             assert rep.per_point_se[k] == pytest.approx(want, rel=1e-12)
-        again = es.RiskReport.from_json_dict(rep.to_json_dict())
-        assert np.array_equal(again.per_point_se, rep.per_point_se)
+        assert rep.to_json_dict()["per_point_se"] == rep.per_point_se.tolist()
 
     def test_one_rep_has_no_standard_error(self, nm):
         rule = es.BandwidthRule("fixed", h=0.4)
@@ -401,9 +406,7 @@ class TestRiskEval:
             fs.StateSpec.fock(0), nm, rule, "sharp", [(0.0, 0.0)], 200, 1, seed=5
         )
         assert np.isnan(rep.per_point_se[0])
-        d = rep.to_json_dict()
-        assert d["per_point_se"] == [None]
-        assert np.isnan(es.RiskReport.from_json_dict(d).per_point_se[0])
+        assert rep.to_json_dict()["per_point_se"] == [None]
 
     def test_mse_is_column_mean(self, nm):
         rule = es.BandwidthRule("fixed", h=0.4)

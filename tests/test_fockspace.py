@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from _oracles import hs_distance_sq
 from wignerscope import fockspace as fs
-from wignerscope.errors import TruncationError, UnsupportedOrderError, ValidationError
+from wignerscope.errors import ValidationError
 
 
 def _hermite_psi_exact(j, x):
@@ -64,7 +65,7 @@ class TestHermitePsi:
         )
 
     def test_order_budget(self):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(ValidationError, match="order 2001 exceeds stability budget 2000"):
             fs.hermite_psi_table(2001, 0.0)
 
     @given(st.integers(0, 60), st.floats(-30.0, 30.0))
@@ -137,7 +138,7 @@ class TestLaguerre:
         assert np.all(np.abs(self._table(j, d, x)) <= 1.0)
 
     def test_order_budget(self):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(ValidationError, match="order 2001 exceeds stability budget 2000"):
             fs.laguerre_rows(fs.MAX_ORDER - 4, 5, 1.0)
 
     def test_log_factorial_within_few_ulp(self):
@@ -182,34 +183,34 @@ class TestMaterialize:
         assert fs.materialize(fs.StateSpec.fock(5, dim=2)).dim == 6
 
     @pytest.mark.parametrize("spec", [
-        fs.StateSpec.coherent(1e300, 0.0),
-        fs.StateSpec.coherent(0.0, -1e200),
-        fs.StateSpec.squeezed(1e6),
-        fs.StateSpec.squeezed(-800.0),
-        fs.StateSpec.cat(math.nan),
+        partial(fs.StateSpec.coherent, 1e300, 0.0),
+        partial(fs.StateSpec.coherent, 0.0, -1e200),
+        partial(fs.StateSpec.squeezed, 1e6),
+        partial(fs.StateSpec.squeezed, -800.0),
+        partial(fs.StateSpec.cat, math.nan),
     ])
     def test_too_many_photons_refused_without_overflow(self, spec):
-        # the parameters overflow the amplitude formulas; the refusal is a
-        # one-line TruncationError, not an OverflowError
-        with pytest.raises(TruncationError):
-            fs.materialize(spec)
+        # the parameters overflow the amplitude formulas; the recipe itself
+        # is refused in one line, not with an OverflowError
+        with pytest.raises(ValidationError, match="mean photon number .* exceeds the dim cap 2001"):
+            spec()
 
     @pytest.mark.parametrize("spec", [
-        fs.StateSpec.fock(10**6),
-        fs.StateSpec.fock(fs.MAX_ORDER + 1),
-        fs.StateSpec.fock(0, dim=10**6),
-        fs.StateSpec.coherent(1.0, 0.0, dim=fs.MAX_ORDER + 2),
+        partial(fs.StateSpec.fock, 10**6),
+        partial(fs.StateSpec.fock, fs.MAX_ORDER + 1),
+        partial(fs.StateSpec.fock, 0, dim=10**6),
+        partial(fs.StateSpec.coherent, 1.0, 0.0, dim=fs.MAX_ORDER + 2),
     ])
     def test_past_the_order_budget_refused_before_allocation(self, spec):
-        # a dense (10^6)^2 complex matrix would need 16 TB: the refusal
-        # comes first, as an UnsupportedOrderError, not a MemoryError
-        with pytest.raises(UnsupportedOrderError, match=str(fs.MAX_ORDER)):
-            fs.materialize(spec)
+        # a dense (10^6)^2 complex matrix would need 16 TB: the recipe is
+        # refused before any matrix exists, not with a MemoryError
+        with pytest.raises(ValidationError, match=r"(order|dim) \d+ exceeds .*2000"):
+            spec()
 
     def test_auto_growth_stays_within_the_order_budget(self):
         # mean photon number 882: the tail rule needs more than 1024
         # levels, and the next doubling (2048) passes MAX_ORDER + 1
-        with pytest.raises(TruncationError, match="dim 1024"):
+        with pytest.raises(ValidationError, match="dim 1024"):
             fs.materialize(fs.StateSpec.coherent(42.0, 0.0))
 
     def test_statespec_roundtrip(self):
