@@ -44,6 +44,13 @@ def _check_order(j: int) -> None:
         raise ValidationError(f"order {j} exceeds stability budget {MAX_ORDER}")
 
 
+def _check_dim(dim: int) -> None:
+    if dim > _MAX_DIM:
+        raise ValidationError(
+            f"dim {dim} exceeds the truncation cap {_MAX_DIM} (orders up to {MAX_ORDER})"
+        )
+
+
 def _recurrence_rows(n: int, log2_y0: np.ndarray, coef):
     """Rows y_0..y_{n-1}, one at a time, of the three-term recurrence
 
@@ -184,11 +191,14 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DensityMatrix":
+        """Build from to_json_dict's form; a dim past the truncation cap is
+        refused before the entries are converted."""
+        dim = int(data["dim"])
+        _check_dim(dim)
         entries = np.asarray(data["re"], dtype=float) + 1j * np.asarray(
             data["im"], dtype=float
         )
-        return cls(dim=int(data["dim"]), entries=entries,
-                   tail_mass=float(data["tail_mass"]))
+        return cls(dim=dim, entries=entries, tail_mass=float(data["tail_mass"]))
 
 
 @dataclass(frozen=True)
@@ -210,10 +220,8 @@ class StateSpec:
     def __post_init__(self):
         if self.dim is not None and not (isinstance(self.dim, int) and self.dim >= 1):
             raise ValidationError(f"dim must be a positive integer or null, got {self.dim!r}")
-        if self.dim is not None and self.dim > _MAX_DIM:
-            raise ValidationError(
-                f"dim {self.dim} exceeds the truncation cap {_MAX_DIM} (orders up to {MAX_ORDER})"
-            )
+        if self.dim is not None:
+            _check_dim(self.dim)
         if self.kind == "fock":
             _check_order(self.params["n"])
         elif self.kind in ("coherent", "squeezed", "cat"):

@@ -19,10 +19,13 @@ flattened table, needing no clamp, selects each record's cell.  Its
 Hermite cubic keeps the density's own end slopes wherever they lie in
 Fritsch & Carlson's monotone region and takes them scaled onto the
 region's edge elsewhere, so table_error estimates the error of the very
-interpolant the draws invert.  The cubic is solved by bisection-
-safeguarded Newton (one residual mask and one guarded step per sweep),
-stopped once every record has moved by at most 1e-15 of a cell or gone
-back to its previous iterate.  Generator wignerscope-sampler/3.
+interpolant the draws invert.  Each cubic is solved at a fixed cost: from
+the Hermite interpolant of its inverse, three Newton steps clipped to [0,
+1], and a fourth that must move the record by at most 1e-15 of a cell.
+The few records that miss it (H' = 0, a cell of no mass, a Newton swing)
+are solved again by bisection-safeguarded Newton, stopped once every one
+has moved by at most 1e-15 of a cell or gone back to its previous iterate.
+Generator wignerscope-sampler/4.
 
 Datasets: read_meta parses a file's header line alone, so a caller can
 check what the header's state, eta and n imply before read_dataset parses
@@ -50,13 +53,16 @@ from .errors import ValidationError
 from .fockspace import DensityMatrix, StateSpec, materialize
 from .tomography import NoiseModel, quad_density_blocks, x_support_radius
 
-GENERATOR_VERSION = "wignerscope-sampler/3"
+GENERATOR_VERSION = "wignerscope-sampler/4"
 
 _MASK64 = (1 << 64) - 1
 _PHI_STREAM = 0
 _NOISE_STREAM = 1
 
-# Newton stopping rule of QuadratureSampler._solve_cubic, in units of a cell
+# QuadratureSampler._solve: plain Newton steps from the start before the
+# step that must be at most _SOLVE_TOL (in units of a cell); records past it
+# take _solve_cubic's bracketed loop, at most _MAX_SWEEPS sweeps
+_NEWTON_STEPS = 3
 _SOLVE_TOL = 1e-15
 _MAX_SWEEPS = 64
 
@@ -281,11 +287,12 @@ class QuadratureSampler:
         # is monotone in floating point
         return pdf, cdf, h**4 * (d3_max / h**3) / 384.0
 
-    def _invert(self, bucket: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Invert the tabulated CDF: per record, phase bucket and uniform u."""
-        grid = self.x_grid
-        h = grid[1] - grid[0]
-        n = grid.size
+    def _cells(self, bucket: np.ndarray, u: np.ndarray):
+        """Per record (phase bucket, uniform u), its cell's column in the
+        row, the cell's mass dc, its end slopes m0, m1 (in units of the
+        cell) and the target t above the cell's left node."""
+        h = self.x_grid[1] - self.x_grid[0]
+        n = self.x_grid.size
         cdf = self.cdf.ravel()  # views: both tables are C-contiguous
         pdf = self.pdf.ravel()
         base = bucket * n
@@ -294,8 +301,63 @@ class QuadratureSampler:
         c0 = cdf[cell]
         dc = cdf[cell + 1] - c0
         m0, m1 = _monotone_slopes(dc, pdf[cell] * h, pdf[cell + 1] * h)
-        s, _ = self._solve_cubic(dc, m0, m1, target - c0)
-        return grid[cell - base] + s * h
+        return cell - base, dc, m0, m1, target - c0
+
+    def _invert(self, bucket: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Invert the tabulated CDF: per record, phase bucket and uniform u."""
+        grid = self.x_grid
+        col, dc, m0, m1, t = self._cells(bucket, u)
+        return grid[col] + self._solve(dc, m0, m1, t) * (grid[1] - grid[0])
+
+    @classmethod
+    def _solve(cls, dc, m0, m1, t):
+        """Solve H(s) = t on [0, 1] for each record's monotone Hermite cubic
+        (H(0)=0, H(1)=dc, H'(0)=m0, H'(1)=m1) in a fixed number of passes.
+
+        The start is the inverse cubic's own Hermite interpolant: in tau =
+        t/dc, the cubic from (0, 0) to (1, 1) with end slopes dc/m0 and
+        dc/m1, each at most 3 (a zero slope or a NaN counts as 3), clipped
+        to [0, 1].  _NEWTON_STEPS plain Newton steps follow, each clipped to
+        [0, 1].  A last step whose size is at most _SOLVE_TOL is taken and
+        ends the record; every other record (H' = 0, dc = 0, NaN, or not yet
+        converged) is solved from scratch by _solve_cubic's bracketed loop.
+        """
+        a = m0 + m1 - 2.0 * dc
+        b = 3.0 * dc - 2.0 * m0 - m1
+        a3, b2 = 3.0 * a, 2.0 * b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g0 = np.fmin(dc / m0, 3.0)
+            g1 = np.fmin(dc / m1, 3.0)
+            tau = t / dc
+            # s = ((A tau + B) tau + g0) tau: the inverse's Hermite cubic
+            s = g0 + g1 - 2.0
+            s *= tau
+            s += 3.0 - 2.0 * g0 - g1
+            s *= tau
+            s += g0
+            s *= tau
+            np.clip(s, 0.0, 1.0, out=s)
+            val = np.empty_like(s)
+            der = np.empty_like(s)
+            for _ in range(_NEWTON_STEPS + 1):
+                np.multiply(a, s, out=val)
+                val += b
+                val *= s
+                val += m0
+                val *= s
+                val -= t
+                np.multiply(a3, s, out=der)
+                der += b2
+                der *= s
+                der += m0
+                val /= der
+                s -= val
+                np.clip(s, 0.0, 1.0, out=s)
+        # val holds the last step: NaN and inf fail the test too
+        rest = np.flatnonzero(~(np.abs(val) <= _SOLVE_TOL))
+        if rest.size:
+            s[rest] = cls._solve_cubic(dc[rest], m0[rest], m1[rest], t[rest])[0]
+        return s
 
     @staticmethod
     def _solve_cubic(dc, m0, m1, t):

@@ -12,11 +12,9 @@ tail mass by its asymptotic series (against the densities' normalization).
 package's one mixture rule.  Two are frozen copies of earlier fast paths,
 so that a faster one can be held to their values:
 ``gl_cos_sum_flat_reference``, the flat cosine sum before the separable
-grid, and ``invert_reference``, the sampler's table inversion as generator
-``wignerscope-sampler/2`` first shipped it.  Generator ``/3`` still draws
-the same bits wherever a record's cell slopes lie in the box [0, 3 dc]^2
-and its Newton sweeps converge under ``/2``'s stopping rule, which
-``_solve_cubic_reference`` keeps.
+grid, and ``_solve_cubic_reference``, the cell-cubic solve as generator
+``wignerscope-sampler/2`` first shipped it, whose stopping rule runs to its
+sweep cap where Newton swings between two iterates.
 """
 
 from __future__ import annotations
@@ -143,26 +141,10 @@ def _binom_neg(a: float, k: int) -> float:
     return out
 
 
-# Newton stopping rule of the frozen inversion: in units of a cell, and the
+# Newton stopping rule of the frozen solve: in units of a cell, and the
 # sweep cap
 _REF_SOLVE_TOL = 1e-15
 _REF_MAX_SWEEPS = 64
-
-
-def _search_rows_reference(flat, base, n, t):
-    """Per record, the last index i of its row (flat[base:base + n], non-
-    decreasing, first entry <= t) with row[i] <= t, i.e. the row's
-    searchsorted(t, side="right") - 1: one branchless binary search over
-    all records at once, about log2(n) gathers."""
-    pos = np.zeros(t.shape, dtype=np.int64)
-    step = (1 << (n - 1).bit_length()) >> 1
-    while step:
-        # clamping the probe to the row end keeps every probe in the row;
-        # once the row end is taken it stays the answer
-        probe = np.minimum(pos + step, n - 1)
-        pos = np.where(flat[base + probe] <= t, probe, pos)
-        step >>= 1
-    return pos
 
 
 def _solve_cubic_reference(dc, m0, m1, t):
@@ -191,27 +173,6 @@ def _solve_cubic_reference(dc, m0, m1, t):
         if moved <= _REF_SOLVE_TOL:
             break
     return np.clip(s, 0.0, 1.0), sweep
-
-
-def invert_reference(x_grid, pdf, cdf, bucket, u):
-    """Inverse of the tabulated CDF per record (phase bucket, uniform u):
-    the row search clamped to the row's last cell, then the cell's monotone
-    Hermite cubic solved for the target."""
-    h = x_grid[1] - x_grid[0]
-    n = x_grid.size
-    cdf = cdf.ravel()
-    pdf = pdf.ravel()
-    base = bucket * n
-    target = u * cdf[base + (n - 1)]
-    cell = base + np.minimum(_search_rows_reference(cdf, base, n, target), n - 2)
-    c0 = cdf[cell]
-    c1 = cdf[cell + 1]
-    # Fritsch-Carlson clamp keeps the Hermite cubic monotone
-    sec = np.maximum(c1 - c0, 1e-300) / h
-    d0 = np.minimum(pdf[cell], 3.0 * sec)
-    d1 = np.minimum(pdf[cell + 1], 3.0 * sec)
-    s, _ = _solve_cubic_reference(c1 - c0, d0 * h, d1 * h, target - c0)
-    return x_grid[cell - base] + s * h
 
 
 def gl_cos_sum_flat_reference(y, a: float, b: float, max_width: float, g) -> np.ndarray:

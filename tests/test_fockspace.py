@@ -364,3 +364,10 @@ class TestDensityMatrixValidation:
         again = fs.DensityMatrix.from_json_dict(rho.to_json_dict())
         assert np.array_equal(again.entries, rho.entries)
         assert again.tail_mass == rho.tail_mass
+
+    def test_json_dim_past_the_cap_refused_before_the_entries(self):
+        # 1x1 entries under a dim-2002 header: the cap is checked first, so
+        # the refusal names the cap, not the shape
+        data = {"dim": fs._MAX_DIM + 1, "tail_mass": 0.0, "re": [[1.0]], "im": [[0.0]]}
+        with pytest.raises(ValidationError, match="dim 2002 exceeds the truncation cap 2001"):
+            fs.DensityMatrix.from_json_dict(data)

@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from _oracles import _solve_cubic_reference, invert_reference, noisy_density
+from _oracles import _solve_cubic_reference, noisy_density
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
@@ -241,7 +241,7 @@ def _hermite(s, dc, m0, m1):
 
 
 def _cell_cubics(grid, pdf, cdf, bucket, u):
-    """Per record, as generator wignerscope-sampler/3 defines its cell, one
+    """Per record, as generator wignerscope-sampler/4 defines its cell, one
     record at a time: the row's searchsorted cell (the last one at most),
     its left node, mass dc and target t above the node, and the slopes of
     _fc_slopes."""
@@ -258,7 +258,7 @@ def _cell_cubics(grid, pdf, cdf, bucket, u):
 
 
 def _invert_scalar(grid, pdf, cdf, bucket, u):
-    """Generator wignerscope-sampler/3's inversion one record at a time:
+    """Generator wignerscope-sampler/4's inversion one record at a time:
     the root of each record's cell cubic from brentq; a cell of no mass
     gives its midpoint."""
     h = grid[1] - grid[0]
@@ -307,9 +307,12 @@ class TestInversion:
         fs.StateSpec.fock(3), fs.StateSpec.coherent(1.0, 0.8),
         fs.StateSpec.squeezed(0.5), fs.StateSpec.cat(3.01),
     ], ids=["fock3", "coherent", "squeezed", "cat3.01"])
-    def test_invert_equals_reference_bit_for_bit(self, spec):
-        # the frozen wignerscope-sampler/2 inversion is the oracle
+    def test_invert_agrees_with_bracketed_loop(self, spec):
+        # the fixed-step solve against _solve_cubic's bracketed loop run on
+        # the whole batch, against the cubic itself and against brentq
         sampler = sp.QuadratureSampler(fs.materialize(spec))
+        grid = sampler.x_grid
+        h = grid[1] - grid[0]
         for seed in (1, 2, 3):
             rng = sp._stream(seed, sp._PHI_STREAM)
             phi = rng.uniform(0.0, math.pi, size=10_000)
@@ -317,8 +320,17 @@ class TestInversion:
             bucket = np.minimum(
                 (phi / math.pi * sampler.n_phases).astype(np.int64), sampler.n_phases - 1
             )
-            want = invert_reference(sampler.x_grid, sampler.pdf, sampler.cdf, bucket, u)
-            assert np.array_equal(sampler._invert(bucket, u), want)
+            col, dc, m0, m1, t = sampler._cells(bucket, u)
+            s = sp.QuadratureSampler._solve(dc, m0, m1, t)
+            loop, _ = sp.QuadratureSampler._solve_cubic(dc, m0, m1, t)
+            assert np.max(np.abs(s - loop)) <= 2e-15
+            pos = dc > 0.0
+            residual = _hermite(s, dc, m0, m1) - t
+            assert np.all(np.abs(residual[pos]) <= 1e-14 * dc[pos])
+            x = sampler._invert(bucket, u)
+            assert np.array_equal(x, grid[col] + s * h)
+            want = _invert_scalar(grid, sampler.pdf, sampler.cdf, bucket, u)
+            assert np.max(np.abs(x - want)) <= 1e-12 * h
 
     def test_monotone_slopes_follow_the_published_region(self):
         # slope pairs (a, b) dc over [0, 6]^2, with M's corners (3, 0), (0, 3)
@@ -391,7 +403,7 @@ class TestInversion:
         # appended, where m1/dc is 0.15, 0.13 and 0.0013, the rounding of
         # H(s) - t flips its sign between two iterates about ulp(t)/H' apart
         # and Newton swings between them: the frozen stopping rule of
-        # wignerscope-sampler/2 runs all _MAX_SWEEPS sweeps on this batch
+        # wignerscope-sampler/2 runs all _MAX_SWEEPS sweeps on each alone
         rng = np.random.default_rng(5)
         grid = np.linspace(-3.0, 3.0, 33)
         pdf = rng.exponential(size=(6, grid.size))
@@ -410,8 +422,15 @@ class TestInversion:
             return s, k
 
         monkeypatch.setattr(sp.QuadratureSampler, "_solve_cubic", staticmethod(spy))
-        x = _synthetic_sampler(grid, pdf, cdf)._invert(bucket, u)
+        synthetic = _synthetic_sampler(grid, pdf, cdf)
+        x = synthetic._invert(bucket, u)
         (args, sweeps), = calls
+        _, *cycling = synthetic._cells(bucket[-3:], u[-3:])
+        for i in range(3):
+            assert _solve_cubic_reference(*(c[i:i + 1] for c in cycling))[1] == sp._MAX_SWEEPS
+        # the fixed steps land the first on H(s) = t exactly; the other two
+        # still swing and reach the bracketed loop, which settles them
+        assert np.isin(cycling[3][1:], args[3]).all()
         assert _solve_cubic_reference(*args)[1] == sp._MAX_SWEEPS
         assert sweeps < sp._MAX_SWEEPS
         h = grid[1] - grid[0]
@@ -421,18 +440,20 @@ class TestInversion:
     def test_draws_are_roots_of_their_cell_cubic(self, cat_sampler, monkeypatch):
         # brentq oracle on each record's own monotone Hermite cubic; the
         # cell is rebuilt from the same RNG stream the sampler reads
-        sweeps = []
+        calls = []
         solve = sp.QuadratureSampler._solve_cubic
 
         def spy(*args):
             s, k = solve(*args)
-            sweeps.append(k)
+            calls.append((args[0].size, k))
             return s, k
 
         monkeypatch.setattr(sp.QuadratureSampler, "_solve_cubic", staticmethod(spy))
         n_rec, seed = 500, 2024
         x = cat_sampler.sample(n_rec, seed).x
-        assert sweeps and max(sweeps) < sp._MAX_SWEEPS
+        # few records fall back to the bracketed loop, and those settle
+        assert sum(size for size, _ in calls) <= 1e-3 * n_rec
+        assert all(k < sp._MAX_SWEEPS for _, k in calls)
 
         rng = sp._stream(seed, sp._PHI_STREAM)
         phi = rng.uniform(0.0, math.pi, size=n_rec)
@@ -445,13 +466,13 @@ class TestInversion:
 
     def test_generator_version(self, tmp_path):
         ds = sp.simulate(fs.StateSpec.fock(1), 20, 0.9, seed=3)
-        assert ds.meta.generator_version == "wignerscope-sampler/3"
+        assert ds.meta.generator_version == "wignerscope-sampler/4"
         path = tmp_path / "old.csv"
         sp.write_dataset(ds, path)
-        text = path.read_text().replace("wignerscope-sampler/3", "wignerscope-sampler/2")
+        text = path.read_text().replace("wignerscope-sampler/4", "wignerscope-sampler/3")
         path.write_text(text)
         old = sp.read_dataset(path)
-        assert old.meta.generator_version == "wignerscope-sampler/2"
+        assert old.meta.generator_version == "wignerscope-sampler/3"
         assert np.array_equal(old.y, ds.y)
 
 
