@@ -23,7 +23,7 @@ from . import __version__
 from .errors import NumericGuardError, ValidationError
 from .fockspace import DensityMatrix, PhasePoint, StateSpec, materialize, wigner_eval_many
 from .kernels import VARIANTS, KernelSpec, build_table
-from .sampler import read_dataset, read_meta, simulate, write_csv_rows, write_dataset
+from .sampler import read_dataset, read_meta, simulate, write_csv, write_dataset
 from .tomography import NoiseModel, SmoothnessClass
 from .estimator import (
     RULE_NAMES,
@@ -80,18 +80,21 @@ def parse_state(text: str) -> StateSpec:
 def parse_rule(value, beta, r, L) -> BandwidthRule:
     """The BandwidthRule a rule name or a number (a fixed h) stands for;
     the named rules but adaptive take their class from beta, r and L
-    (None where the flag was not given)."""
-    if value == "adaptive":
-        return BandwidthRule(value)
-    if value in RULE_NAMES:
+    (None where the flag was not given), which the other rules refuse."""
+    if value in RULE_NAMES and value != "adaptive":
         if beta is None or r is None or L is None:
             raise ValidationError("bandwidth rule needs --beta, --r and --L")
         return BandwidthRule(value, cls=SmoothnessClass(beta, r, L))
-    try:
-        h = float(value)
-    except ValueError:
-        raise ValidationError(f"bandwidth must be a number or one of {RULE_NAMES}")
-    return BandwidthRule("fixed", h=h)
+    if value == "adaptive":
+        rule = BandwidthRule(value)
+    else:
+        try:
+            rule = BandwidthRule("fixed", h=float(value))
+        except ValueError:
+            raise ValidationError(f"bandwidth must be a number or one of {RULE_NAMES}")
+    if any(v is not None for v in (beta, r, L)):
+        raise ValidationError(f"bandwidth {value!r} takes no --beta, --r or --L")
+    return rule
 
 
 def _data_and_kernel(args) -> tuple:
@@ -150,9 +153,8 @@ def cmd_estimate(args) -> dict:
         raise ValidationError("--grid expects qmin:qmax:steps,pmin:pmax:steps")
     ds, kspec, rule_desc = _data_and_kernel(args)
     wg = estimate_grid(ds, kspec, grid)
-    with open(args.out, "w") as fh:
-        fh.write("q,p,west\n")
-        write_csv_rows(fh, np.repeat(wg.q, wg.p.size), np.tile(wg.p, wg.q.size), wg.values.ravel())
+    write_csv(args.out, "q,p,west",
+              np.repeat(wg.q, wg.p.size), np.tile(wg.p, wg.q.size), wg.values.ravel())
     return {"resolved_rule": rule_desc}
 
 
@@ -162,9 +164,7 @@ def cmd_cut(args) -> dict:
     wg = estimate_grid(ds, kspec, grid)
     rho = materialize(ds.meta.state)
     wtrue = wigner_eval_many(rho, wg.q, np.full_like(wg.q, args.p))
-    with open(args.out, "w") as fh:
-        fh.write("q,west,wtrue\n")
-        write_csv_rows(fh, wg.q, wg.values[:, 0], wtrue)
+    write_csv(args.out, "q,west,wtrue", wg.q, wg.values[:, 0], wtrue)
     return {"resolved_rule": rule_desc}
 
 
@@ -190,9 +190,7 @@ def cmd_risk(args) -> dict:
 def cmd_kernel_table(args) -> dict:
     spec = KernelSpec(h=args.h, noise=NoiseModel(args.eta), variant=args.variant)
     table = build_table(spec, args.umax, args.step)
-    with open(args.out, "w") as fh:
-        fh.write("u,value\n")
-        write_csv_rows(fh, np.arange(table.values.size) * table.step, table.values)
+    write_csv(args.out, "u,value", np.arange(table.values.size) * table.step, table.values)
     return {}
 
 
@@ -205,6 +203,17 @@ def cmd_lb_verify(args) -> dict:
     with open(args.out, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
     return {}
+
+
+def add_kernel_flags(parser, flag, **kwargs) -> None:
+    """The bandwidth flag (a number or a rule name), the class flags its
+    rule may take and the kernel variant."""
+    parser.add_argument(flag, help="bandwidth: number in (0, 1] or rule " + "|".join(RULE_NAMES),
+                        **kwargs)
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--r", type=float)
+    parser.add_argument("--L", type=float)
+    parser.add_argument("--variant", choices=VARIANTS, default="sharp")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noisy homodyne tomography simulation and Wigner reconstruction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    bandwidth_help = "bandwidth: number in (0, 1] or rule " + "|".join(RULE_NAMES)
 
     sim = sub.add_parser("simulate", help="draw a noisy homodyne dataset")
     sim.add_argument("--state", required=True)
@@ -230,16 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
-    def add_kernel_flags(p):
-        p.add_argument("--h", required=True, help=bandwidth_help)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--r", type=float)
-        p.add_argument("--L", type=float)
-        p.add_argument("--variant", choices=VARIANTS, default="sharp")
-
     est = sub.add_parser("estimate", help="evaluate the estimator on a grid")
     est.add_argument("--data", required=True)
-    add_kernel_flags(est)
+    add_kernel_flags(est, "--h", required=True)
     est.add_argument("--grid", required=True,
                      help="qmin:qmax:steps,pmin:pmax:steps")
     est.add_argument("--out", required=True)
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     cut.add_argument("--qmin", type=float, required=True)
     cut.add_argument("--qmax", type=float, required=True)
     cut.add_argument("--steps", type=int, required=True)
-    add_kernel_flags(cut)
+    add_kernel_flags(cut, "--h", required=True)
     cut.add_argument("--out", required=True)
     cut.set_defaults(func=cmd_cut)
 
@@ -261,11 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--n", type=int, required=True)
     risk.add_argument("--reps", type=int, required=True)
     risk.add_argument("--points", required=True, help="q1,p1;q2,p2;...")
-    risk.add_argument("--rule", default="r2", help=bandwidth_help)
-    risk.add_argument("--beta", type=float)
-    risk.add_argument("--r", type=float)
-    risk.add_argument("--L", type=float)
-    risk.add_argument("--variant", choices=VARIANTS, default="sharp")
+    add_kernel_flags(risk, "--rule", default="r2")
     risk.add_argument("--seed", type=int, required=True)
     risk.add_argument("--out", required=True)
     risk.set_defaults(func=cmd_risk)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NumericGuardError, ValidationError
-from .fockspace import StateSpec, _as_phase_point, materialize, wigner_eval
+from .fockspace import StateSpec, _as_phase_point, materialize, wigner_eval_many
 from .kernels import KernelSpec, KernelTable, build_table
 from .sampler import Dataset, QuadratureSampler, add_noise, check_records, check_seed, derive_seed
 from .tomography import NoiseModel, SmoothnessClass, bandwidth_root, x_support_radius
@@ -91,18 +91,18 @@ def bandwidth(rule: BandwidthRule, n: int, noise: NoiseModel) -> float:
         h = (a - math.sqrt(a)) ** -0.5
     elif rule.kind == "r2":
         h = math.sqrt((2.0 * rule.cls.beta + 2.0 * gamma) / log_n)
-    elif rule.kind == "h1":
+    elif rule.kind in ("h1", "h2"):
+        # h2 takes h1 in place of a^{-1/2}; as h1^{-r} < a^{r/2}, its inner
+        # expression exceeds h1's and is positive
         a = log_n / (2.0 * gamma)
         inner = a - (rule.cls.beta / gamma) * a ** (rule.cls.r / 2.0)
         if inner <= 0.0:
-            raise ValidationError("h1 rule: inner expression not positive")
+            raise ValidationError(f"{rule.kind} rule: inner expression not positive")
         h = inner ** -0.5
-    elif rule.kind == "h2":
-        h1 = bandwidth(BandwidthRule("h1", cls=rule.cls), n, noise)
-        inner = log_n / (2.0 * gamma) - (rule.cls.beta / gamma) * h1 ** -rule.cls.r
-        if inner <= 0.0:
-            raise ValidationError("h2 rule: inner expression not positive")
-        h = inner ** -0.5
+        if rule.kind == "h2":
+            if h > 1.0:
+                raise ValidationError(f"n too small: rule 'h2' gives h1 = {h} > 1")
+            h = (a - (rule.cls.beta / gamma) * h ** -rule.cls.r) ** -0.5
     else:
         h = bandwidth_root(rule.cls, noise, log_n)
     if h > 1.0:
@@ -295,10 +295,10 @@ def risk_eval(
     y_max = (math.sqrt(noise.eta) * x_support_radius(rho.dim)
              + 8.0 * math.sqrt((1.0 - noise.eta) / 2.0))
     table = default_table(kspec, max(math.hypot(p.q, p.p) for p in pts), y_max)
-    truth = np.array([wigner_eval(rho, p) for p in pts])
-    sampler = QuadratureSampler(rho)
     qs = np.array([z.q for z in pts])
     ps = np.array([z.p for z in pts])
+    truth = wigner_eval_many(rho, qs, ps)
+    sampler = QuadratureSampler(rho)
 
     def one_rep(j: int) -> np.ndarray:
         rep_seed = derive_seed(seed, j)

@@ -44,6 +44,7 @@ from ._quad import (
     _GL_X, _panel_rule, cells_eval, gl_cos_sum, gl_panels, hermite_cells, jacobi_unit,
 )
 from .errors import ValidationError
+from .estimator import rate_phi2
 from .fockspace import MAX_ORDER, _check_order, laguerre_rows
 from .tomography import (
     ClassIntegralResult, NoiseModel, SmoothnessClass, bandwidth_root, class_integral,
@@ -552,8 +553,8 @@ def chi_squared(
     (_chi2_grid), and q takes them as that separable grid, with 2 (16 +
     panels) cos and sin per midpoint, not per node (``_quad.gl_cos_sum``).
 
-    Returns the value plus the L2 and y^2-weighted tail-control diagnostics,
-    or, where p_1^eta is not positive, chi^2 = inf and "error" saying why.
+    Returns chi^2 and its tail estimate past the y range, both inf where
+    p_1^eta is not positive, and then also "error" saying why.
     """
     y_mid, y_off, w = _chi2_grid(j_support(bump, cls, htilde)[1])
     y, w = np.add.outer(y_mid, y_off).ravel(), w.ravel()
@@ -565,19 +566,13 @@ def chi_squared(
     p0 = cells_eval(hermite_cells(p0_nodes, step), step, y)
     p1 = p0 + q
     if float(np.min(p1)) <= 0.0:
-        return {"chi2": math.inf, "tail_estimate": math.inf, "l2_term": math.nan,
-                "tail_control_term": math.nan,
+        return {"chi2": math.inf, "tail_estimate": math.inf,
                 "error": "p_1^eta not positive on the quadrature range"}
     integrand = 4.0 * q * q / p1
     chi2 = 2.0 * math.pi * float(np.sum(w * integrand))
     # crude tail bound from the measured power-law decay of the integrand
     tail = float(integrand[-1]) * _CHI2_Y_MAX / 4.0
-    return {
-        "chi2": chi2,
-        "tail_estimate": 2.0 * math.pi * tail,
-        "l2_term": perturbation_l2(bump, cls, noise, htilde),
-        "tail_control_term": tail_control_term(bump, cls, noise, htilde),
-    }
+    return {"chi2": chi2, "tail_estimate": 2.0 * math.pi * tail}
 
 
 def base_class_integral(axi: AlphaXi, cls: SmoothnessClass) -> ClassIntegralResult:
@@ -601,8 +596,6 @@ def verify_pair(
     Positivity is checked at Fock levels k <= fockspace.MAX_ORDER, the
     recurrence budget; levels past it are not certified.
     """
-    from .estimator import rate_phi2
-
     htilde = htilde_solve(cls, noise, n)
     rho_d = rho_alpha_xi_diag(axi, MAX_ORDER)
     tau = tau_diag(bump, cls, htilde, MAX_ORDER)
@@ -628,8 +621,8 @@ def verify_pair(
         "phi_n": phi_n,
         "chi2": chi["chi2"],
         "chi2_tail_estimate": chi["tail_estimate"],
-        "l2_term": chi["l2_term"],
-        "tail_control_term": chi["tail_control_term"],
+        "l2_term": perturbation_l2(bump, cls, noise, htilde),
+        "tail_control_term": tail_control_term(bump, cls, noise, htilde),
         "k_max": MAX_ORDER,
     }
     if not base.converged:

@@ -72,7 +72,7 @@ _N_PHASES = 1024
 _N_POINTS = 1025
 _CDF_TOL = 1e-6
 _MAX_POINTS = 65537
-# rows per format call of write_csv_rows
+# rows per writelines call of write_csv
 _CSV_BLOCK = 2**16
 # most records one draw makes: simulate peaks at about 200 B a record (238 MB
 # at 10^6), so 2^23 records take about 1.7 GB
@@ -452,22 +452,22 @@ def simulate(spec: StateSpec, n: int, eta: float, seed: int) -> Dataset:
     return add_noise(ideal, eta, seed, spec)
 
 
-def write_csv_rows(fh, *columns) -> None:
-    """Write equal-length columns as CSV rows at 17 significant digits
-    (bit-exact round trip), _CSV_BLOCK rows per write, each row its own
-    %-format (one format over a whole block is faster, but its one large
-    string raised kernel-table's peak RSS)."""
+def write_csv(path, header: str, *columns) -> None:
+    """Write a header line, then equal-length columns as CSV rows at 17
+    significant digits (bit-exact round trip), _CSV_BLOCK rows per write,
+    each row its own %-format (one format over a whole block is faster, but
+    its one large string raised kernel-table's peak RSS)."""
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    for i in range(0, len(rows), _CSV_BLOCK):
-        fh.writelines([line % tuple(row) for row in rows[i : i + _CSV_BLOCK].tolist()])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(rows), _CSV_BLOCK):
+            fh.writelines([line % tuple(row) for row in rows[i : i + _CSV_BLOCK].tolist()])
 
 
 def write_dataset(ds: Dataset, path) -> None:
     """CSV with one `# meta: <JSON>` header line, then `y,phi` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# meta: " + json.dumps(ds.meta.to_dict(), sort_keys=True) + "\n")
-        write_csv_rows(fh, ds.y, ds.phi)
+    write_csv(path, "# meta: " + json.dumps(ds.meta.to_dict(), sort_keys=True), ds.y, ds.phi)
 
 
 def read_meta(path) -> DatasetMeta:

@@ -20,6 +20,14 @@ def sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON (RFC 8259)."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestParseState:
     def test_fock(self):
         assert parse_state("fock:2") == fs.StateSpec.fock(2)
@@ -77,6 +85,13 @@ class TestParseRule:
     def test_class_rule_without_class(self):
         with pytest.raises(ValidationError, match="--beta, --r and --L"):
             parse_rule("opt", 0.2, None, 1.0)
+
+    @pytest.mark.parametrize("value", ["0.35", "adaptive"])
+    @pytest.mark.parametrize("beta,r,L", [(0.2, 2.0, 1.0), (math.nan, None, None),
+                                          (None, None, -1.0)])
+    def test_class_flag_beside_a_rule_without_class(self, value, beta, r, L):
+        with pytest.raises(ValidationError, match="takes no --beta, --r or --L"):
+            parse_rule(value, beta, r, L)
 
 
 class TestSimulate:
@@ -362,12 +377,12 @@ class TestLbVerify:
                   "--bigD", "5", "--out", str(out)])
         assert rc == 0
 
-        def refuse(token):
-            raise ValueError(f"{token} is not JSON")
-
-        report = json.loads(out.read_text(), parse_constant=refuse)
+        report = strict_json(out.read_text())
         assert report["verdicts"]["chi2"] is False and report["chi2_times_n"] is None
-        assert report["diagnostics"]["chi2_error"] == "p_1^eta not positive on the quadrature range"
+        diag = report["diagnostics"]
+        assert diag["chi2_error"] == "p_1^eta not positive on the quadrature range"
+        # the L2 and tail-control terms do not depend on p_1^eta
+        assert math.isfinite(diag["l2_term"]) and math.isfinite(diag["tail_control_term"])
 
     @pytest.mark.parametrize("flags,converged", [
         ("--beta 3", True),
@@ -461,6 +476,12 @@ MANIFEST_FLAGS = {
 # risk --rule takes a fixed bandwidth as a number
 REMOVED_FLAGS = [("lb-verify", "--kmax"), ("risk", "--hfixed")]
 
+# class flags beside a bandwidth whose rule takes none: cut's number, and
+# risk --rule 0.4 (the sweep's "risk-fixed")
+FIXED_RISK = SMALL_ARGV["risk"].replace("--rule r2 --beta 0.08 --r 2 --L 1", "--rule 0.4")
+UNUSED_CLASS_FLAGS = [(command, flag) for command in ("cut", "risk-fixed")
+                      for flag in ("--beta", "--r", "--L")]
+
 NUMERIC_FLAGS = [
     (command, token)
     for command, line in SMALL_ARGV.items()
@@ -468,7 +489,7 @@ NUMERIC_FLAGS = [
     if token.startswith("--")
     and token.split("=")[0] not in ("--state", "--data", "--grid", "--points", "--rule",
                                     "--variant", "--out")
-] + REMOVED_FLAGS
+] + REMOVED_FLAGS + UNUSED_CLASS_FLAGS
 
 BAD_VALUES = ["-1", "0", "nan", "inf", "-inf", "1e400", "x"]
 
@@ -491,11 +512,13 @@ class TestCliContract:
     def test_bad_numeric_value_one_line(self, small_data, tmp_path, capsys,
                                         command, flag, value):
         out = tmp_path / "out"
-        argv = small_argv(command, small_data, out)
+        line = FIXED_RISK if command == "risk-fixed" else SMALL_ARGV[command]
+        argv = line.format(data=small_data, out=out).split()
         name = flag.split("=")[0]
         removed = (command, flag) in REMOVED_FLAGS
+        unused = (command, flag) in UNUSED_CLASS_FLAGS
         # --flag=value, so that "-inf" and "-1" reach the flag's own parsing
-        if removed:
+        if removed or unused:
             argv.append(f"{name}={value}")
         else:
             i = argv.index(flag)
@@ -505,8 +528,12 @@ class TestCliContract:
         assert rc in (0, 1, 2)
         assert err.count("\n") <= 1 and "Traceback" not in err
         assert (rc == 0) == (err == "")
+        if rc == 0:
+            strict_json((tmp_path / "out.manifest.json").read_text())
         if removed:
             assert rc == 1 and "unrecognized arguments" in err and not out.exists()
+        if unused:
+            assert rc == 1 and not out.exists()
 
     @pytest.mark.parametrize("command", SMALL_ARGV)
     def test_manifest_holds_every_flag(self, small_data, tmp_path, command):
@@ -770,6 +797,9 @@ class TestRefusedBeforeWork:
         argv = small_argv(command, small_data, out)
         flag = "--rule" if command == "risk" else "--h"
         argv[argv.index(flag) + 1] = "1e-200"
+        for name in ("--beta", "--r", "--L"):   # a number takes no class flag
+            if name in argv:
+                del argv[argv.index(name):argv.index(name) + 2]
         rc = run(argv)
         err = capsys.readouterr().err
         assert rc == 2

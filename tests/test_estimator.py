@@ -125,6 +125,16 @@ class TestBandwidth:
         expect = (math.log(10**6) / (2 * nm.gamma) - (0.02 / nm.gamma) * h1**-1.2) ** -0.5
         assert h2 == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize("eta,beta,n,message", [
+        (0.9, 0.5, 50, "h2 rule: inner expression not positive"),
+        (0.5, 0.5, 10, r"n too small: rule 'h2' gives h1 = 1\.78.* > 1"),
+    ], ids=["inner", "h1-above-1"])
+    def test_h2_refusals_name_h2(self, eta, beta, n, message):
+        # h2 is built on h1, and refuses where h1 does, in its own name
+        cls = tg.SmoothnessClass(beta, 1.0, 1.0)
+        with pytest.raises(ValidationError, match=message):
+            es.bandwidth(es.BandwidthRule("h2", cls=cls), n, tg.NoiseModel(eta))
+
     def test_adaptive_too_small_n(self):
         # needs 2 eta log n / (1 - eta) > 1, violated at eta = 0.2, n = 2
         noise = tg.NoiseModel(0.2)
@@ -415,6 +425,17 @@ class TestRiskEval:
             500, 5, seed=6,
         )
         assert np.allclose(rep.per_point_mse, rep.per_rep_losses.mean(axis=0))
+
+    @pytest.mark.parametrize("state", [fs.StateSpec.cat(3.0), fs.StateSpec.coherent(1.0, 0.8)],
+                             ids=["cat3", "coherent"])
+    def test_truth_equals_pointwise(self, nm, state):
+        # one wigner_eval_many call over all points gives each point's
+        # wigner_eval bit for bit
+        pts = [(q, 0.5 * q - 0.3) for q in np.linspace(-4.0, 4.0, 41)]
+        rep = es.risk_eval(state, nm, es.BandwidthRule("fixed", h=0.4), "sharp", pts, 200, 1,
+                           seed=3)
+        rho = fs.materialize(state)
+        assert rep.meta["truth"] == [fs.wigner_eval(rho, z) for z in pts]
 
     def test_batched_losses_equal_pointwise(self, nm):
         # risk_eval passes all points of a repetition to the core at once
