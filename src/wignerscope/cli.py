@@ -71,8 +71,9 @@ def parse_state(text: str) -> StateSpec:
         with open(rest) as fh:
             try:
                 return StateSpec.custom(DensityMatrix.from_json_dict(json.load(fh)))
-            except (ValueError, KeyError, TypeError) as exc:
-                # bad JSON, or JSON without the {dim, tail_mass, re, im} fields
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                # bad JSON, JSON without the {dim, tail_mass, re, im} fields,
+                # or a dim past every integer (int(inf))
                 raise ValidationError(f"--state: {rest!r} is not a density-matrix JSON: {exc}")
     raise ValidationError(f"--state: unknown kind {kind!r}")
 

@@ -160,6 +160,8 @@ class DensityMatrix:
             )
         if self.dim < 1:
             raise ValidationError("dim must be >= 1")
+        if not np.all(np.isfinite(entries)):
+            raise ValidationError("non-finite matrix entry")
         if not 0.0 <= self.tail_mass < 1.0:
             raise ValidationError("tail_mass must lie in [0, 1)")
         scale = max(1.0, float(np.max(np.abs(entries))))

@@ -23,9 +23,9 @@ interpolant the draws invert.  Each cubic is solved at a fixed cost: from
 the Hermite interpolant of its inverse, three Newton steps clipped to [0,
 1], and a fourth that must move the record by at most 1e-15 of a cell.
 The few records that miss it (H' = 0, a cell of no mass, a Newton swing)
-are solved again by bisection-safeguarded Newton, stopped once every one
-has moved by at most 1e-15 of a cell or gone back to its previous iterate.
-Generator wignerscope-sampler/4.
+are solved again by 50 halvings of [0, 1], which end within 2^-51 of the
+root: the cubic is monotone, so bisection cannot cycle or crawl.
+Generator wignerscope-sampler/5.
 
 Datasets: read_meta parses a file's header line alone, so a caller can
 check what the header's state, eta and n imply before read_dataset parses
@@ -53,7 +53,7 @@ from .errors import ValidationError
 from .fockspace import DensityMatrix, StateSpec, materialize
 from .tomography import NoiseModel, quad_density_blocks, x_support_radius
 
-GENERATOR_VERSION = "wignerscope-sampler/4"
+GENERATOR_VERSION = "wignerscope-sampler/5"
 
 _MASK64 = (1 << 64) - 1
 _PHI_STREAM = 0
@@ -61,10 +61,10 @@ _NOISE_STREAM = 1
 
 # QuadratureSampler._solve: plain Newton steps from the start before the
 # step that must be at most _SOLVE_TOL (in units of a cell); records past it
-# take _solve_cubic's bracketed loop, at most _MAX_SWEEPS sweeps
+# take _bisect_cubic's _HALVINGS halvings, 2^-(_HALVINGS+1) < _SOLVE_TOL
 _NEWTON_STEPS = 3
 _SOLVE_TOL = 1e-15
-_MAX_SWEEPS = 64
+_HALVINGS = 50
 
 # CDF tables: phases cached over [0, pi], the starting grid size, the
 # interpolation error target and the grid size at which refinement stops
@@ -215,6 +215,23 @@ def _monotone_slopes(dc: np.ndarray, m0: np.ndarray, m1: np.ndarray):
     return m0, m1
 
 
+def _bisect_cubic(dc, m0, m1, t):
+    """Solve H(s) = t on [0, 1] for the monotone Hermite cubic with H(0)=0,
+    H(1)=dc, H'(0)=m0, H'(1)=m1 (all arrays) by _HALVINGS halvings of [0,
+    1], each keeping H(lo) <= t, and return the last bracket's midpoint:
+    within 2^-(_HALVINGS+1) of the root.  A cell of no mass (H = 0 = t)
+    ends 2^-(_HALVINGS+1) short of its right node."""
+    a = m0 + m1 - 2.0 * dc
+    b = 3.0 * dc - 2.0 * m0 - m1
+    lo = np.zeros_like(t)
+    width = 1.0
+    for _ in range(_HALVINGS):
+        width *= 0.5
+        mid = lo + width
+        lo += width * (((a * mid + b) * mid + m0) * mid <= t)
+    return lo + 0.5 * width
+
+
 class QuadratureSampler:
     """Inverse-CDF sampler for the ideal quadrature data of one state.
 
@@ -309,8 +326,8 @@ class QuadratureSampler:
         col, dc, m0, m1, t = self._cells(bucket, u)
         return grid[col] + self._solve(dc, m0, m1, t) * (grid[1] - grid[0])
 
-    @classmethod
-    def _solve(cls, dc, m0, m1, t):
+    @staticmethod
+    def _solve(dc, m0, m1, t):
         """Solve H(s) = t on [0, 1] for each record's monotone Hermite cubic
         (H(0)=0, H(1)=dc, H'(0)=m0, H'(1)=m1) in a fixed number of passes.
 
@@ -320,7 +337,7 @@ class QuadratureSampler:
         to [0, 1].  _NEWTON_STEPS plain Newton steps follow, each clipped to
         [0, 1].  A last step whose size is at most _SOLVE_TOL is taken and
         ends the record; every other record (H' = 0, dc = 0, NaN, or not yet
-        converged) is solved from scratch by _solve_cubic's bracketed loop.
+        converged) is solved from scratch by _bisect_cubic.
         """
         a = m0 + m1 - 2.0 * dc
         b = 3.0 * dc - 2.0 * m0 - m1
@@ -356,60 +373,8 @@ class QuadratureSampler:
         # val holds the last step: NaN and inf fail the test too
         rest = np.flatnonzero(~(np.abs(val) <= _SOLVE_TOL))
         if rest.size:
-            s[rest] = cls._solve_cubic(dc[rest], m0[rest], m1[rest], t[rest])[0]
+            s[rest] = _bisect_cubic(dc[rest], m0[rest], m1[rest], t[rest])
         return s
-
-    @staticmethod
-    def _solve_cubic(dc, m0, m1, t):
-        """Solve H(s) = t on [0, 1] for the monotone Hermite cubic with
-        H(0)=0, H(1)=dc, H'(0)=m0, H'(1)=m1 (all arrays), by bisection-
-        safeguarded Newton.
-
-        Each sweep shrinks every record's bracket [lo, hi] to the side of
-        the root its H(s) - t shows, takes the Newton step, and bisects
-        instead where that step leaves the bracket or H' <= 0 with the
-        root not yet hit.  A record has settled once its step is at most
-        _SOLVE_TOL, or once its step takes it back to its previous iterate:
-        where H' is small, the rounding of H(s) - t (about ulp(t)) flips
-        its sign between two neighbours about ulp(t)/H' apart, finer than
-        H itself resolves, and Newton would swing between them for good.
-        The sweeps stop once every record has settled, at most _MAX_SWEEPS
-        (enough for bisection alone to reach _SOLVE_TOL).  Returns (s,
-        sweeps run).
-        """
-        a = m0 + m1 - 2.0 * dc
-        b = 3.0 * dc - 2.0 * m0 - m1
-        a3, b2 = 3.0 * a, 2.0 * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(dc > 0.0, t / dc, 0.5)
-        np.clip(s, 0.0, 1.0, out=s)
-        lo = np.zeros_like(s)
-        hi = np.ones_like(s)
-        prev = s
-        for sweep in range(1, _MAX_SWEEPS + 1):
-            val = ((a * s + b) * s + m0) * s - t
-            der = (a3 * s + b2) * s + m0
-            above = val > 0.0
-            hi = np.where(above, s, hi)
-            lo = np.where(above, lo, s)
-            rising = der > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s_new = np.where(rising, s - val / der, s)
-            # (val != 0) > rising: H' <= 0 with the root not yet hit
-            bad = (s_new < lo) | (s_new > hi) | ((val != 0.0) > rising)
-            if bad.any():
-                np.copyto(s_new, 0.5 * (lo + hi), where=bad)
-            live = np.flatnonzero(np.abs(s_new - s) > _SOLVE_TOL)
-            # the first moving record alone is checked first: in a sweep
-            # still converging it has not cycled, and nothing is gathered
-            settled = live.size == 0 or (
-                s_new[live[0]] == prev[live[0]]
-                and np.array_equal(s_new[live], prev[live])
-            )
-            prev, s = s, s_new
-            if settled:
-                break
-        return np.clip(s, 0.0, 1.0), sweep
 
     def sample(self, n: int, seed: int) -> IdealSample:
         check_records(n)
@@ -481,8 +446,9 @@ def read_meta(path) -> DatasetMeta:
         raise ValidationError("line 1: missing '# meta:' header")
     try:
         return DatasetMeta.from_dict(json.loads(header[len("# meta: "):]))
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
-        # ValueError covers malformed JSON and fields that do not parse
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+        # ValueError covers malformed JSON and fields that do not parse,
+        # OverflowError an integer field past a double's range (int(inf))
         raise ValidationError(f"line 1: bad metadata ({exc})")
 
 

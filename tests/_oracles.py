@@ -9,12 +9,9 @@ another way: the Radon transform of a Wigner evaluator (against
 the L2 distance of Wigner functions), and the lower bound's base-density
 tail mass by its asymptotic series (against the densities' normalization).
 ``p_alpha_xi`` names the noiseless base density, the eta = 1 case of the
-package's one mixture rule.  Two are frozen copies of earlier fast paths,
-so that a faster one can be held to their values:
-``gl_cos_sum_flat_reference``, the flat cosine sum before the separable
-grid, and ``_solve_cubic_reference``, the cell-cubic solve as generator
-``wignerscope-sampler/2`` first shipped it, whose stopping rule runs to its
-sweep cap where Newton swings between two iterates.
+package's one mixture rule.  ``gl_cos_sum_flat_reference`` is a frozen
+copy of an earlier fast path, the flat cosine sum before the separable
+grid, so that the faster one can be held to its values.
 """
 
 from __future__ import annotations
@@ -139,40 +136,6 @@ def _binom_neg(a: float, k: int) -> float:
     for i in range(k):
         out *= (-(a + 1.0) - i) / (i + 1.0)
     return out
-
-
-# Newton stopping rule of the frozen solve: in units of a cell, and the
-# sweep cap
-_REF_SOLVE_TOL = 1e-15
-_REF_MAX_SWEEPS = 64
-
-
-def _solve_cubic_reference(dc, m0, m1, t):
-    """Solve H(s) = t on [0, 1] for the monotone Hermite cubic with
-    H(0)=0, H(1)=dc, H'(0)=m0, H'(1)=m1 (all arrays), by bisection-
-    safeguarded Newton.  Returns (s, sweeps run)."""
-    a = m0 + m1 - 2.0 * dc
-    b = 3.0 * dc - 2.0 * m0 - m1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(dc > 0.0, t / np.where(dc > 0.0, dc, 1.0), 0.5)
-    s = np.clip(s, 0.0, 1.0)
-    lo = np.zeros_like(s)
-    hi = np.ones_like(s)
-    for sweep in range(1, _REF_MAX_SWEEPS + 1):
-        val = ((a * s + b) * s + m0) * s - t
-        der = (3.0 * a * s + 2.0 * b) * s + m0
-        hi = np.where(val > 0.0, s, hi)
-        lo = np.where(val <= 0.0, s, lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(der > 0.0, val / np.where(der > 0.0, der, 1.0), 0.0)
-        s_new = s - step
-        bad = (s_new < lo) | (s_new > hi) | ((der <= 0.0) & (val != 0.0))
-        s_new = np.where(bad, 0.5 * (lo + hi), s_new)
-        moved = float(np.max(np.abs(s_new - s)))
-        s = s_new
-        if moved <= _REF_SOLVE_TOL:
-            break
-    return np.clip(s, 0.0, 1.0), sweep
 
 
 def gl_cos_sum_flat_reference(y, a: float, b: float, max_width: float, g) -> np.ndarray:

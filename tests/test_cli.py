@@ -295,6 +295,19 @@ class TestParseErrors:
         path.write_text('{"dim": 2, "re": [[1, 0], [0, 0]')
         return path
 
+    @pytest.fixture()
+    def nan_json(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 2, "tail_mass": 0.0, "re": [[0.5, NaN], [NaN, 0.5]], '
+                        '"im": [[0, 0], [0, 0]]}')
+        return path
+
+    @pytest.fixture()
+    def dim_inf_json(self, tmp_path):
+        path = tmp_path / "dim_inf.json"
+        path.write_text('{"dim": 1e400, "tail_mass": 0.0, "re": [[1.0]], "im": [[0.0]]}')
+        return path
+
     @pytest.mark.parametrize("state,points", [
         ("fock:0", "0,0;zz"),
         ("fock:0", ""),
@@ -304,10 +317,14 @@ class TestParseErrors:
         ("squeezed:", "0,0"),
         ("cat:q", "0,0"),
         ("file:{bad_json}", "0,0"),
+        ("file:{nan_json}", "0,0"),
+        ("file:{dim_inf_json}", "0,0"),
     ])
-    def test_risk_parse_error_exit_1(self, tmp_path, capsys, bad_json, state, points):
+    def test_risk_parse_error_exit_1(self, tmp_path, capsys, bad_json, nan_json, dim_inf_json,
+                                     state, points):
         out = tmp_path / "risk.json"
-        rc = run(["risk", "--state", state.format(bad_json=bad_json), "--eta", "0.9",
+        state = state.format(bad_json=bad_json, nan_json=nan_json, dim_inf_json=dim_inf_json)
+        rc = run(["risk", "--state", state, "--eta", "0.9",
                   "--n", "100", "--reps", "2", "--points", points, "--rule", "0.4",
                   "--seed", "1", "--out", str(out)])
         err = capsys.readouterr().err
@@ -618,8 +635,15 @@ class TestCliContract:
         lambda meta: meta.update(state={"kind": "cat", "dim": None,
                                         "params": {"q0": 1.0, "axis": "z"}}),
         lambda meta: meta["state"].update(params={"n": 3000}),
+        lambda meta: meta.update(state={"kind": "custom", "dim": 2, "params": {"matrix": {
+            "dim": 2, "tail_mass": 0.0, "re": [[0.5, math.nan], [math.nan, 0.5]],
+            "im": [[0.0, 0.0], [0.0, 0.0]]}}}),
+        lambda meta: meta.update(n=math.inf),
+        lambda meta: meta.update(seed=math.inf),
+        lambda meta: meta["state"].update(params={"n": math.inf}),
     ], ids=["eta", "n", "params", "ragged-matrix", "kind", "dim", "no-params", "cat-axis",
-            "fock-past-budget"])
+            "fock-past-budget", "nan-matrix", "n-past-ints", "seed-past-ints",
+            "fock-n-past-ints"])
     def test_header_that_cannot_be_rebuilt_one_line(self, small_data, tmp_path, capsys,
                                                     monkeypatch, command, edit):
         # refused at line 1: no record is parsed, nothing estimated or built
@@ -632,7 +656,9 @@ class TestCliContract:
         meta = json.loads(header[len("# meta: "):])
         edit(meta)
         data = tmp_path / "d.csv"
-        data.write_text(f"# meta: {json.dumps(meta)}\n{records}")
+        # an infinite number is written as 1e400, a JSON number past a double
+        header = json.dumps(meta).replace("Infinity", "1e400")
+        data.write_text(f"# meta: {header}\n{records}")
         out = tmp_path / "out"
         rc = run(small_argv(command, data, out))
         err = capsys.readouterr().err

@@ -359,6 +359,15 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError):
             fs.DensityMatrix(dim=2, entries=entries)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                   complex(0.0, -math.inf)], ids=["nan", "inf", "im-inf"])
+    def test_rejects_non_finite_entry(self, z):
+        # every other check compares false on NaN
+        entries = np.diag([0.5, 0.5]).astype(complex)
+        entries[0, 1], entries[1, 0] = z, np.conj(z)
+        with pytest.raises(ValidationError, match="non-finite matrix entry"):
+            fs.DensityMatrix(dim=2, entries=entries)
+
     def test_json_roundtrip(self):
         rho = fs.materialize(fs.StateSpec.coherent(1.0, 0.5))
         again = fs.DensityMatrix.from_json_dict(rho.to_json_dict())

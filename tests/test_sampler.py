@@ -9,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from _oracles import _solve_cubic_reference, noisy_density
+from _oracles import noisy_density
 from wignerscope import fockspace as fs
 from wignerscope import sampler as sp
 from wignerscope import tomography as tg
@@ -241,7 +241,7 @@ def _hermite(s, dc, m0, m1):
 
 
 def _cell_cubics(grid, pdf, cdf, bucket, u):
-    """Per record, as generator wignerscope-sampler/4 defines its cell, one
+    """Per record, as generator wignerscope-sampler/5 defines its cell, one
     record at a time: the row's searchsorted cell (the last one at most),
     its left node, mass dc and target t above the node, and the slopes of
     _fc_slopes."""
@@ -258,7 +258,7 @@ def _cell_cubics(grid, pdf, cdf, bucket, u):
 
 
 def _invert_scalar(grid, pdf, cdf, bucket, u):
-    """Generator wignerscope-sampler/4's inversion one record at a time:
+    """Generator wignerscope-sampler/5's inversion one record at a time:
     the root of each record's cell cubic from brentq; a cell of no mass
     gives its midpoint."""
     h = grid[1] - grid[0]
@@ -276,6 +276,28 @@ def _synthetic_sampler(grid, pdf, cdf):
     synthetic.x_grid, synthetic.pdf, synthetic.cdf = grid, pdf, cdf
     synthetic.row_total = cdf[:, -1].copy()
     return synthetic
+
+
+def _plateau_table():
+    """A synthetic table: trapezoid CDF rows with zero-mass cells (dc = 0);
+    after the CDF is built, row 5's pdf is set to 0 on every other node and
+    to spikes on the rest, so every cell of row 5 lies outside the monotone
+    region and is scaled onto its edge, where H' touches 0.  Returns (rng,
+    grid, pdf, cdf), rng as the table left it."""
+    rng = np.random.default_rng(5)
+    n = 33
+    grid = np.linspace(-3.0, 3.0, n)
+    pdf = rng.exponential(size=(6, n))
+    pdf[1, : n // 3 + 1] = 0.0              # leading plateau
+    pdf[2, n // 2:] = 0.0                   # trailing plateau
+    pdf[3, n // 4: n // 2 + 1] = 0.0        # interior plateau
+    pdf[4] = 0.0                            # all-zero row
+    cdf = np.zeros_like(pdf)
+    np.cumsum(0.5 * (grid[1] - grid[0]) * (pdf[:, 1:] + pdf[:, :-1]), axis=1,
+              out=cdf[:, 1:])
+    pdf[5, 0::2] = 0.0
+    pdf[5, 1::2] = 1e3
+    return rng, grid, pdf, cdf
 
 
 class TestInversion:
@@ -308,8 +330,8 @@ class TestInversion:
         fs.StateSpec.squeezed(0.5), fs.StateSpec.cat(3.01),
     ], ids=["fock3", "coherent", "squeezed", "cat3.01"])
     def test_invert_agrees_with_bracketed_loop(self, spec):
-        # the fixed-step solve against _solve_cubic's bracketed loop run on
-        # the whole batch, against the cubic itself and against brentq
+        # the fixed-step solve against _bisect_cubic run on the whole batch,
+        # against the cubic itself and against brentq
         sampler = sp.QuadratureSampler(fs.materialize(spec))
         grid = sampler.x_grid
         h = grid[1] - grid[0]
@@ -322,7 +344,7 @@ class TestInversion:
             )
             col, dc, m0, m1, t = sampler._cells(bucket, u)
             s = sp.QuadratureSampler._solve(dc, m0, m1, t)
-            loop, _ = sp.QuadratureSampler._solve_cubic(dc, m0, m1, t)
+            loop = sp._bisect_cubic(dc, m0, m1, t)
             assert np.max(np.abs(s - loop)) <= 2e-15
             pos = dc > 0.0
             residual = _hermite(s, dc, m0, m1) - t
@@ -357,23 +379,8 @@ class TestInversion:
         assert not z0.any() and not z1.any()
 
     def test_invert_equals_reference_on_plateaus(self):
-        # a synthetic table: trapezoid CDF rows with zero-mass cells (dc = 0);
-        # after the CDF is built, row 5's pdf is set to 0 on every other node
-        # and to spikes on the rest, so every cell of row 5 lies outside the
-        # monotone region and is scaled onto its edge, where H' touches 0
-        rng = np.random.default_rng(5)
-        n = 33
-        grid = np.linspace(-3.0, 3.0, n)
-        pdf = rng.exponential(size=(6, n))
-        pdf[1, : n // 3 + 1] = 0.0              # leading plateau
-        pdf[2, n // 2:] = 0.0                   # trailing plateau
-        pdf[3, n // 4: n // 2 + 1] = 0.0        # interior plateau
-        pdf[4] = 0.0                            # all-zero row
-        cdf = np.zeros_like(pdf)
-        np.cumsum(0.5 * (grid[1] - grid[0]) * (pdf[:, 1:] + pdf[:, :-1]), axis=1,
-                  out=cdf[:, 1:])
-        pdf[5, 0::2] = 0.0
-        pdf[5, 1::2] = 1e3
+        rng, grid, pdf, cdf = _plateau_table()
+        n = grid.size
         synthetic = _synthetic_sampler(grid, pdf, cdf)
 
         bucket = np.repeat(np.arange(6), 400)
@@ -398,12 +405,23 @@ class TestInversion:
             assert min(m0, m1) == 0.0
             assert abs(_hermite((got[i] - x0) / h, dc, m0, m1) - t) <= 1e-13 * dc
 
+    def test_corner_record_lands_on_its_root(self):
+        # row 5's first cell has its slopes at the monotone region's corner
+        # (0, 3) dc, so H = dc s^3, and a target just past the node (u =
+        # 5e-324) puts the root near 5e-108 of a cell, where Newton only
+        # shrinks s by 2/3 a step and would crawl
+        _, grid, pdf, cdf = _plateau_table()
+        synthetic = _synthetic_sampler(grid, pdf, cdf)
+        col, dc, m0, m1, t = synthetic._cells(np.array([5]), np.array([5e-324]))
+        assert col[0] == 0 and m0[0] == 0.0 and m1[0] == 3.0 * dc[0] and t[0] > 0.0
+        s = sp.QuadratureSampler._solve(dc, m0, m1, t)
+        assert abs(s[0] - np.cbrt(t[0] / dc[0])) <= sp._SOLVE_TOL
+
     def test_two_cycles_settle(self, monkeypatch):
         # exponential pdf rows, trapezoid CDF, 33 nodes: at the three records
         # appended, where m1/dc is 0.15, 0.13 and 0.0013, the rounding of
         # H(s) - t flips its sign between two iterates about ulp(t)/H' apart
-        # and Newton swings between them: the frozen stopping rule of
-        # wignerscope-sampler/2 runs all _MAX_SWEEPS sweeps on each alone
+        # and Newton swings between them
         rng = np.random.default_rng(5)
         grid = np.linspace(-3.0, 3.0, 33)
         pdf = rng.exponential(size=(6, grid.size))
@@ -414,25 +432,20 @@ class TestInversion:
         u = np.concatenate([rng.random(2000),
                             [0.987236448763953, 0.95254623336114, 0.6459950213120654]])
         calls = []
-        solve = sp.QuadratureSampler._solve_cubic
+        solve = sp._bisect_cubic
 
         def spy(*args):
-            s, k = solve(*args)
-            calls.append((args, k))
-            return s, k
+            calls.append(args)
+            return solve(*args)
 
-        monkeypatch.setattr(sp.QuadratureSampler, "_solve_cubic", staticmethod(spy))
+        monkeypatch.setattr(sp, "_bisect_cubic", spy)
         synthetic = _synthetic_sampler(grid, pdf, cdf)
         x = synthetic._invert(bucket, u)
-        (args, sweeps), = calls
+        args, = calls
         _, *cycling = synthetic._cells(bucket[-3:], u[-3:])
-        for i in range(3):
-            assert _solve_cubic_reference(*(c[i:i + 1] for c in cycling))[1] == sp._MAX_SWEEPS
         # the fixed steps land the first on H(s) = t exactly; the other two
-        # still swing and reach the bracketed loop, which settles them
+        # still swing and reach the bisection, which settles them
         assert np.isin(cycling[3][1:], args[3]).all()
-        assert _solve_cubic_reference(*args)[1] == sp._MAX_SWEEPS
-        assert sweeps < sp._MAX_SWEEPS
         h = grid[1] - grid[0]
         want = _invert_scalar(grid, pdf, cdf, bucket, u)
         assert np.max(np.abs(x - want)) <= 1e-12 * h
@@ -441,19 +454,17 @@ class TestInversion:
         # brentq oracle on each record's own monotone Hermite cubic; the
         # cell is rebuilt from the same RNG stream the sampler reads
         calls = []
-        solve = sp.QuadratureSampler._solve_cubic
+        solve = sp._bisect_cubic
 
         def spy(*args):
-            s, k = solve(*args)
-            calls.append((args[0].size, k))
-            return s, k
+            calls.append(args[0].size)
+            return solve(*args)
 
-        monkeypatch.setattr(sp.QuadratureSampler, "_solve_cubic", staticmethod(spy))
+        monkeypatch.setattr(sp, "_bisect_cubic", spy)
         n_rec, seed = 500, 2024
         x = cat_sampler.sample(n_rec, seed).x
-        # few records fall back to the bracketed loop, and those settle
-        assert sum(size for size, _ in calls) <= 1e-3 * n_rec
-        assert all(k < sp._MAX_SWEEPS for _, k in calls)
+        # few records fall back to the bisection
+        assert sum(calls) <= 1e-3 * n_rec
 
         rng = sp._stream(seed, sp._PHI_STREAM)
         phi = rng.uniform(0.0, math.pi, size=n_rec)
@@ -466,13 +477,13 @@ class TestInversion:
 
     def test_generator_version(self, tmp_path):
         ds = sp.simulate(fs.StateSpec.fock(1), 20, 0.9, seed=3)
-        assert ds.meta.generator_version == "wignerscope-sampler/4"
+        assert ds.meta.generator_version == "wignerscope-sampler/5"
         path = tmp_path / "old.csv"
         sp.write_dataset(ds, path)
-        text = path.read_text().replace("wignerscope-sampler/4", "wignerscope-sampler/3")
+        text = path.read_text().replace("wignerscope-sampler/5", "wignerscope-sampler/4")
         path.write_text(text)
         old = sp.read_dataset(path)
-        assert old.meta.generator_version == "wignerscope-sampler/3"
+        assert old.meta.generator_version == "wignerscope-sampler/4"
         assert np.array_equal(old.y, ds.y)
 
 
