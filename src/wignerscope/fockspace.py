@@ -2,11 +2,11 @@
 
 The Hermite oscillator eigenfunctions and the normalized associated-
 Laguerre family b_j^d, both from one three-term recurrence carried with a
-per-point exponent; standard quantum states (number, coherent, squeezed
-vacuum, cat), whose recipes (StateSpec) refuse an order, a dim or a mean
-photon number past the stability budget when they are built; and
-pointwise Wigner-function evaluation through the closed Laguerre form of
-the basis kernels.
+per-point exponent and run in blocks of 48 rows; standard quantum states
+(number, coherent, squeezed vacuum, cat), whose recipes (StateSpec)
+refuse an order, a dim or a mean photon number past the stability budget
+when they are built; and pointwise Wigner-function evaluation through the
+closed Laguerre form of the basis kernels.
 
 All number conventions: the oscillator eigenfunctions are
 
@@ -18,6 +18,7 @@ function is exp(-q^2 - p^2)/pi.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,15 +27,16 @@ import numpy as np
 
 from .errors import ValidationError
 
-MAX_ORDER = 2000          # stability budget for hermite_psi_table / laguerre_rows
+MAX_ORDER = 2000          # stability budget for hermite_psi_table / laguerre_blocks
 DEFAULT_TAIL_MASS = 1e-8  # truncation rule: diagonal tail mass target
 _MAX_DIM = MAX_ORDER + 1  # truncation cap: psi_0..psi_MAX_ORDER
 
-# laguerre_rows evaluates larger x here: |b_j^d(x)| <= e^{-x/2} (2x)^{j+d}
+# laguerre_blocks evaluates larger x here: |b_j^d(x)| <= e^{-x/2} (2x)^{j+d}
 # is below the smallest double past it for every j + d <= MAX_ORDER
 _LAGUERRE_X_ZERO = 5.0e4
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
+_BLOCK = 48  # rows of a recurrence block, the rescale period
 
 
 def _check_order(j: int) -> None:
@@ -51,38 +53,57 @@ def _check_dim(dim: int) -> None:
         )
 
 
-def _recurrence_rows(n: int, log2_y0: np.ndarray, coef):
-    """Rows y_0..y_{n-1}, one at a time, of the three-term recurrence
+def _recurrence_blocks(n: int, log2_y0: np.ndarray, a_rows, b: np.ndarray):
+    """Rows y_0..y_{n-1} of the three-term recurrence
 
-        y_{k+1} = a_k y_k - b_k y_{k-1},   (a_k, b_k) = coef(k),   y_{-1} = 0,
+        y_{k+1} = a_k y_k - b_k y_{k-1},   y_{-1} = 0,
 
-    from y_0 = 2^log2_y0 (0 where log2_y0 = -inf).  Each point is carried as
+    from y_0 = 2^log2_y0 (0 where log2_y0 = -inf), in blocks: row 0 alone,
+    then rows 1-48, 49-96, ... (at most _BLOCK rows, one array each).
+    a_rows(ks, out) writes a_k for the k in the slice ks into the (rows,
+    points) array out; b holds b_0..b_{n-2}.  Each point is carried as
     mantissa * 2^exponent, so rows that start below the smallest double can
-    grow back into range.  Every 48 orders, a point whose pair has left
-    [2^-500, 2^500] is rescaled by 2^500 or 2^-500; the scaling is exact.
+    grow back into range.  After rows 1, 49, 97, ... a point whose last two
+    rows have left [2^-500, 2^500] is rescaled by 2^500 or 2^-500; the
+    scaling is exact.  A row costs two ufunc calls into views of one buffer,
+    made once: (-b_k, a_k) times (y_{k-1}, y_k), then the sum of the two
+    products, which rounds as a_k y_k - b_k y_{k-1} does.
     """
     expo = np.floor(np.nan_to_num(log2_y0, neginf=0.0)).astype(np.int32)
-    prev, cur = 0.0, np.exp2(log2_y0 - expo)
-    for k in range(n - 1):
-        yield np.ldexp(cur, expo)
-        a, b = coef(k)
-        cur, prev = a * cur - b * prev, cur
-        if k % 48 == 0:
-            m = np.maximum(np.abs(prev), np.abs(cur))
-            shift = np.zeros(m.shape, dtype=np.int32)
-            shift[m > 2.0 ** 500] = -500
-            shift[(m > 0.0) & (m < 2.0 ** -500)] = 500
-            if np.any(shift):
-                prev = np.ldexp(prev, shift)
-                cur = np.ldexp(cur, shift)
-                expo = expo - shift
-    yield np.ldexp(cur, expo)
+    rows = min(n - 1, _BLOCK)
+    buf = np.zeros((rows + 2, log2_y0.size))  # the two rows before a block, then it
+    buf[1] = np.exp2(log2_y0 - expo)
+    yield np.ldexp(buf[1:2], expo)
+    coefs = np.empty((rows, 2, log2_y0.size))
+    prods = np.empty((2, log2_y0.size))
+    steps = [(coefs[i], buf[i:i + 2], buf[i + 2]) for i in range(rows)]
+    mul, add, p0, p1 = np.multiply, np.add, prods[0], prods[1]
+    for k0 in range(0, n - 1, _BLOCK):
+        ks = slice(k0, min(k0 + _BLOCK, n - 1))
+        r = ks.stop - k0
+        coefs[:r, 0] = -b[ks, None]
+        a_rows(ks, coefs[:r, 1])
+        mul(coefs[0], buf[:2], prods)
+        add(p0, p1, buf[2])
+        m = np.maximum(np.abs(buf[1]), np.abs(buf[2]))
+        shift = np.zeros(m.shape, dtype=np.int32)
+        shift[m > 2.0 ** 500] = -500
+        shift[(m > 0.0) & (m < 2.0 ** -500)] = 500
+        if np.any(shift):
+            np.ldexp(buf[1:3], shift, out=buf[1:3])
+            expo = expo - shift
+        for c, pair, row in steps[1:r]:
+            mul(c, pair, prods)
+            add(p0, p1, row)
+        yield np.ldexp(buf[2:r + 2], expo)
+        buf[:2] = buf[r:r + 2]
 
 
 def hermite_psi_table(j_max: int, x) -> np.ndarray:
     """All psi_0..psi_{j_max} on an array of points; shape (j_max+1, len(x)).
 
-    Rows of the normalized recurrence (``_recurrence_rows``)
+    Blocks of at most 48 rows of the normalized recurrence
+    (``_recurrence_blocks``)
 
         psi_{j+1} = x sqrt(2/(j+1)) psi_j - sqrt(j/(j+1)) psi_{j-1},
 
@@ -91,33 +112,45 @@ def hermite_psi_table(j_max: int, x) -> np.ndarray:
     _check_order(j_max)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     log2_psi0 = -0.25 * math.log2(math.pi) - x * x / (2.0 * _LOG2)
-    rows = _recurrence_rows(j_max + 1, log2_psi0,
-                            lambda k: (x * math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))))
-    out = np.empty((j_max + 1, x.size))
-    for j, row in enumerate(rows):
-        out[j] = row
-    return out
+    j = np.arange(j_max, dtype=float)
+    scale = np.sqrt(2.0 / (j + 1.0))
+
+    def a_rows(ks, out):
+        np.multiply(scale[ks, None], x, out=out)
+
+    return np.concatenate(list(_recurrence_blocks(j_max + 1, log2_psi0, a_rows,
+                                                  np.sqrt(j / (j + 1.0)))))
 
 
-def laguerre_rows(j_max: int, d: int, x):
-    """Rows b_0^d..b_{j_max}^d on an array of points, one at a time, of the
-    normalized associated-Laguerre family (displacement-operator matrix
-    elements, bounded by 1 in absolute value)
+def laguerre_blocks(j_max: int, d: int, x):
+    """Rows b_0^d..b_{j_max}^d on an array of points, in blocks of at most
+    48 rows, of the normalized associated-Laguerre family (displacement-
+    operator matrix elements, bounded by 1 in absolute value)
 
         b_j^d(x) = sqrt(j!/(j+d)!) x^{d/2} e^{-x/2} L_j^{(d)}(x),
 
-    from their normalized recurrence (``_recurrence_rows``), so e^{-x/2}
-    may underflow.  At x = 0 with d > 0 every row is 0.
+    from their normalized recurrence (``_recurrence_blocks``), so e^{-x/2}
+    may underflow.  At x = 0 with d > 0 every row is 0.  The order is
+    checked at the call, before the first block is asked for.
     """
     _check_order(j_max + d)
     x = np.minimum(np.atleast_1d(np.asarray(x, dtype=float)), _LAGUERRE_X_ZERO)
     log2_b0 = -x / (2.0 * _LOG2) - 0.5 * math.lgamma(d + 1) / _LOG2
     if d > 0:
         log2_b0 += 0.5 * d * np.log2(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
-    return _recurrence_rows(j_max + 1, log2_b0, lambda j: (
-        (2 * j + d + 1 - x) / math.sqrt((j + 1.0) * (j + d + 1.0)),
-        math.sqrt(j * (j + d) / ((j + 1.0) * (j + d + 1.0))),
-    ))
+    j = np.arange(j_max, dtype=float)
+    norm = (j + 1.0) * (j + d + 1.0)
+    center, scale = 2.0 * j + (d + 1.0), np.sqrt(norm)
+
+    def a_rows(ks, out):
+        np.divide(np.subtract(center[ks, None], x, out=out), scale[ks, None], out=out)
+
+    return _recurrence_blocks(j_max + 1, log2_b0, a_rows, np.sqrt(j * (j + d) / norm))
+
+
+def laguerre_rows(j_max: int, d: int, x):
+    """The rows of ``laguerre_blocks(j_max, d, x)``, one at a time."""
+    return itertools.chain.from_iterable(laguerre_blocks(j_max, d, x))
 
 
 @dataclass(frozen=True)

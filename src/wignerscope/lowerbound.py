@@ -45,7 +45,7 @@ from ._quad import (
 )
 from .errors import ValidationError
 from .estimator import rate_phi2
-from .fockspace import MAX_ORDER, _check_order, laguerre_rows
+from .fockspace import MAX_ORDER, _check_order, laguerre_blocks
 from .tomography import (
     ClassIntegralResult, NoiseModel, SmoothnessClass, bandwidth_root, class_integral,
 )
@@ -436,9 +436,10 @@ def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) ->
         tau_kk = 4 pi^2 int_0^inf L_k(t^2/2) e^{-t^2/4} t J(t) dt,
 
     by j_segments' rule over J's support.  L_k(t^2/2) e^{-t^2/4} is the
-    bounded Laguerre row b_k^0(t^2/2) (``fockspace.laguerre_rows``), so
-    neither factor over- or underflows; it oscillates like J_0(t sqrt(2k+1))
-    (Hilb's formula), so the rule's panels resolve omega = sqrt(2 k_max + 1).
+    bounded Laguerre row b_k^0(t^2/2), so neither factor over- or
+    underflows; it oscillates like J_0(t sqrt(2k+1)) (Hilb's formula), so the
+    rule's panels resolve omega = sqrt(2 k_max + 1).  The blocks of
+    ``fockspace.laguerre_blocks`` fill one (k_max + 1, nodes) table.
     A table of more than _MAX_TAU_VALUES values is refused before it is built.
     """
     _check_order(k_max)
@@ -448,7 +449,7 @@ def tau_diag(bump: BumpSpec, cls: SmoothnessClass, htilde: float, k_max: int) ->
             f"tau's Laguerre table needs {k_max + 1} x {t.size} values, more than {_MAX_TAU_VALUES}"
         )
     weights = w * t * j_htilde(bump, cls, htilde, t)
-    lag = np.array(list(laguerre_rows(k_max, 0, t * t / 2.0)))
+    lag = np.concatenate(list(laguerre_blocks(k_max, 0, t * t / 2.0)))
     return 4.0 * math.pi**2 * (lag @ weights)
 
 

@@ -92,14 +92,16 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def check_records(n: int) -> None:
-    """The one rule on a draw's record count: an integer in [1, _MAX_RECORDS]."""
-    if not (isinstance(n, Integral) and 1 <= n <= _MAX_RECORDS):
+    """The one rule on a draw's record count: an integer (not a bool) in
+    [1, _MAX_RECORDS]."""
+    if not (isinstance(n, Integral) and not isinstance(n, bool) and 1 <= n <= _MAX_RECORDS):
         raise ValidationError(f"n must be an integer in [1, {_MAX_RECORDS}] records, got {n!r}")
 
 
 def check_seed(seed: int) -> None:
-    """The one rule on a seed: an integer in [0, 2^64), the RNG's 64-bit key."""
-    if not (isinstance(seed, Integral) and 0 <= seed <= _MASK64):
+    """The one rule on a seed: an integer (not a bool) in [0, 2^64), the
+    RNG's 64-bit key."""
+    if not (isinstance(seed, Integral) and not isinstance(seed, bool) and 0 <= seed <= _MASK64):
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -133,11 +135,18 @@ class DatasetMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetMeta":
+        """Rebuild from to_dict's form.  n and seed are checked as parsed,
+        so a fraction (or 5000.0) or a bool is refused, not cut: n by
+        check_records, except the 0 of a header-only file, and seed by
+        check_seed."""
+        if not (type(d["n"]) is int and d["n"] == 0):
+            check_records(d["n"])
+        check_seed(d["seed"])
         return cls(
             state=StateSpec.from_dict(d["state"]),
             eta=float(d["eta"]),
-            seed=int(d["seed"]),
-            n=int(d["n"]),
+            seed=d["seed"],
+            n=d["n"],
             generator_version=str(d.get("generator_version", "")),
         )
 

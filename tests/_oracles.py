@@ -11,7 +11,12 @@ tail mass by its asymptotic series (against the densities' normalization).
 ``p_alpha_xi`` names the noiseless base density, the eta = 1 case of the
 package's one mixture rule.  ``gl_cos_sum_flat_reference`` is a frozen
 copy of an earlier fast path, the flat cosine sum before the separable
-grid, so that the faster one can be held to its values.
+grid, so that the faster one can be held to its values, and
+``recurrence_rows_reference`` is a frozen copy of the three-term
+recurrence one row at a time, before ``fockspace._recurrence_blocks``,
+with the two coefficient rules it ran (``hermite_psi_reference``,
+``laguerre_rows_reference``), so that the block recurrence can be held to
+its rows bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from wignerscope._quad import _COS_SUM_BUDGET, _GL_X, _panel_rule, gl_panels
-from wignerscope.fockspace import DensityMatrix
+from wignerscope.fockspace import _LAGUERRE_X_ZERO, _LOG2, DensityMatrix
 from wignerscope.lowerbound import AlphaXi, _p_mixture
 from wignerscope.tomography import NoiseModel, quad_density, x_support_radius
 
@@ -162,3 +167,48 @@ def gl_cos_sum_flat_reference(y, a: float, b: float, max_width: float, g) -> np.
             - np.einsum("ij,ij->i", np.sin(phase), at_sin)
         )
     return out
+
+
+def recurrence_rows_reference(n: int, log2_y0: np.ndarray, coef):
+    """Rows y_0..y_{n-1}, one at a time, of y_{k+1} = a_k y_k - b_k y_{k-1}
+    with (a_k, b_k) = coef(k) and y_{-1} = 0, from y_0 = 2^log2_y0; each
+    point carried as mantissa * 2^exponent and rescaled by 2^+-500 after
+    rows 1, 49, 97, ... where its last two rows left [2^-500, 2^500]."""
+    expo = np.floor(np.nan_to_num(log2_y0, neginf=0.0)).astype(np.int32)
+    prev, cur = 0.0, np.exp2(log2_y0 - expo)
+    for k in range(n - 1):
+        yield np.ldexp(cur, expo)
+        a, b = coef(k)
+        cur, prev = a * cur - b * prev, cur
+        if k % 48 == 0:
+            m = np.maximum(np.abs(prev), np.abs(cur))
+            shift = np.zeros(m.shape, dtype=np.int32)
+            shift[m > 2.0 ** 500] = -500
+            shift[(m > 0.0) & (m < 2.0 ** -500)] = 500
+            if np.any(shift):
+                prev = np.ldexp(prev, shift)
+                cur = np.ldexp(cur, shift)
+                expo = expo - shift
+    yield np.ldexp(cur, expo)
+
+
+def hermite_psi_reference(j_max: int, x) -> np.ndarray:
+    """psi_0..psi_{j_max} at x, a (j_max + 1, len(x)) table, row by row."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    log2_psi0 = -0.25 * math.log2(math.pi) - x * x / (2.0 * _LOG2)
+    rows = recurrence_rows_reference(j_max + 1, log2_psi0, lambda k: (
+        x * math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))))
+    return np.array(list(rows))
+
+
+def laguerre_rows_reference(j_max: int, d: int, x) -> np.ndarray:
+    """b_0^d..b_{j_max}^d at x, a (j_max + 1, len(x)) table, row by row."""
+    x = np.minimum(np.atleast_1d(np.asarray(x, dtype=float)), _LAGUERRE_X_ZERO)
+    log2_b0 = -x / (2.0 * _LOG2) - 0.5 * math.lgamma(d + 1) / _LOG2
+    if d > 0:
+        log2_b0 += 0.5 * d * np.log2(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
+    rows = recurrence_rows_reference(j_max + 1, log2_b0, lambda j: (
+        (2 * j + d + 1 - x) / math.sqrt((j + 1.0) * (j + d + 1.0)),
+        math.sqrt(j * (j + d) / ((j + 1.0) * (j + d + 1.0))),
+    ))
+    return np.array(list(rows))

@@ -641,9 +641,13 @@ class TestCliContract:
         lambda meta: meta.update(n=math.inf),
         lambda meta: meta.update(seed=math.inf),
         lambda meta: meta["state"].update(params={"n": math.inf}),
+        lambda meta: meta.update(n=meta["n"] + 0.9),
+        lambda meta: meta.update(seed=meta["seed"] + 0.5),
+        lambda meta: meta.update(n=True),
+        lambda meta: meta.update(seed=False),
     ], ids=["eta", "n", "params", "ragged-matrix", "kind", "dim", "no-params", "cat-axis",
             "fock-past-budget", "nan-matrix", "n-past-ints", "seed-past-ints",
-            "fock-n-past-ints"])
+            "fock-n-past-ints", "n-fractional", "seed-fractional", "n-bool", "seed-bool"])
     def test_header_that_cannot_be_rebuilt_one_line(self, small_data, tmp_path, capsys,
                                                     monkeypatch, command, edit):
         # refused at line 1: no record is parsed, nothing estimated or built

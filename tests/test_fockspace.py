@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 
-from _oracles import hs_distance_sq
+from _oracles import (
+    hermite_psi_reference, hs_distance_sq, laguerre_rows_reference, recurrence_rows_reference,
+)
 from wignerscope import fockspace as fs
 from wignerscope.errors import ValidationError
 
@@ -147,6 +149,77 @@ class TestLaguerre:
         for d in range(fs.MAX_ORDER + 1):
             exact = math.log(math.factorial(d))
             assert abs(math.lgamma(d + 1) - exact) <= 4 * math.ulp(exact)
+
+
+def _same_bits(got, want):
+    # equal values with equal signs of zero
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBlockRecurrence:
+    """The block recurrence against the row-at-a-time one it replaced
+    (``_oracles.recurrence_rows_reference``): the same rows, bit for bit."""
+
+    # table lengths around the block of 48 rows, and the longest table
+    LENGTHS = [1, 2, 47, 48, 49, 50, 97, 2001]
+    # x = 0, the underflow of e^{-x/2} (1490) and the overflow of L_k, and
+    # x at and past _LAGUERRE_X_ZERO
+    X = np.array([0.0, 1e-300, 0.5, 3.0, 77.7, 1490.0, 1800.0, 3000.0,
+                  fs._LAGUERRE_X_ZERO, 1e6, math.inf])
+
+    @pytest.mark.parametrize("d", [0, 1, 5, 40])
+    @pytest.mark.parametrize("rows", LENGTHS)
+    def test_laguerre_rows(self, d, rows):
+        j_max = min(rows - 1, fs.MAX_ORDER - d)
+        got = np.array(list(fs.laguerre_rows(j_max, d, self.X)))
+        _same_bits(got, laguerre_rows_reference(j_max, d, self.X))
+
+    @pytest.mark.parametrize("rows", LENGTHS)
+    def test_hermite_psi_table(self, rows):
+        # past |x| = 38.6 psi_0 underflows, and the high orders grow back
+        x = np.linspace(-45.0, 45.0, 181)
+        _same_bits(fs.hermite_psi_table(rows - 1, x), hermite_psi_reference(rows - 1, x))
+
+    @pytest.mark.parametrize("j_max,points", [(31, 2049), (63, 2049), (1023, 2049),
+                                              (2000, 1), (2000, 64)])
+    def test_hermite_psi_table_on_grids(self, j_max, points):
+        # the sampler's 2049-point grids, and one point and 64 at every order
+        x = np.linspace(-12.0, 12.0, points) if points > 1 else np.array([37.5])
+        _same_bits(fs.hermite_psi_table(j_max, x), hermite_psi_reference(j_max, x))
+
+    def test_blocks_of_48_rows(self):
+        sizes = [block.shape for block in fs.laguerre_blocks(200, 0, self.X)]
+        assert sizes == [(1, self.X.size)] + [(48, self.X.size)] * 4 + [(8, self.X.size)]
+
+    @pytest.fixture
+    def powers(self):
+        # y_k = 2^(log2_y0 + step k) with b = 0, and a second recurrence with
+        # b != 0 on the same points; either mantissa leaves [2^-500, 2^500]
+        # by row 97, and is rescaled inside the block of rows 97-144 (after
+        # its first row).  Unscaled, the first would overflow from row 103
+        # and the second underflow to 0 from row 108.
+        n = 200
+        log2_y0 = np.array([-1500.0, 1000.0, 0.0])
+        a = np.tile([2.0 ** 10, 2.0 ** -10, 1.5], (n - 1, 1))
+        return n, log2_y0, a
+
+    def test_rescale_inside_a_block_is_exact(self, powers):
+        n, log2_y0, a = powers
+        got = np.concatenate(list(fs._recurrence_blocks(
+            n, log2_y0, lambda ks, out: np.copyto(out, a[ks]), np.zeros(n - 1))))
+        k = np.arange(n)
+        assert np.array_equal(got[:, 0], np.ldexp(1.0, -1500 + 10 * k))
+        assert np.array_equal(got[:, 1], np.ldexp(1.0, 1000 - 10 * k))
+
+    def test_rescale_inside_a_block_matches_reference(self, powers):
+        n, log2_y0, a = powers
+        b = 0.25 + np.arange(n - 1) / n
+        got = np.concatenate(list(fs._recurrence_blocks(
+            n, log2_y0, lambda ks, out: np.copyto(out, a[ks]), b)))
+        want = np.array(list(recurrence_rows_reference(n, log2_y0, lambda k: (a[k], b[k]))))
+        assert np.all(np.isfinite(got[150]))
+        _same_bits(got, want)
 
 
 class TestMaterialize:

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, eval_laguerre, gamma as gamma_fn
 
-from _oracles import gl_cos_sum_flat_reference, p_alpha_xi, p_tail_mass
+from _oracles import gl_cos_sum_flat_reference, laguerre_rows_reference, p_alpha_xi, p_tail_mass
 from wignerscope import _quad
 from wignerscope import fockspace as fs
 from wignerscope import lowerbound as lb
@@ -491,6 +491,41 @@ class TestTauDiag:
         ht = lb.htilde_solve(cls, nm, n)
         tau = lb.tau_diag(bump, cls, ht, k_max)
         assert abs(tau.sum()) <= 1e-5
+
+    @staticmethod
+    def _nodes_and_weights(fixture_objects, n):
+        _, bump, cls, nm, _, k_max = fixture_objects
+        ht = lb.htilde_solve(cls, nm, n)
+        t, w = lb._j_rule(bump, cls, ht, math.sqrt(2.0 * k_max + 1.0))
+        return t * t / 2.0, w * t * lb.j_htilde(bump, cls, ht, t), ht
+
+    @pytest.mark.parametrize("n", [1e120, 1e160, 1e200])
+    def test_table_and_tau_match_the_row_recurrence(self, fixture_objects, n):
+        # the Laguerre blocks at the fixture's tau nodes are the rows of the
+        # row-at-a-time recurrence, and tau is that table times the weights
+        _, bump, cls, _, _, k_max = fixture_objects
+        x, weights, ht = self._nodes_and_weights(fixture_objects, n)
+        table = laguerre_rows_reference(k_max, 0, x)
+        assert np.array_equal(np.concatenate(list(fs.laguerre_blocks(k_max, 0, x))), table)
+        assert np.all(lb.tau_diag(bump, cls, ht, k_max) == 4.0 * math.pi**2 * (table @ weights))
+
+    def test_table_past_its_cap_never_enters_the_recurrence(self, fixture_objects,
+                                                             monkeypatch):
+        _, bump, cls, nm, n, k_max = fixture_objects
+        calls = []
+        real = fs._recurrence_blocks
+
+        def spy(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(fs, "_recurrence_blocks", spy)
+        ht = lb.htilde_solve(cls, nm, n)
+        with pytest.raises(ValidationError, match="Laguerre"):
+            lb.tau_diag(lb.BumpSpec(0.5, 1844.0), cls, ht, k_max)
+        assert calls == []
+        lb.tau_diag(bump, cls, ht, k_max)   # the spy sees a table within the cap
+        assert calls == [k_max + 1]
 
 
 # (n, delta, D, beta) of the knot-split rule's oracle checks, beta None for

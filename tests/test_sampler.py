@@ -554,7 +554,10 @@ class TestDrawInputs:
         (10, 2**64 + 7, 0.9),
         (10, -1, 0.9),
         (10, 1, 1.5),
-    ], ids=["n-cap+1", "n-0", "n-float", "seed-2^64+7", "seed--1", "eta-1.5"])
+        (True, 1, 0.9),
+        (10, True, 0.9),
+    ], ids=["n-cap+1", "n-0", "n-float", "seed-2^64+7", "seed--1", "eta-1.5", "n-bool",
+            "seed-bool"])
     def test_refused_before_materialize(self, monkeypatch, n, seed, eta):
         def materialize(spec):
             raise AssertionError("materialize reached")
