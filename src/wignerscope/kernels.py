@@ -19,8 +19,9 @@ its batch in the last bits.
 
 For the estimator's inner loop a table caches the kernel: local cubic
 Hermite cells on nodes k * step (themselves such a grid), refined to a
-table _FINE times denser that a lookup interpolates linearly, two gathers
-and one multiply-add a value, into buffers a caller can reuse.
+table _FINE times denser that a lookup interpolates linearly, two
+unbuffered gathers and one multiply-add a value, into buffers a caller can
+reuse; it clamps |u| only in a batch where some value lies past u_max.
 """
 
 from __future__ import annotations
@@ -178,26 +179,24 @@ class KernelTable:
         an intp array, all of u's shape, and reuse them; the values are the
         same bit for bit."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if out is None:
-            out = np.empty(u_arr.shape)
+        out = np.empty(u_arr.shape) if out is None else out
         x, cell = work if work is not None else (np.empty(u_arr.shape),
                                                  np.empty(u_arr.shape, np.intp))
         np.abs(u_arr, out=x)
-        outside = not x.max(initial=0.0) <= self.u_max   # NaN compares false
-        # clamp before scaling: |u| past u_max, NaN and inf land on the last
-        # fine node, whose slope is 0, and are replaced below
-        np.fmin(x, self.u_max, out=x)
+        # |u| past u_max, NaN and inf clamp to the last fine node (slope 0), replaced below
+        if outside := not x.max(initial=0.0) <= self.u_max:   # NaN compares false
+            np.fmin(x, self.u_max, out=x)
         x /= self.step / _FINE    # a node k step maps to exactly _FINE k
-        np.copyto(cell, x, casting="unsafe")   # x >= 0: truncation is floor
-        x -= cell
-        np.take(self.slope, cell, out=out)
+        np.copyto(cell, np.floor(x, out=out), casting="unsafe")
+        x -= out
+        # every cell is in range, so "clip" clips none; "raise" copies out through a buffer
+        np.take(self.slope, cell, out=out, mode="clip")
         out *= x
-        out += np.take(self.fine, cell, out=x)
+        out += np.take(self.fine, cell, out=x, mode="clip")
         if outside:
-            u_abs = np.abs(u_arr)
-            far = ~(u_abs <= self.u_max)
+            far = ~(np.abs(u_arr) <= self.u_max)
             # one value per call: no value may depend on the rest of its batch
-            out[far] = [kernel_eval(self.spec, v) for v in u_abs[far]]
+            out[far] = [kernel_eval(self.spec, v) for v in np.abs(u_arr[far])]
         return float(out[0]) if np.ndim(u) == 0 else out
 
 

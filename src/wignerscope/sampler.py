@@ -189,13 +189,13 @@ def _search_rows(flat: np.ndarray, base: np.ndarray, n: int, t: np.ndarray) -> n
     power of two, then k halving steps of one gather and one compare each."""
     m = n - 1
     step = 1 << (m.bit_length() - 1)
-    idx = base.copy()
+    idx = base.copy()   # every probe lies in its row: take's "clip" clips none
     if m > step:
         # the cell lies in [m - 2^k, m) or, past a failed probe, in [0, m - 2^k)
-        idx += (m - step) * (flat[idx + (m - step)] <= t)
+        idx += (m - step) * (flat.take(idx + (m - step), mode="clip") <= t)
     step >>= 1
     while step:
-        idx += step * (flat[idx + step] <= t)
+        idx += step * (flat.take(idx + step, mode="clip") <= t)
         step >>= 1
     return idx
 
@@ -322,11 +322,12 @@ class QuadratureSampler:
         cdf = self.cdf.ravel()  # views: both tables are C-contiguous
         pdf = self.pdf.ravel()
         base = bucket * n
-        target = u * self.row_total[bucket]
+        target = u * self.row_total.take(bucket, mode="clip")   # bucket < n_phases: clips none
         cell = _search_rows(cdf, base, n, target)
-        c0 = cdf[cell]
-        dc = cdf[cell + 1] - c0
-        m0, m1 = _monotone_slopes(dc, pdf[cell] * h, pdf[cell + 1] * h)
+        c0 = cdf.take(cell, mode="clip")   # cell and cell + 1 lie in the row: "clip" clips none
+        dc = cdf.take(right := cell + 1, mode="clip") - c0
+        m0, m1 = _monotone_slopes(dc, pdf.take(cell, mode="clip") * h,
+                                  pdf.take(right, mode="clip") * h)
         return cell - base, dc, m0, m1, target - c0
 
     def _invert(self, bucket: np.ndarray, u: np.ndarray) -> np.ndarray:

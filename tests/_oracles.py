@@ -16,7 +16,10 @@ grid, so that the faster one can be held to its values, and
 recurrence one row at a time, before ``fockspace._recurrence_blocks``,
 with the two coefficient rules it ran (``hermite_psi_reference``,
 ``laguerre_rows_reference``), so that the block recurrence can be held to
-its rows bit for bit.
+its rows bit for bit.  ``table_lookup_reference`` is a frozen copy of the
+kernel table's lookup before its gathers dropped numpy's buffered copy
+and its clamp ran only past u_max, so that the lookup can be held to its
+values bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 
 from wignerscope._quad import _COS_SUM_BUDGET, _GL_X, _panel_rule, gl_panels
 from wignerscope.fockspace import _LAGUERRE_X_ZERO, _LOG2, DensityMatrix
+from wignerscope.kernels import _FINE, KernelTable, kernel_eval
 from wignerscope.lowerbound import AlphaXi, _p_mixture
 from wignerscope.tomography import NoiseModel, quad_density, x_support_radius
 
@@ -212,3 +216,28 @@ def laguerre_rows_reference(j_max: int, d: int, x) -> np.ndarray:
         math.sqrt(j * (j + d) / ((j + 1.0) * (j + d + 1.0))),
     ))
     return np.array(list(rows))
+
+
+def table_lookup_reference(table: KernelTable, u):
+    """``KernelTable.__call__`` before its gathers took mode="clip": a
+    clamp of every |u| to u_max, the cell by truncation, the fraction by a
+    float minus int subtraction, two gathers under np.take's default
+    mode="raise" and one multiply-add, then the exact kernel for every |u|
+    past u_max (and NaN), one value at a time."""
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty(u_arr.shape)
+    x, cell = np.empty(u_arr.shape), np.empty(u_arr.shape, np.intp)
+    np.abs(u_arr, out=x)
+    outside = not x.max(initial=0.0) <= table.u_max
+    np.fmin(x, table.u_max, out=x)
+    x /= table.step / _FINE
+    np.copyto(cell, x, casting="unsafe")
+    x -= cell
+    np.take(table.slope, cell, out=out)
+    out *= x
+    out += np.take(table.fine, cell, out=x)
+    if outside:
+        u_abs = np.abs(u_arr)
+        far = ~(u_abs <= table.u_max)
+        out[far] = [kernel_eval(table.spec, v) for v in u_abs[far]]
+    return float(out[0]) if np.ndim(u) == 0 else out

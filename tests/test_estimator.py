@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _oracles import table_lookup_reference
 from wignerscope import estimator as es
 from wignerscope import fockspace as fs
 from wignerscope import kernels as kn
@@ -338,6 +339,26 @@ class TestEstimateGrid:
                 u = q * np.cos(ds.phi) + p * np.sin(ds.phi) - ds.y / math.sqrt(0.9)
                 assert np.mean(np.abs(u) > table.u_max) > 0.2
                 assert wg.values[iq, ip] == es.estimate_point(ds, kspec, (q, p), table=table)
+
+    def test_records_past_risk_table_range_match_the_reference(self, nm):
+        # risk's table range, sqrt(eta) x_max + 8 sqrt((1-eta)/2), with three
+        # records moved past it: the lookup clamps and takes the exact kernel
+        # for them, and every value is the frozen reference lookup's
+        state = fs.StateSpec.fock(1)
+        ds = sp.simulate(state, 2000, nm.eta, seed=21)
+        y_max = (math.sqrt(nm.eta) * tg.x_support_radius(fs.materialize(state).dim)
+                 + 8.0 * math.sqrt((1.0 - nm.eta) / 2.0))
+        y = ds.y.copy()
+        y[[3, 500, 1999]] = [y_max + 0.5, -(y_max + 2.0), 1.5 * y_max]
+        ds = sp.Dataset(y=y, phi=ds.phi, meta=ds.meta)
+        kspec = kn.KernelSpec(0.4, nm, "sharp")
+        q, p = np.array([0.0, 1.0, -2.0, 0.3]), np.array([0.0, 0.5, 1.5, -0.7])
+        table = es.default_table(kspec, float(np.max(np.hypot(q, p))), y_max)
+        u = (q[:, None] * np.cos(ds.phi) + p[:, None] * np.sin(ds.phi)
+             - ds.y / math.sqrt(nm.eta))
+        assert 0 < np.count_nonzero(np.abs(u) > table.u_max) <= 3 * q.size
+        expect = table_lookup_reference(table, u).sum(axis=1) / ds.n
+        assert np.array_equal(es._estimate(ds, kspec, q, p, table), expect)
 
 
 class TestRiskEval:

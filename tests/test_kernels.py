@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from _oracles import table_lookup_reference
 from wignerscope import kernels as kn
 from wignerscope._quad import cells_eval, hermite_cells
 from wignerscope.errors import NumericGuardError, ValidationError
@@ -343,6 +344,34 @@ class TestKernelTable:
             assert table(u, out=out, work=(x, cell)) is out
             assert np.array_equal(out, alone)
         assert np.array_equal(u, kept)
+
+    @pytest.mark.parametrize("variant,h,eta,u_max,step", [
+        ("sharp", 0.35, 0.9, 12.3, 0.0437),
+        ("sharp", 0.1, 0.95, 50.0, 0.03125),      # README sharp kernel-table
+        ("modified", 0.25, 0.9, 50.0, 0.03125),   # README kernel-table
+        ("modified", 0.4, 0.9, 15.0, None),
+    ])
+    def test_lookup_is_the_frozen_reference(self, variant, h, eta, u_max, step):
+        # bit for bit: every fine node (either sign), 1e5 uniform u and
+        # +-u_max, where no value is clamped, then a batch with values past
+        # u_max, which is clamped and takes kernel_eval there, alone and
+        # into caller buffers holding stale values
+        table = kn.build_table(kn.KernelSpec(h, NoiseModel(eta), variant), u_max, step)
+        rng = np.random.default_rng(11)
+        nodes = np.minimum(np.arange(table.fine.size) * (table.step / kn._FINE), table.u_max)
+        inside = np.concatenate([nodes, -nodes, rng.uniform(-table.u_max, table.u_max, 10**5),
+                                 [table.u_max, -table.u_max]])
+        past = np.array([np.nextafter(table.u_max, math.inf), -(table.u_max + 0.5),
+                         table.u_max + 3.0])
+        mixed = np.concatenate([inside[::97], past])
+        for u in (inside, mixed):
+            expect = table_lookup_reference(table, u)
+            assert np.array_equal(table(u), expect)
+            out, x = np.full(u.shape, np.nan), np.full(u.shape, -7.5)
+            got = table(u, out=out, work=(x, np.full(u.shape, -1, np.intp)))
+            assert got is out and np.array_equal(got, expect)
+        assert table(table.u_max) == table_lookup_reference(table, table.u_max)
+        assert np.array_equal(table(past), [kn.kernel_eval(table.spec, abs(v)) for v in past])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
     @pytest.mark.parametrize("variant", kn.VARIANTS)

@@ -127,13 +127,11 @@ class TestNoisyDensity:
 
     def test_monte_carlo_oracle_fock1(self, fock1):
         # density of Y = sqrt(eta) X + sqrt((1-eta)/2) xi at y = 0 from
-        # 1e7 simulated draws (X by inverse CDF of 2x^2 e^{-x^2}/sqrt(pi))
+        # 1e7 simulated draws; X has density 2x^2 e^{-x^2}/sqrt(pi), so X^2
+        # is Gamma(3/2)-distributed (the law gammaincinv(1.5, u) inverts)
         rng = np.random.default_rng(12345)
         n = 10**7
-        from scipy.special import gammaincinv
-
-        u = rng.random(n)
-        xabs = np.sqrt(gammaincinv(1.5, u))
+        xabs = np.sqrt(rng.gamma(1.5, size=n))
         x = xabs * rng.choice([-1.0, 1.0], size=n)
         eta = 0.9
         y = math.sqrt(eta) * x + math.sqrt((1 - eta) / 2) * rng.standard_normal(n)
